@@ -368,7 +368,7 @@ def cmd_bench(args):
         queries=args.queries,
         repeats=args.repeats,
         seed=args.seed,
-        threads=_threads(args.threads),
+        threads=args.threads,
     )
     report = run_bench(scenario)
     _write_text(args, report.to_json())
@@ -519,7 +519,8 @@ def build_parser():
     sp.add_argument("--queries", type=int, default=1000)
     sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=BenchScenario.threads,
+                    help="recorded in the report; the harness runs serially")
     sp.add_argument("--output", default=None, help="report JSON path (default stdout)")
     sp.set_defaults(func=cmd_bench)
 

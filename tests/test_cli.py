@@ -503,3 +503,14 @@ class TestBench:
             assert cell["aknn_seconds"] > 0
         assert "hardware" in payload
         assert "timestamp" not in json.dumps(payload)
+
+    def test_threads_default_is_serial(self, tmp_path, capsys):
+        # The harness runs serially, so an omitted --threads records 1.
+        out_file = tmp_path / "bench.json"
+        code, _, _ = run(
+            capsys,
+            "bench", "--n", "150", "--D", "3", "--queries", "10",
+            "--repeats", "1", "--seed", "0", "--output", str(out_file),
+        )
+        assert code == 0
+        assert json.loads(out_file.read_text())["threads"] == 1

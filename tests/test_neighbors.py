@@ -5,10 +5,12 @@ bit-identical indices and distances on every problem, including exact
 ties, which both backends break toward the lower training index.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from simplexreg import NeighborIndex, ValidationError, build_index
+from simplexreg import NeighborIndex, ValidationError, build_index, neighbors
 from simplexreg.neighbors import AUTO_KDTREE_THRESHOLD, pairwise_distances
 
 
@@ -185,3 +187,130 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             build_index(np.empty((0, 2)))
+
+
+def _assert_matches_brute(X, Q, k, strategy="kdtree"):
+    Ib, Db = build_index(X, strategy="brute").query_batch(Q, k)
+    I, D = build_index(X, strategy=strategy).query_batch(Q, k)
+    assert np.array_equal(Ib, I)
+    assert np.array_equal(Db, D)
+
+
+class TestKdtreeEdgeCases:
+    """The vectorised kd-tree pass against the brute oracle, bit for bit."""
+
+    def test_single_training_row(self, rng):
+        X = rng.normal(size=(1, 3))
+        Q = np.vstack([X, rng.normal(size=(5, 3))])
+        for k in (1, 4):
+            _assert_matches_brute(X, Q, k)
+
+    def test_k_equals_n_has_no_tie_probe(self, rng):
+        # k_probe == kk: every candidate is returned, only re-sorted.
+        X = np.round(rng.normal(size=(40, 2)), 1)
+        Q = np.round(rng.normal(size=(15, 2)), 1)
+        _assert_matches_brute(X, Q, 40)
+
+    def test_k_equals_n_minus_one(self, rng):
+        X = np.round(rng.normal(size=(40, 2)), 1)
+        Q = np.round(rng.normal(size=(15, 2)), 1)
+        _assert_matches_brute(X, Q, 39)
+
+    def test_queries_on_training_rows(self, rng):
+        # d_edge = 0 for duplicated rows, so ties resolve at radius 0.
+        X = np.round(rng.normal(size=(60, 2)), 1)
+        X = np.vstack([X, X[:20]])
+        for k in (1, 2, 3, 7):
+            _assert_matches_brute(X, X, k)
+
+    def test_full_scan_fallback(self, rng):
+        # A radius that captures fewer than kk points forces the full scan.
+        X = np.round(rng.normal(size=(50, 2)), 1)
+        q = np.array([10.0, 10.0])
+        idx = build_index(X, strategy="kdtree")
+        i, d = idx._resolve_row(q, 5, 0.0)
+        ib, db = build_index(X, strategy="brute").query(q, 5)
+        assert np.array_equal(i, ib)
+        assert np.array_equal(d, db)
+
+    def test_duplicated_query_rows(self, rng):
+        X = np.round(rng.normal(size=(300, 3)), 1)
+        Q = np.repeat(np.round(rng.normal(size=(10, 3)), 1), 3, axis=0)
+        _assert_matches_brute(X, Q, 6)
+        I, _ = build_index(X, strategy="kdtree").query_batch(Q, 6)
+        assert np.array_equal(I[0::3], I[1::3])
+        assert np.array_equal(I[0::3], I[2::3])
+
+    def test_query_blocks(self, monkeypatch, rng):
+        # Blocks of a few rows give the same answer as one block.
+        X = np.round(rng.normal(size=(200, 2)), 1)
+        Q = np.round(rng.normal(size=(25, 2)), 1)
+        whole = build_index(X, strategy="kdtree").query_batch(Q, 5)
+        # Budget for 4 query rows of (k + 1) candidates in p = 2 columns.
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 64 * 4 * 6 * 2 * 8)
+        blocked = build_index(X, strategy="kdtree").query_batch(Q, 5)
+        assert np.array_equal(whole[0], blocked[0])
+        assert np.array_equal(whole[1], blocked[1])
+        _assert_matches_brute(X, Q, 5)
+
+    @pytest.mark.parametrize("n, expected", [
+        (AUTO_KDTREE_THRESHOLD, "brute"),
+        (AUTO_KDTREE_THRESHOLD + 1, "kdtree"),
+    ])
+    def test_auto_at_threshold(self, rng, n, expected):
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        Q = np.round(rng.normal(size=(30, 3)), 1)
+        assert build_index(X).strategy == expected
+        for k in (1, 5, 25):
+            _assert_matches_brute(X, Q, k, strategy="auto")
+            _assert_matches_brute(X, Q, k, strategy="kdtree")
+
+
+class TestTieRowCounter:
+    """_resolve_row runs once per row whose (k+1)-th distance ties the k-th."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        resolve = NeighborIndex._resolve_row
+
+        def counting(self, q, kk, d_edge):
+            seen.append(kk)
+            return resolve(self, q, kk, d_edge)
+
+        monkeypatch.setattr(NeighborIndex, "_resolve_row", counting)
+        return seen
+
+    def test_continuous_predictors_make_no_calls(self, rng, calls):
+        X = rng.normal(size=(500, 3))
+        build_index(X, strategy="kdtree").query_batch(rng.normal(size=(100, 3)), 5)
+        assert calls == []
+
+    def test_lattice_calls_equal_tied_rows(self, calls):
+        g = np.arange(8.0)
+        X = np.array([(a, b) for a in g for b in g])
+        Q = X[:32] + 0.5
+        k = 4
+        _, D = build_index(X, strategy="brute").query_batch(Q, k + 1)
+        tied_rows = int(np.count_nonzero(D[:, k] == D[:, k - 1]))
+        build_index(X, strategy="kdtree").query_batch(Q, k)
+        assert 0 < tied_rows < len(Q)
+        assert len(calls) == tied_rows
+
+
+def test_auto_search_beats_brute_on_rounded_data():
+    # Ratio gate, never absolute seconds: auto must pick the faster backend
+    # at a size the benchmark's tie-heavy workload uses (measured 10-20x).
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(size=(3000, 3)), 1)
+    Q = np.round(rng.normal(size=(2000, 3)), 1)
+
+    def best_of_3(index):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            index.query_batch(Q, 10)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_of_3(build_index(X)) <= 0.5 * best_of_3(build_index(X, strategy="brute"))
