@@ -1,4 +1,5 @@
-"""Power-family means of compositions.
+"""Power-family means of compositions: the engine behind both neighbor
+regressors and the tuner.
 
 The mean of compositions u_1..u_n under exponent alpha is the closure of
 (sum_j u_j^alpha)^(1/alpha); its alpha -> 0 limit is the closed geometric
@@ -10,6 +11,9 @@ equivalent to leaving them raw.
 All power paths average the powered parts instead of summing them (the
 closure cancels the difference): with a raw sum the outer 1/alpha power
 overflows for tiny exponents, where sum^(1/alpha) is roughly n^(1/alpha).
+
+Every power mean in the package is `_unpower(<average of> _power(U, a), a)`;
+only these two helpers know that alpha = 0 is the geometric limit.
 """
 
 import numpy as np
@@ -26,19 +30,19 @@ def _check_zero_alpha(U, a, op):
         )
 
 
-def _mean_over_axis1(stack, a):
-    # (m, k, D) -> (m, D); assumes validated strictly positive input
-    # whenever a <= 0.
+def _power(U, a, out=None):
+    # U^a, or log U in the alpha -> 0 limit; assumes validated strictly
+    # positive input whenever a <= 0.
     if a == 0.0:
-        return closure(np.exp(np.log(stack).mean(axis=1)))
-    return closure((stack**a).mean(axis=1) ** (1.0 / a))
+        return np.log(U, out=out)
+    return np.power(U, a, out=out)
 
 
-def _weighted_mean_rows(W, U, a):
-    # W (m, n) rows of normalized weights, U (n, D) -> (m, D).
+def _unpower(S, a):
+    # Inverse of _power applied to an average S of powered rows, closed.
     if a == 0.0:
-        return closure(np.exp(W @ np.log(U)))
-    return closure((W @ U**a) ** (1.0 / a))
+        return closure(np.exp(S))
+    return closure(S ** (1.0 / a))
 
 
 def frechet_mean(U, alpha):
@@ -46,9 +50,7 @@ def frechet_mean(U, alpha):
     a = check_alpha(alpha)
     arr = as_composition_matrix(U)
     _check_zero_alpha(arr, a, "frechet_mean")
-    if a == 0.0:
-        return closure(np.exp(np.log(arr).mean(axis=0)))
-    return closure((arr**a).mean(axis=0) ** (1.0 / a))
+    return _unpower(_power(arr, a).mean(axis=0), a)
 
 
 def weighted_frechet_mean(U, weights, alpha):
@@ -78,10 +80,7 @@ def weighted_frechet_mean(U, weights, alpha):
     if total <= 0:
         raise DegenerateInputError("weights sum to zero")
     _check_zero_alpha(arr, a, "weighted_frechet_mean")
-    wn = w / total
-    if a == 0.0:
-        return closure(np.exp(wn @ np.log(arr)))
-    return closure((wn @ arr**a) ** (1.0 / a))
+    return _unpower((w / total) @ _power(arr, a), a)
 
 
 def frechet_path(U, alphas):

@@ -39,6 +39,19 @@ def _distances_to(X, q):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def _check_magnitude(A, what):
+    # p squared differences of at most (2 * limit)^2 sum to half the float
+    # maximum, so squared distances within the bound stay finite.
+    limit = np.sqrt(np.finfo(float).max / (8 * A.shape[1]))
+    big = np.flatnonzero(np.abs(A).max(axis=1) > limit)
+    if big.size:
+        raise ValidationError(
+            f"{what} row {int(big[0])} exceeds magnitude {limit:.4g}, "
+            "beyond which squared distances overflow"
+        )
+    return A
+
+
 def pairwise_distances(A, B):
     """Dense (m, n) Euclidean distance matrix, computed in chunks."""
     A = as_predictor_matrix(A)
@@ -72,7 +85,7 @@ class NeighborIndex:
             raise ValidationError(
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
             )
-        self._X = as_predictor_matrix(X)
+        self._X = _check_magnitude(as_predictor_matrix(X), "training")
         if strategy == "auto":
             strategy = "kdtree" if self._X.shape[0] > AUTO_KDTREE_THRESHOLD else "brute"
         self.strategy = strategy
@@ -112,6 +125,7 @@ class NeighborIndex:
             raise ValidationError(
                 f"query width {Q.shape[1]} does not match index width {self.p}"
             )
+        _check_magnitude(Q, "query")
         if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
             raise ValidationError(f"k must be an integer, got {k!r}")
         if k < 1:

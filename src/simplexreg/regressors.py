@@ -14,6 +14,9 @@ models expose predict):
 
 Models hold their training arrays by reference and never copy or mutate
 them.
+
+Each power-mean family predicts through one grid iterator that tuning
+also scores: `predict` is the single-cell grid.
 """
 
 from dataclasses import dataclass
@@ -26,9 +29,10 @@ from .errors import (
     ValidationError,
     ZeroNotAllowedError,
 )
-from .frechet import _mean_over_axis1, _weighted_mean_rows
+from .frechet import _check_zero_alpha, _power, _unpower
 from .neighbors import NeighborIndex, build_index, pairwise_distances
-from .simplex import as_composition_matrix, as_predictor_matrix, closure
+# closure stays bound for benchmark/tracing.py, which rebinds it by module.
+from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
 KERNELS = {
@@ -46,13 +50,6 @@ def _fit_arrays(X, U):
             f"predictors have {X.shape[0]} rows, responses {U.shape[0]}"
         )
     return X, U
-
-
-def _check_alpha_for_data(a, U, what):
-    if a <= 0 and np.any(U == 0):
-        raise ZeroNotAllowedError(
-            f"{what}: training responses contain zeros, which require alpha > 0"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +84,7 @@ def fit_alpha_knn(X, U, alpha, k, strategy="auto"):
     """
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
-    _check_alpha_for_data(a, U, "fit_alpha_knn")
+    _check_zero_alpha(U, a, "fit_alpha_knn")
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValidationError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= X.shape[0]:
@@ -99,9 +96,10 @@ def fit_alpha_knn(X, U, alpha, k, strategy="auto"):
 
 def predict_alpha_knn(model, Xnew):
     """Power mean of the k nearest training responses for each query row."""
-    Q = as_predictor_matrix(Xnew)
-    idx, _ = model.index.query_batch(Q, model.k)
-    return _mean_over_axis1(model.responses[idx], model.alpha)
+    cells = iter_knn_grid_predictions(
+        model.index, model.responses, Xnew, (model.alpha,), (model.k,)
+    )
+    return next(cells)[2]
 
 
 def iter_knn_grid_predictions(index, U, Q, alphas, ks):
@@ -118,24 +116,12 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     k_max = min(max(ks), index.n)
     idx, _ = index.query_batch(Q, k_max)
     nbr = U[idx]  # (m, k_max, D)
-    log_nbr = None
+    cum = np.empty_like(nbr)  # reused by every alpha
     for ai, a in enumerate(alphas):
         a = float(a)
-        if a == 0.0:
-            if log_nbr is None:
-                log_nbr = np.log(nbr)
-            cum = np.cumsum(log_nbr, axis=1)
-        else:
-            cum = np.cumsum(nbr**a, axis=1)
+        np.cumsum(_power(nbr, a, out=cum), axis=1, out=cum)
         for ki, k in enumerate(ks):
-            if k > index.n:
-                yield ai, ki, None
-                continue
-            s = cum[:, k - 1, :] / k
-            if a == 0.0:
-                yield ai, ki, closure(np.exp(s))
-            else:
-                yield ai, ki, closure(s ** (1.0 / a))
+            yield ai, ki, None if k > index.n else _unpower(cum[:, k - 1, :] / k, a)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +149,7 @@ def fit_alpha_kernel(X, U, alpha, h, kernel="gaussian"):
     """
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
-    _check_alpha_for_data(a, U, "fit_alpha_kernel")
+    _check_zero_alpha(U, a, "fit_alpha_kernel")
     h = float(h)
     if not np.isfinite(h) or h <= 0:
         raise ValidationError(f"bandwidth h must be positive and finite, got {h!r}")
@@ -180,19 +166,44 @@ def predict_alpha_kernel(model, Xnew):
     Raises DegenerateWeightsError, naming the first offending query row,
     when every kernel weight underflows to zero for some query.
     """
-    Q = as_predictor_matrix(Xnew)
-    dist = pairwise_distances(Q, model.predictors)
-    W = KERNELS[model.kernel](dist, model.h)
-    totals = W.sum(axis=1)
-    dead = np.flatnonzero(totals <= 0)
-    if dead.size:
-        raise DegenerateWeightsError(
-            f"all kernel weights underflowed for query row {int(dead[0])} "
-            f"(h={model.h!r}, kernel={model.kernel!r})",
-            query_index=int(dead[0]),
-        )
-    W /= totals[:, None]
-    return _weighted_mean_rows(W, model.responses, model.alpha)
+    cells = iter_kernel_grid_predictions(
+        model.predictors, model.responses, Xnew, (model.alpha,), (model.h,), model.kernel
+    )
+    pred = next(cells)[2]
+    if isinstance(pred, DegenerateWeightsError):
+        raise pred
+    return pred
+
+
+def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
+    """Predictions for every (alpha, h) cell from one distance matrix.
+
+    P (n, p) and U (n, D) are the training predictors and responses, Q
+    the (m, p) queries.  Yields (alpha_position, h_position, predictions)
+    one bandwidth at a time.  A bandwidth whose kernel weights all
+    underflow for some query yields, for each of its cells, a
+    DegenerateWeightsError naming the first such query row in place of
+    predictions.  Inputs are assumed validated (grid exponents in range,
+    zeros only with positive alphas, positive bandwidths, a known kernel).
+    """
+    dist = pairwise_distances(Q, P)
+    powered = [_power(U, a) for a in alphas]
+    for hi, h in enumerate(hs):
+        W = KERNELS[kernel](dist, h)
+        totals = W.sum(axis=1)
+        dead = np.flatnonzero(~(totals > 0))
+        if dead.size:
+            err = DegenerateWeightsError(
+                f"all kernel weights underflowed for query row {int(dead[0])} "
+                f"(h={h!r}, kernel={kernel!r})",
+                query_index=int(dead[0]),
+            )
+            for ai in range(len(alphas)):
+                yield ai, hi, err
+            continue
+        W /= totals[:, None]
+        for ai, a in enumerate(alphas):
+            yield ai, hi, _unpower(W @ powered[ai], a)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ held-out divergence, breaking ties toward the smaller alpha and then the
 smaller k or h.  Fold assignment, scoring, and the serialized report are
 all deterministic functions of the inputs and the seed; the optional
 thread pool only distributes folds, never reorders the reduction.
+
+Folds score the cells of each family's grid iterator, whose single-cell
+case is that family's `predict`.
 """
 
 import json
@@ -15,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TuningError, ValidationError
-from .neighbors import build_index, pairwise_distances
-from .regressors import KERNELS, iter_knn_grid_predictions
-from .simplex import as_composition_matrix, as_predictor_matrix, closure
+# pairwise_distances and closure stay bound for benchmark/tracing.py.
+from .neighbors import _distances_to, build_index, pairwise_distances  # noqa: F401
+from .regressors import KERNELS, iter_kernel_grid_predictions, iter_knn_grid_predictions
+from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
 from .transforms import check_alpha
 
 REPORT_SCHEMA_VERSION = 1
@@ -154,8 +158,7 @@ def default_h_grid(X, seed=0, size=10):
     i = rng.integers(0, n, size=1000)
     j = rng.integers(0, n - 1, size=1000)
     j = j + (j >= i)  # uniform over off-diagonal pairs
-    diff = X[i] - X[j]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    d = _distances_to(X[i], X[j])
     lo = float(np.percentile(d, 1))
     hi = float(np.percentile(d, 50))
     if hi <= 0:
@@ -222,53 +225,6 @@ class TuningReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _fold_eval_knn(X, U, labels, fold, alphas, ks, metric, clamp):
-    train = labels != fold
-    test = ~train
-    index = build_index(X[train], strategy="auto")
-    U_train = U[train]
-    U_test = U[test]
-    Q = X[test]
-    n_cells = (len(alphas), len(ks))
-    sums = np.zeros(n_cells)
-    infeasible = np.zeros(n_cells, dtype=bool)
-    for ai, ki, pred in iter_knn_grid_predictions(index, U_train, Q, alphas, ks):
-        if pred is None:
-            infeasible[ai, ki] = True
-            continue
-        sums[ai, ki] = _divergence_rows(metric, U_test, pred, clamp).sum()
-    return sums, infeasible, int(test.sum())
-
-
-def _fold_eval_kernel(X, U, labels, fold, alphas, hs, kernel, metric, clamp):
-    train = labels != fold
-    test = ~train
-    U_train = U[train]
-    U_test = U[test]
-    dist = pairwise_distances(X[test], X[train])
-    kern = KERNELS[kernel]
-    powered = {}
-    for a in alphas:
-        powered[a] = np.log(U_train) if a == 0.0 else U_train**a
-    n_cells = (len(alphas), len(hs))
-    sums = np.zeros(n_cells)
-    infeasible = np.zeros(n_cells, dtype=bool)
-    for hi, h in enumerate(hs):
-        W = kern(dist, h)
-        totals = W.sum(axis=1)
-        if not np.all(totals > 0):
-            infeasible[:, hi] = True  # weights degenerate for some query
-            continue
-        Wn = W / totals[:, None]
-        for ai, a in enumerate(alphas):
-            if a == 0.0:
-                pred = closure(np.exp(Wn @ powered[a]))
-            else:
-                pred = closure((Wn @ powered[a]) ** (1.0 / a))
-            sums[ai, hi] = _divergence_rows(metric, U_test, pred, clamp).sum()
-    return sums, infeasible, int(test.sum())
-
-
 def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
          kernel="gaussian", threads=1):
     """Cross-validated grid search for one model family.
@@ -312,7 +268,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     clamp = float(clamp)
     if clamp < 0:
         raise ValidationError(f"clamp must be nonnegative, got {clamp!r}")
-    threads = int(threads) if threads else 1
+    threads = int(threads)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if np.any(U == 0) and min(grid.alphas) <= 0:
@@ -334,15 +290,31 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
 
     n = X.shape[0]
     labels = make_folds(n, grid.folds, grid.seed)
+    shape = (len(grid.alphas), len(axis2))
 
     def run_fold(fold):
+        # Summed held-out divergence per cell; a cell that yields anything
+        # but predictions (None, or an error object) is infeasible.
+        train = labels != fold
+        test = ~train
         if model_family == "alpha-knn":
-            return _fold_eval_knn(
-                X, U, labels, fold, grid.alphas, grid.ks, metric, clamp
+            index = build_index(X[train], strategy="auto")
+            cells = iter_knn_grid_predictions(
+                index, U[train], X[test], grid.alphas, grid.ks
             )
-        return _fold_eval_kernel(
-            X, U, labels, fold, grid.alphas, grid.hs, kernel, metric, clamp
-        )
+        else:
+            cells = iter_kernel_grid_predictions(
+                X[train], U[train], X[test], grid.alphas, grid.hs, kernel
+            )
+        U_test = U[test]
+        sums = np.zeros(shape)
+        infeasible = np.zeros(shape, dtype=bool)
+        for i, j, pred in cells:
+            if isinstance(pred, np.ndarray):
+                sums[i, j] = _divergence_rows(metric, U_test, pred, clamp).sum()
+            else:
+                infeasible[i, j] = True
+        return sums, infeasible, U_test.shape[0]
 
     fold_ids = list(range(grid.folds))
     if threads == 1:
@@ -352,7 +324,6 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
             results = list(pool.map(run_fold, fold_ids))
 
     # Fixed-order reduction keeps totals identical for any thread count.
-    shape = (len(grid.alphas), len(axis2))
     total = np.zeros(shape)
     infeasible = np.zeros(shape, dtype=bool)
     fold_sums = []

@@ -216,6 +216,18 @@ class TestTune:
         assert "error: ValidationError" in err
         assert "strictly positive" in err
 
+    def test_zero_threads_exits_2(self, train_csv, capsys):
+        code, out, err = run(
+            capsys,
+            "tune", "--input", str(train_csv),
+            "--response-cols", "y1,y2,y3", "--predictor-cols", "x1",
+            "--model", "aknn", "--alpha-grid", "1", "--k-grid", "3",
+            "--threads", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: ValidationError: threads must be >= 1, got 0" in err
+
     def test_input_not_mutated(self, train_csv, capsys):
         before = train_csv.read_bytes()
         run(

@@ -188,6 +188,32 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             build_index(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("strategy", ["brute", "kdtree", "auto"])
+    def test_overflowing_training_rows_rejected(self, strategy):
+        # squared distances between these rows overflow to inf; the
+        # kd-tree would report a missing neighbor as index n
+        X = [[1e300 * (i + 1)] for i in range(200)]
+        with pytest.raises(ValidationError, match="training row 0"):
+            build_index(X, strategy).query_batch([[0.0]], 1)
+
+    @pytest.mark.parametrize("strategy", ["brute", "kdtree", "auto"])
+    def test_overflowing_query_rows_rejected(self, rng, strategy):
+        idx = build_index(rng.normal(size=(200, 2)), strategy)
+        with pytest.raises(ValidationError, match="query row 1"):
+            idx.query_batch([[0.0, 0.0], [0.0, -1e300]], 1)
+
+    @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+    def test_magnitude_bound(self, strategy):
+        # opposite corners at the bound are still a finite distance apart
+        p = 2
+        limit = np.sqrt(np.finfo(float).max / (8 * p))
+        X = np.array([[limit, limit], [-limit, -limit]])
+        idx, dist = build_index(X, strategy).query_batch(X, 2)
+        assert np.all(np.isfinite(dist))
+        assert idx.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValidationError, match="training row 1"):
+            build_index(np.array([[0.0, 0.0], [0.0, 1.01 * limit]]), strategy)
+
 
 def _assert_matches_brute(X, Q, k, strategy="kdtree"):
     Ib, Db = build_index(X, strategy="brute").query_batch(Q, k)

@@ -32,7 +32,12 @@ from simplexreg import (
     predict_kld,
     predict_logratio_ols,
 )
-from simplexreg.regressors import KERNELS, iter_knn_grid_predictions
+from simplexreg.regressors import (
+    KERNELS,
+    iter_kernel_grid_predictions,
+    iter_knn_grid_predictions,
+)
+from simplexreg.selection import TuningGrid, tune
 
 
 @pytest.fixture
@@ -136,6 +141,53 @@ class TestKnnGridIterator:
         out = list(iter_knn_grid_predictions(index, U, X, (1.0,), (5, 11)))
         assert out[0][2] is not None
         assert out[1][2] is None
+
+    @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+    def test_cells_equal_predict_bitwise(self, rng, strategy):
+        # predict is the single-cell grid, so the bits agree exactly
+        X, U = make_data(rng, n=200, p=2, D=4)
+        Q = rng.normal(size=(30, 2))
+        index = build_index(X, strategy=strategy)
+        alphas = (-1.0, -0.3, 0.0, 0.5, 1.0)
+        ks = (1, 3, 10, 40)
+        for ai, ki, pred in iter_knn_grid_predictions(index, U, Q, alphas, ks):
+            model = fit_alpha_knn(X, U, alphas[ai], ks[ki], strategy=strategy)
+            assert np.array_equal(pred, model.predict(Q))
+
+
+class TestKernelGridIterator:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_cells_equal_predict_bitwise(self, rng, kernel):
+        X, U = make_data(rng, n=70, p=2, D=4)
+        Q = rng.normal(size=(15, 2))
+        alphas = (-1.0, 0.0, 0.5, 1.0)
+        hs = (0.3, 1.0, 5.0)
+        cells = list(iter_kernel_grid_predictions(X, U, Q, alphas, hs, kernel))
+        assert len(cells) == len(alphas) * len(hs)
+        for ai, hi, pred in cells:
+            model = fit_alpha_kernel(X, U, alphas[ai], hs[hi], kernel)
+            assert np.array_equal(pred, model.predict(Q))
+
+    def test_underflowing_bandwidth(self, rng):
+        # two far-apart clusters: at h = 1e-8 a query from one cluster
+        # gives zero weight to every training row of the other
+        X = np.concatenate([rng.normal(size=30), rng.normal(size=30) + 1e4])[:, None]
+        U = closure(rng.random((60, 3)) + 0.05)
+        Q = np.array([[0.0], [5e3], [1e4]])
+        cells = list(
+            iter_kernel_grid_predictions(X, U, Q, (0.5, 1.0), (1e-8, 1e4), "gaussian")
+        )
+        dead = [pred for _, hi, pred in cells if hi == 0]
+        assert len(dead) == 2
+        assert all(isinstance(e, DegenerateWeightsError) for e in dead)
+        assert all(e.query_index == 0 for e in dead)
+        with pytest.raises(DegenerateWeightsError, match="query row 0") as err:
+            fit_alpha_kernel(X, U, 0.5, 1e-8).predict(Q)
+        assert err.value.query_index == 0
+        grid = TuningGrid(alphas=(0.5, 1.0), hs=(1e-8, 1e4), folds=5, seed=0)
+        report = tune(X, U, "alpha-kernel", grid)
+        assert [row[0] for row in report.mean_divergence] == [None, None]
+        assert all(row[1] is not None for row in report.mean_divergence)
 
 
 class TestAlphaKernel:

@@ -272,6 +272,15 @@ class TestTuneKnn:
             tune(X, U, "alpha-knn", grid)
         tune(X, U, "alpha-knn", TuningGrid(alphas=(0.5,), ks=(3,), folds=10, seed=0))
 
+    def test_zero_threads_rejected(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=40)
+        U = closure(rng.random((40, 3)) + 0.05)
+        grid = TuningGrid(alphas=(1.0,), ks=(3,), folds=10, seed=0)
+        for bad in (0, -1):
+            with pytest.raises(ValidationError, match="threads must be >= 1"):
+                tune(X, U, "alpha-knn", grid, threads=bad)
+
     def test_thread_count_does_not_change_report(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(120, 2))
