@@ -6,9 +6,16 @@ streams stay clean for piping; human-readable progress and summaries go
 to stderr.  All randomness is controlled by --seed and every report is a
 deterministic function of its inputs; reports carry no timestamps.
 Failures exit nonzero with a single-line `error: <kind>: <message>`.
+
+A model file from `fit` is one self-contained JSON document holding the
+coefficients (kld, ols) or the preprocessed training arrays (aknn,
+akernel; base64 little-endian float64) and the sha256 of its canonical
+content; `predict` verifies it and parses only the query CSV.
 """
 
 import argparse
+import base64
+import hashlib
 import json
 import os
 import sys
@@ -49,7 +56,7 @@ from .selection import (
 )
 from .simplex import validate_composition_matrix
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 _FAMILIES = {"aknn": "alpha-knn", "akernel": "alpha-kernel"}
 
@@ -178,17 +185,28 @@ def cmd_tune(args):
     return 0
 
 
-def _model_payload(args, schema, prep):
-    payload = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "model": args.model,
-        "response_cols": list(schema.response_cols),
-        "predictor_cols": list(schema.predictor_cols),
-        "delimiter": schema.delimiter,
-        "has_header": schema.has_header,
-        "preprocessing": prep,
-    }
-    return payload
+def _model_error(path, why):
+    return ValidationError(f"model file {path!r}: {why}")
+
+
+def _encode_array(a):
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(obj, path):
+    try:
+        n, c = (int(v) for v in obj["shape"])
+        raw = base64.b64decode(obj["data"], validate=True)
+        if min(n, c) < 0 or len(raw) != 8 * n * c:
+            raise ValueError(f"{len(raw)} bytes do not make shape [{n}, {c}]")
+    except (KeyError, TypeError, ValueError) as err:
+        raise _model_error(path, f"bad embedded array ({err})") from None
+    return np.frombuffer(raw, dtype="<f8").reshape(n, c)
+
+
+def _digest(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def cmd_fit(args):
@@ -196,92 +214,93 @@ def cmd_fit(args):
     X, U = load_csv(args.input, schema)
     X, prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,
                                 args.standardize)
-    payload = _model_payload(args, schema, prep)
+    payload = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "model": args.model,
+        "response_cols": list(schema.response_cols),
+        "predictor_cols": list(schema.predictor_cols),
+        "preprocessing": prep,
+    }
     if args.model == "aknn":
         if args.alpha is None or args.k is None:
             raise ValidationError("fit aknn needs --alpha and --k")
-        fit_alpha_knn(X, U, args.alpha, args.k)  # validates now, refit at predict
-        payload.update(alpha=args.alpha, k=args.k, training_path=args.input)
+        fit_alpha_knn(X, U, args.alpha, args.k)  # validates now, rebuilt at predict
+        payload.update(alpha=args.alpha, k=args.k)
     elif args.model == "akernel":
         if args.alpha is None or args.h is None:
             raise ValidationError("fit akernel needs --alpha and --h")
         fit_alpha_kernel(X, U, args.alpha, args.h, kernel=args.kernel)
-        payload.update(alpha=args.alpha, h=args.h, kernel=args.kernel,
-                       training_path=args.input)
+        payload.update(alpha=args.alpha, h=args.h, kernel=args.kernel)
     elif args.model == "kld":
         model = fit_kld(X, U)
-        payload.update(
-            coefficients=[[float(v) for v in row] for row in model.coef],
-            iterations=model.iterations,
-            objective=model.objective,
-            hessian_damped=model.hessian_damped,
-        )
+        payload.update(iterations=model.iterations, objective=model.objective,
+                       hessian_damped=model.hessian_damped)
     else:  # ols
         model = fit_logratio_ols(X, U, transform=args.transform)
-        payload.update(
-            coefficients=[[float(v) for v in row] for row in model.coef],
-            transform=model.transform,
-        )
+        payload.update(transform=model.transform)
+    if args.model in _FAMILIES:
+        payload.update(predictors=_encode_array(X), responses=_encode_array(U))
+    else:
+        payload["coefficients"] = model.coef.tolist()
+    payload["sha256"] = _digest(payload)
     _write_text(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _note(f"fit: {args.model} model written")
     return 0
 
 
-def _rebuild_model(payload):
+def _rebuild_model(payload, path):
     kind = payload["model"]
-    if kind == "kld":
-        coef = np.asarray(payload["coefficients"], dtype=float)
-        coef.flags.writeable = False
-        return KldModel(
-            coef=coef,
-            iterations=int(payload.get("iterations", 0)),
-            objective=float(payload.get("objective", 0.0)),
-            objective_path=(),
-            hessian_damped=bool(payload.get("hessian_damped", False)),
-        )
+    if kind in _FAMILIES:
+        X, U = (_decode_array(payload[key], path) for key in ("predictors", "responses"))
+        if kind == "aknn":
+            return fit_alpha_knn(X, U, payload["alpha"], payload["k"])
+        return fit_alpha_kernel(X, U, payload["alpha"], payload["h"], kernel=payload["kernel"])
+    if kind not in ("kld", "ols"):
+        raise _model_error(path, f"unknown model kind {kind!r}")
+    coef = np.asarray(payload["coefficients"], dtype=float)
+    coef.flags.writeable = False
     if kind == "ols":
-        coef = np.asarray(payload["coefficients"], dtype=float)
-        coef.flags.writeable = False
         return LogRatioOlsModel(coef=coef, transform=payload["transform"])
-    schema = DatasetSchema(
-        response_cols=tuple(payload["response_cols"]),
-        predictor_cols=tuple(payload["predictor_cols"]),
-        delimiter=payload["delimiter"],
-        has_header=payload["has_header"],
-    )
-    path = payload["training_path"]
-    if not os.path.exists(path):
-        raise ValidationError(
-            f"model references training data {path!r}, which does not exist"
-        )
-    X, U = load_csv(path, schema)
-    X = _apply_preprocess(X, schema.predictor_cols, payload["preprocessing"])
-    if kind == "aknn":
-        return fit_alpha_knn(X, U, payload["alpha"], payload["k"])
-    if kind == "akernel":
-        return fit_alpha_kernel(
-            X, U, payload["alpha"], payload["h"], kernel=payload["kernel"]
-        )
-    raise ValidationError(f"unknown model kind {kind!r} in model file")
+    return KldModel(coef=coef, iterations=payload["iterations"], objective=payload["objective"],
+                    objective_path=(), hessian_damped=payload["hessian_damped"])
+
+
+def _load_model(path):
+    """The model `fit` saved in `path`, with its stored predictor names,
+    response names and preprocessing.  A file that is not an intact model
+    file of this schema version raises a ValidationError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as err:  # not UTF-8 or not JSON
+            raise _model_error(path, f"not JSON ({err})") from None
+    if not isinstance(payload, dict):
+        raise _model_error(path, "not a JSON object")
+    version = payload.get("schema_version")
+    if version != MODEL_SCHEMA_VERSION:
+        raise _model_error(path, f"schema_version {version!r} is unsupported; re-run fit")
+    if payload.pop("sha256", None) != _digest(payload):
+        raise _model_error(path, "sha256 does not match the content")
+    try:
+        return (_rebuild_model(payload, path), payload["predictor_cols"],
+                payload["response_cols"], payload["preprocessing"])
+    except KeyError as err:
+        raise _model_error(path, f"missing key {err}") from None
 
 
 def cmd_predict(args):
-    with open(args.model_file, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    model = _rebuild_model(payload)
+    model, predictor_cols, response_cols, prep = _load_model(args.model_file)
     truth_cols = _split_list(args.response_cols) if args.response_cols else []
     schema = DatasetSchema(
         response_cols=tuple(truth_cols),
-        predictor_cols=tuple(payload["predictor_cols"]),
+        predictor_cols=tuple(predictor_cols),
         delimiter=args.delimiter,
         has_header=not args.no_header,
     )
     X, truth = load_csv(args.input, schema)
-    X = _apply_preprocess(X, schema.predictor_cols, payload["preprocessing"])
+    X = _apply_preprocess(X, schema.predictor_cols, prep)
     pred = model.predict(X)
-    names = list(payload["response_cols"])
-    if len(names) != pred.shape[1]:
-        names = [f"y{j + 1}" for j in range(pred.shape[1])]
+    names = list(response_cols)
     columns = [pred[:, j] for j in range(pred.shape[1])]
     if truth is not None:
         if truth.shape[1] != pred.shape[1]:
@@ -295,10 +314,7 @@ def cmd_predict(args):
             rows = js_divergence(truth, pred)
         columns.append(rows)
         names.append(args.metric)
-    if args.output:
-        write_csv(args.output, columns, names, delimiter=args.delimiter)
-    else:
-        write_csv(sys.stdout, columns, names, delimiter=args.delimiter)
+    write_csv(args.output or sys.stdout, columns, names, delimiter=args.delimiter)
     _note(f"predict: wrote {pred.shape[0]} rows")
     return 0
 
@@ -320,13 +336,10 @@ def cmd_simulate(args):
     names += [f"y{j + 1}" for j in range(U.shape[1])]
     columns = [X[:, j] for j in range(X.shape[1])]
     columns += [U[:, j] for j in range(U.shape[1])]
-    if args.output:
-        write_csv(args.output, columns, names)
-    else:
-        write_csv(sys.stdout, columns, names)
+    write_csv(args.output or sys.stdout, columns, names)
     if args.truth_output:
         truth = {
-            "schema_version": MODEL_SCHEMA_VERSION,
+            "schema_version": 1,
             "link": spec.link,
             "degree": spec.degree,
             "n": spec.n,
@@ -353,10 +366,7 @@ def cmd_frechet_path(args):
     columns = [np.array([a for a, _ in path])]
     means = np.vstack([m for _, m in path])
     columns += [means[:, j] for j in range(means.shape[1])]
-    if args.output:
-        write_csv(args.output, columns, names)
-    else:
-        write_csv(sys.stdout, columns, names)
+    write_csv(args.output or sys.stdout, columns, names)
     _note(f"frechet-path: {len(path)} grid points")
     return 0
 

@@ -52,6 +52,25 @@ def _fit_arrays(X, U):
     return X, U
 
 
+def _design_matrix(X):
+    """[1 | X] for the parametric baselines, which need n > p + 1 rows."""
+    n, p = X.shape
+    if n <= p + 1:
+        raise ValidationError(f"need more than p + 1 = {p + 1} rows, got {n}")
+    return np.column_stack([np.ones(n), X])
+
+
+def _linear_predictor(coef, Xnew):
+    """[1 | Xnew] @ coef for a (p + 1, D - 1) coefficient matrix."""
+    Q = as_predictor_matrix(Xnew)
+    if Q.shape[1] != coef.shape[0] - 1:
+        raise ValidationError(
+            f"query width {Q.shape[1]} does not match model's "
+            f"{coef.shape[0] - 1} predictors"
+        )
+    return coef[0] + Q @ coef[1:]
+
+
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor family
 
@@ -267,21 +286,17 @@ def fit_kld(X, U, tol=1e-7, max_iter=100):
     """
     if X is None:
         U = as_composition_matrix(U)
-        n, p = U.shape[0], 0
-        X = np.empty((n, 0))
+        X = np.empty((U.shape[0], 0))
     else:
         X, U = _fit_arrays(X, U)
-        n, p = X.shape
-    if n <= p + 1:
-        raise ValidationError(f"need more than p + 1 = {p + 1} rows, got {n}")
+    X1 = _design_matrix(X)
     tol = float(tol)
     if not np.isfinite(tol) or tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    X1 = np.column_stack([np.ones(n), X])
     U_tail = U[:, 1:]
-    q = p + 1
+    q = X1.shape[1]
     d = U.shape[1] - 1
     B = np.zeros((q, d))
     nll, W = _kld_forward(X1, U_tail, B)
@@ -344,14 +359,7 @@ def predict_kld(model, Xnew):
         if arr.ndim == 0 or arr.shape[0] < 1:
             raise ValidationError("predict needs at least one query row")
         return np.tile(alr_inverse(model.coef[0]), (arr.shape[0], 1))
-    Q = as_predictor_matrix(Xnew)
-    if Q.shape[1] != model.coef.shape[0] - 1:
-        raise ValidationError(
-            f"query width {Q.shape[1]} does not match model's "
-            f"{model.coef.shape[0] - 1} predictors"
-        )
-    eta = model.coef[0] + Q @ model.coef[1:]
-    return alr_inverse(eta)
+    return alr_inverse(_linear_predictor(model.coef, Xnew))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +392,8 @@ def fit_logratio_ols(X, U, transform="alr"):
             "fit_logratio_ols: responses contain zeros; log-ratio "
             "coordinates need strictly positive parts"
         )
-    n, p = X.shape
-    if n <= p + 1:
-        raise ValidationError(f"need more than p + 1 = {p + 1} rows, got {n}")
+    X1 = _design_matrix(X)
     V = alr(U) if transform == "alr" else ilr(U)
-    X1 = np.column_stack([np.ones(n), X])
     coef, _, rank, _ = np.linalg.lstsq(X1, V, rcond=None)
     if rank < X1.shape[1]:
         raise ValidationError(
@@ -400,13 +405,7 @@ def fit_logratio_ols(X, U, transform="alr"):
 
 def predict_logratio_ols(model, Xnew):
     """Back-transformed linear predictions."""
-    Q = as_predictor_matrix(Xnew)
-    if Q.shape[1] != model.coef.shape[0] - 1:
-        raise ValidationError(
-            f"query width {Q.shape[1]} does not match model's "
-            f"{model.coef.shape[0] - 1} predictors"
-        )
-    eta = model.coef[0] + Q @ model.coef[1:]
+    eta = _linear_predictor(model.coef, Xnew)
     if model.transform == "alr":
         return alr_inverse(eta)
     return ilr_inverse(eta)

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _distances_to, build_index, pairwise_distances  # noqa: F401
-from .regressors import KERNELS, iter_kernel_grid_predictions, iter_knn_grid_predictions
-from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
+from .regressors import (KERNELS, _fit_arrays, iter_kernel_grid_predictions,
+                         iter_knn_grid_predictions)
+from .simplex import as_predictor_matrix, closure  # noqa: F401
 from .transforms import check_alpha
 
 REPORT_SCHEMA_VERSION = 1
@@ -251,12 +252,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     -------
     TuningReport
     """
-    X = as_predictor_matrix(X)
-    U = as_composition_matrix(U)
-    if X.shape[0] != U.shape[0]:
-        raise ValidationError(
-            f"predictors have {X.shape[0]} rows, responses {U.shape[0]}"
-        )
+    X, U = _fit_arrays(X, U)
     if model_family not in ("alpha-knn", "alpha-kernel"):
         raise ValidationError(
             f"model_family must be 'alpha-knn' or 'alpha-kernel', got {model_family!r}"
@@ -386,12 +382,7 @@ def cross_validated_score(X, U, model_spec, folds=10, seed=0, clamp=DEFAULT_CLAM
     on the held-out rows; both divergences are reported so families can
     be compared on identical folds.
     """
-    X = as_predictor_matrix(X)
-    U = as_composition_matrix(U)
-    if X.shape[0] != U.shape[0]:
-        raise ValidationError(
-            f"predictors have {X.shape[0]} rows, responses {U.shape[0]}"
-        )
+    X, U = _fit_arrays(X, U)
     n = X.shape[0]
     labels = make_folds(n, folds, seed)
     total_kl = 0.0

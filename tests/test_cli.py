@@ -5,6 +5,7 @@ with a single error line.  Reports must be byte-identical across runs
 and thread counts.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -299,7 +300,7 @@ class TestFitPredict:
         )
         assert code == 0
         payload = json.loads(model_file.read_text())
-        assert payload["training_path"] == str(train_csv)
+        assert "training_path" not in payload
 
         pred_file = tmp_path / "pred.csv"
         code, _, _ = run(
@@ -459,6 +460,202 @@ class TestGeoAndStandardize:
         )
         assert code == 2
         assert "geo column" in err
+
+    @pytest.mark.parametrize("model,cell", [
+        ("aknn", ("--alpha", "0.5", "--k", "5")),
+        ("akernel", ("--alpha", "0.5", "--h", "0.7")),
+    ])
+    def test_neighbor_families_with_preprocessing_match_library(
+        self, tmp_path, capsys, model, cell
+    ):
+        path = self.make_geo_csv(tmp_path)
+        model_file = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys,
+            "fit", "--input", str(path),
+            "--response-cols", "y1,y2,y3",
+            "--predictor-cols", "lat,lon,depth",
+            "--geo-cols", "lat,lon", "--standardize",
+            "--model", model, *cell, "--output", str(model_file),
+        )
+        assert code == 0
+        pred_file = tmp_path / "p.csv"
+        code, _, _ = run(
+            capsys,
+            "predict", "--input", str(path),
+            "--model-file", str(model_file), "--output", str(pred_file),
+        )
+        assert code == 0
+
+        from simplexreg import (
+            apply_standardization,
+            fit_alpha_kernel,
+            fit_alpha_knn,
+            latlon_to_euclidean,
+            standardize,
+        )
+
+        X, U = load_csv(
+            path,
+            DatasetSchema(response_cols=("y1", "y2", "y3"),
+                          predictor_cols=("lat", "lon", "depth")),
+        )
+        Xg = np.column_stack([X[:, 2], latlon_to_euclidean(X[:, 0], X[:, 1])])
+        Xs, center, scale = standardize(Xg)
+        if model == "aknn":
+            fitted = fit_alpha_knn(Xs, U, 0.5, 5)
+        else:
+            fitted = fit_alpha_kernel(Xs, U, 0.5, 0.7)
+        expect = fitted.predict(apply_standardization(Xg, center, scale))
+        got = np.loadtxt(pred_file, delimiter=",", skiprows=1)
+        assert np.array_equal(got, expect)
+
+
+COLS = ("--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
+AKNN_CELL = ("--alpha", "0.5", "--k", "4")
+
+
+def sealed(payload):
+    """JSON text of `payload` carrying a valid sha256 of its canonical form."""
+    payload = {key: value for key, value in payload.items() if key != "sha256"}
+    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return json.dumps({**payload, "sha256": hashlib.sha256(canonical).hexdigest()})
+
+
+def _edit_array(payload, key, **changes):
+    return {**payload, key: {**payload[key], **changes}}
+
+
+# kind -> (file text from a valid aknn payload and the training path,
+#          fragment of the expected error message)
+BAD_MODEL_FILES = {
+    "not-json": (lambda p, train: "{not json", "not JSON"),
+    "not-object": (lambda p, train: "[1, 2]", "not a JSON object"),
+    "v1": (lambda p, train: json.dumps({
+        **{k: v for k, v in p.items() if k not in ("predictors", "responses", "sha256")},
+        "schema_version": 1, "delimiter": ",", "has_header": True,
+        "training_path": str(train),
+    }), "schema_version 1 is unsupported"),
+    "unknown-version": (lambda p, train: sealed({**p, "schema_version": 99}),
+                        "schema_version 99 is unsupported"),
+    "missing-model-key": (lambda p, train: sealed(
+        {k: v for k, v in p.items() if k != "model"}), "missing key 'model'"),
+    "missing-digest": (lambda p, train: json.dumps(
+        {k: v for k, v in p.items() if k != "sha256"}), "sha256"),
+    "wrong-shape": (lambda p, train: sealed(_edit_array(p, "predictors", shape=[7, 1])),
+                    "bad embedded array"),
+    "wrong-byte-length": (lambda p, train: sealed(
+        _edit_array(p, "responses", data=p["responses"]["data"][:-8])), "bad embedded array"),
+    "bad-base64": (lambda p, train: sealed(
+        _edit_array(p, "responses", data="!" + p["responses"]["data"][1:])),
+        "bad embedded array"),
+}
+
+
+class TestModelFile:
+    """Model files are self-contained, cwd-independent and integrity-checked."""
+
+    def fit(self, capsys, train, model_file, model="aknn", cell=AKNN_CELL):
+        code, _, err = run(
+            capsys,
+            "fit", "--input", str(train), *COLS, "--model", model, *cell,
+            "--output", str(model_file),
+        )
+        assert code == 0, err
+
+    def predict(self, capsys, query, model_file):
+        code, out, err = run(
+            capsys, "predict", "--input", str(query), "--model-file", str(model_file)
+        )
+        assert code == 0, err
+        return out
+
+    def test_predict_from_another_directory(self, train_csv, tmp_path, capsys, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        monkeypatch.chdir(sub)
+        self.fit(capsys, "../train.csv", "m.json")
+        monkeypatch.chdir(tmp_path)
+        self.fit(capsys, "train.csv", "root.json")
+        assert (sub / "m.json").read_bytes() == (tmp_path / "root.json").read_bytes()
+        out = self.predict(capsys, "train.csv", "sub/m.json")
+
+        from simplexreg import fit_alpha_knn
+
+        X, U = load_csv(
+            train_csv,
+            DatasetSchema(response_cols=("y1", "y2", "y3"), predictor_cols=("x1",)),
+        )
+        expect = fit_alpha_knn(X, U, 0.5, 4).predict(X)
+        got = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("model,cell", [
+        ("aknn", AKNN_CELL),
+        ("akernel", ("--alpha", "0.5", "--h", "0.5")),
+    ])
+    def test_training_file_edited_or_deleted_after_fit(
+        self, train_csv, tmp_path, capsys, model, cell
+    ):
+        query = tmp_path / "query.csv"
+        run(capsys, "simulate", "--n", "40", "--D", "3", "--seed", "6",
+            "--output", str(query))
+        model_file = tmp_path / "m.json"
+        self.fit(capsys, train_csv, model_file, model, cell)
+        first = self.predict(capsys, query, model_file)
+        with open(train_csv, "a", encoding="utf-8") as fh:
+            fh.write("0.0,0.98,0.01,0.01\n" * 50)
+        assert self.predict(capsys, query, model_file) == first
+        train_csv.unlink()
+        assert self.predict(capsys, query, model_file) == first
+
+    @pytest.mark.parametrize("model,cell,marker", [
+        ("aknn", AKNN_CELL, '"data": "'),
+        ("kld", (), '"coefficients": [\n    [\n      '),
+    ])
+    def test_tampered_model_file_is_rejected(
+        self, train_csv, tmp_path, capsys, model, cell, marker
+    ):
+        model_file = tmp_path / "m.json"
+        self.fit(capsys, train_csv, model_file, model, cell)
+        text = model_file.read_text()
+        i = text.index(marker) + len(marker) + 3
+        assert text[i] in "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+        model_file.write_text(text[:i] + ("7" if text[i] != "7" else "3") + text[i + 1:])
+        code, _, err = run(
+            capsys, "predict", "--input", str(train_csv), "--model-file", str(model_file)
+        )
+        assert code == 2
+        assert err.startswith("error: ValidationError:")
+        assert str(model_file) in err and "sha256" in err
+
+    @pytest.mark.parametrize("kind", sorted(BAD_MODEL_FILES))
+    def test_bad_model_file_exits_2(self, train_csv, tmp_path, capsys, kind):
+        model_file = tmp_path / "m.json"
+        self.fit(capsys, train_csv, model_file)
+        make, expected = BAD_MODEL_FILES[kind]
+        model_file.write_text(make(json.loads(model_file.read_text()), train_csv))
+        code, _, err = run(
+            capsys, "predict", "--input", str(train_csv), "--model-file", str(model_file)
+        )
+        assert code == 2
+        assert err.startswith(f"error: ValidationError: model file {str(model_file)!r}: ")
+        assert expected in err
+        assert len(err.splitlines()) == 1
+
+    def test_fit_errors_keep_their_type(self, tmp_path, capsys):
+        train = tmp_path / "zeros.csv"
+        run(capsys, "simulate", "--n", "60", "--D", "3", "--zero-fraction", "0.2",
+            "--seed", "3", "--output", str(train))
+        model_file = tmp_path / "m.json"
+        self.fit(capsys, train, model_file)
+        payload = json.loads(model_file.read_text())
+        model_file.write_text(sealed({**payload, "alpha": 0.0}))
+        code, _, err = run(
+            capsys, "predict", "--input", str(train), "--model-file", str(model_file)
+        )
+        assert code == 2
+        assert err.startswith("error: ZeroNotAllowedError:")
 
 
 class TestFrechetPath:
