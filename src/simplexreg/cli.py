@@ -81,6 +81,10 @@ def _int_list(text):
 
 def _threads(value):
     if value is None:
+        # The cores this process may run on; an affinity mask or cpuset
+        # can allow fewer than os.cpu_count() reports.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return int(value)
 

@@ -9,6 +9,13 @@ training row.  The kd-tree path re-evaluates candidate distances with the
 same floating point kernel the brute path uses, then widens the candidate
 set whenever a tie could straddle the cut, which keeps the two strategies
 bit-identical.
+
+That kernel, `_distances_to`, is predictor-major: it sums the p squared
+coordinate differences as p whole-array adds, not as a short reduction
+per row.  For p <= 7 the result equals `sqrt(((X - q) ** 2).sum(-1))`
+bitwise, since numpy sums fewer than eight terms left to right; for
+p >= 8 the summation order differs from that formula, but every search
+path shares the kernel, so the strategies still agree bitwise.
 """
 
 import numpy as np
@@ -35,8 +42,13 @@ _TIE_RTOL = 1e-9
 def _distances_to(X, q):
     # Rows of X against broadcast queries q; the one distance kernel of
     # every code path, so that distances agree bitwise between strategies.
-    diff = X - q
-    return np.sqrt((diff * diff).sum(axis=-1))
+    total = X[..., 0] - q[..., 0]
+    total *= total
+    for j in range(1, X.shape[-1]):
+        t = X[..., j] - q[..., j]
+        t *= t
+        total += t
+    return np.sqrt(total, out=total)
 
 
 def _check_magnitude(A, what):

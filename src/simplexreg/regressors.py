@@ -16,7 +16,9 @@ Models hold their training arrays by reference and never copy or mutate
 them.
 
 Each power-mean family predicts through one grid iterator that tuning
-also scores: `predict` is the single-cell grid.
+also scores: `predict` is the single-cell grid.  Both iterators work
+parts-major, so every reduction over the D parts is D - 1 whole-vector
+adds; for D <= 7 the bits equal those of a row-major reduction.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from .errors import (
     ZeroNotAllowedError,
 )
 from .frechet import _check_zero_alpha, _power, _unpower
-from .neighbors import NeighborIndex, build_index, pairwise_distances
+from .neighbors import _CHUNK_BYTES, NeighborIndex, build_index, pairwise_distances
 # closure stays bound for benchmark/tracing.py, which rebinds it by module.
 from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
@@ -130,17 +132,28 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     None predictions for cells whose k exceeds the index size.  Inputs are
     assumed validated (grid exponents in range, zeros only with positive
     alphas).
+
+    The neighbor responses are laid out parts-major, (D, k_max, m), so the
+    running sums are k_max - 1 whole-slab adds and each cell is handed to
+    `_unpower` as a Fortran-ordered (m, D) view, whose closure over the D
+    parts is D - 1 whole-column adds.  For D <= 7 these adds round
+    exactly like the row-major reductions they replace; for D >= 8 the
+    summation order differs from a row-major sum, but predict and tune
+    share this one path.
     """
     ks = [int(k) for k in ks]
     k_max = min(max(ks), index.n)
-    idx, _ = index.query_batch(Q, k_max)
-    nbr = U[idx]  # (m, k_max, D)
+    idx = index.query_batch(Q, k_max)[0]
+    nbr = np.take(U.T, idx.T, axis=1)  # (D, k_max, m)
+    del idx  # only the gathered responses outlive the search
     cum = np.empty_like(nbr)  # reused by every alpha
     for ai, a in enumerate(alphas):
         a = float(a)
-        np.cumsum(_power(nbr, a, out=cum), axis=1, out=cum)
+        _power(nbr, a, out=cum)
+        for i in range(1, k_max):
+            np.add(cum[:, i - 1], cum[:, i], out=cum[:, i])
         for ki, k in enumerate(ks):
-            yield ai, ki, None if k > index.n else _unpower(cum[:, k - 1, :] / k, a)
+            yield ai, ki, None if k > index.n else _unpower((cum[:, k - 1, :] / k).T, a)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +208,7 @@ def predict_alpha_kernel(model, Xnew):
 
 
 def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
-    """Predictions for every (alpha, h) cell from one distance matrix.
+    """Predictions for every (alpha, h) cell from one pass over the distances.
 
     P (n, p) and U (n, D) are the training predictors and responses, Q
     the (m, p) queries.  Yields (alpha_position, h_position, predictions)
@@ -204,25 +217,52 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     DegenerateWeightsError naming the first such query row in place of
     predictions.  Inputs are assumed validated (grid exponents in range,
     zeros only with positive alphas, positive bandwidths, a known kernel).
+
+    Queries are processed in equal blocks whose (rows, n) distance and
+    weight matrices each stay under `_CHUNK_BYTES // 4` bytes; only the
+    (H, A, m, D) weighted sums, which do not grow with n, outlive a block,
+    and the cells are yielded once the last block is done.  A bandwidth
+    with a dead row is skipped in later blocks.  Each weighted sum is
+    closed Fortran-ordered, so the closure over the D parts is D - 1
+    whole-column adds (bitwise a row-major sum for D <= 7).
     """
-    dist = pairwise_distances(Q, P)
+    Q = as_predictor_matrix(Q)
+    m, n = Q.shape[0], len(P)
     powered = [_power(U, a) for a in alphas]
-    for hi, h in enumerate(hs):
-        W = KERNELS[kernel](dist, h)
-        totals = W.sum(axis=1)
-        dead = np.flatnonzero(~(totals > 0))
-        if dead.size:
-            err = DegenerateWeightsError(
-                f"all kernel weights underflowed for query row {int(dead[0])} "
-                f"(h={h!r}, kernel={kernel!r})",
-                query_index=int(dead[0]),
-            )
+    S = np.empty((len(hs), len(alphas), m, U.shape[1]))
+    errors = [None] * len(hs)
+    # Equal blocks, not full ones plus a short tail: with more than one
+    # block each GEMM is at least half the budget.  BLAS libraries may
+    # round small GEMMs differently (OpenBLAS switches kernels below 1e6
+    # multiply-adds); large row blocks round like one unblocked GEMM.
+    blocks = -(-m // max(1, _CHUNK_BYTES // 4 // (8 * n)))
+    bounds = [i * m // blocks for i in range(blocks + 1)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        block = slice(s, e)
+        dist = pairwise_distances(Q[block], P)
+        for hi, h in enumerate(hs):
+            if errors[hi] is not None:
+                continue
+            W = KERNELS[kernel](dist, h)
+            totals = W.sum(axis=1)
+            dead = np.flatnonzero(~(totals > 0))
+            if dead.size:
+                row = s + int(dead[0])
+                errors[hi] = DegenerateWeightsError(
+                    f"all kernel weights underflowed for query row {row} "
+                    f"(h={h!r}, kernel={kernel!r})",
+                    query_index=row,
+                )
+                continue
+            W /= totals[:, None]
             for ai in range(len(alphas)):
-                yield ai, hi, err
-            continue
-        W /= totals[:, None]
+                np.matmul(W, powered[ai], out=S[hi, ai, block])
+    for hi in range(len(hs)):
         for ai, a in enumerate(alphas):
-            yield ai, hi, _unpower(W @ powered[ai], a)
+            if errors[hi] is not None:
+                yield ai, hi, errors[hi]
+            else:
+                yield ai, hi, _unpower(np.asfortranarray(S[hi, ai]), a)
 
 
 # ---------------------------------------------------------------------------

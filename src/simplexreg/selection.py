@@ -8,7 +8,11 @@ all deterministic functions of the inputs and the seed; the optional
 thread pool only distributes folds, never reorders the reduction.
 
 Folds score the cells of each family's grid iterator, whose single-cell
-case is that family's `predict`.
+case is that family's `predict`.  The cells come Fortran-ordered (parts-
+major) and each fold's held-out responses are laid out the same way, so
+a divergence's sum over the D parts is D - 1 whole-column adds.  For
+D <= 7 that rounds exactly like a row-major sum; for D >= 8 the order
+differs from one, but every fold and thread count shares it.
 """
 
 import json
@@ -302,7 +306,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
             cells = iter_kernel_grid_predictions(
                 X[train], U[train], X[test], grid.alphas, grid.hs, kernel
             )
-        U_test = U[test]
+        U_test = np.asfortranarray(U[test])  # parts-major, like the cells
         sums = np.zeros(shape)
         infeasible = np.zeros(shape, dtype=bool)
         for i, j, pred in cells:

@@ -723,3 +723,24 @@ class TestBench:
         )
         assert code == 0
         assert json.loads(out_file.read_text())["threads"] == 1
+
+
+class TestThreadsDefault:
+    def test_omitted_threads_follow_affinity(self, monkeypatch):
+        # A process pinned to fewer cores than the machine has must not
+        # start a worker per machine core.
+        from simplexreg import cli
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._threads(None) == 2
+        assert cli._threads(5) == 5
+
+    def test_without_affinity_falls_back_to_cpu_count(self, monkeypatch):
+        from simplexreg import cli
+
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._threads(None) == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._threads(None) == 1

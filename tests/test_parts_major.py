@@ -1,0 +1,173 @@
+"""Parts-major evaluation keeps the bits of the row-major formulas.
+
+The distance kernel and both power-mean grids reduce over the p
+predictors or the D parts with whole-array adds.  For p, D <= 7 those
+adds round exactly like numpy's row-wise sums, so every check here is
+`np.array_equal` against the row-major formula.  The kernel family's
+query blocks must not change any bit, must still name the first
+degenerate query row, and tuning stays byte-identical across thread
+counts.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from simplexreg import DegenerateWeightsError, build_index, closure, fit_alpha_knn
+from simplexreg import regressors
+from simplexreg.frechet import _power, _unpower
+from simplexreg.neighbors import _distances_to
+from simplexreg.regressors import iter_kernel_grid_predictions, iter_knn_grid_predictions
+from simplexreg.selection import TuningGrid, tune
+
+
+def _row_sum_distances(X, q):
+    return np.sqrt(((X - q) * (X - q)).sum(-1))
+
+
+def _predictors(rng, rows, p, kind):
+    if kind == "lattice":
+        # rounded values make many exactly equal distances
+        return np.round(rng.normal(size=(rows, p)), 1)
+    # columns spanning twelve orders of magnitude
+    return rng.normal(size=(rows, p)) * 10.0 ** np.arange(-6, 6, 12 / p)[:p]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "mixed-scale"])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_distances_equal_row_sum_formula(p, kind):
+    rng = np.random.default_rng(p)
+    X = _predictors(rng, 200, p, kind)
+    Q = _predictors(rng, 40, p, kind)
+    ii = rng.integers(0, len(X), size=(len(Q), 11))
+    cand = rng.integers(0, len(X), size=25)
+    shapes = {
+        "pairwise": (X[None, :, :], Q[:, None, :]),
+        "brute-block": (X[None, :, :], Q[5:17, None, :]),
+        "kd-gather": (X[ii], Q[:, None, :]),
+        "single-row": (X[cand], Q[3]),
+    }
+    for name, (A, b) in shapes.items():
+        got = _distances_to(A, b)
+        assert np.array_equal(got, _row_sum_distances(A, b)), name
+
+
+def _row_major_knn_cells(index, U, Q, alphas, ks):
+    # The (m, k, D) iterator that parts-major evaluation replaced.
+    k_max = min(max(ks), index.n)
+    idx, _ = index.query_batch(Q, k_max)
+    nbr = U[idx]
+    cum = np.empty_like(nbr)
+    for ai, a in enumerate(alphas):
+        np.cumsum(_power(nbr, a, out=cum), axis=1, out=cum)
+        for ki, k in enumerate(ks):
+            yield ai, ki, None if k > index.n else _unpower(cum[:, k - 1, :] / k, a)
+
+
+@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+@pytest.mark.parametrize("D", [2, 7])
+def test_knn_cells_equal_row_major_iterator(D, strategy):
+    rng = np.random.default_rng(D)
+    X = np.round(rng.normal(size=(150, 2)), 1)
+    U = closure(rng.random((150, D)) + 0.02)
+    Q = rng.normal(size=(37, 2))
+    index = build_index(X, strategy=strategy)
+    alphas = (-1.0, -0.4, 0.0, 0.3, 1.0)
+    ks = (1, 2, 9, 50, 151)
+    old = list(_row_major_knn_cells(index, U, Q, alphas, ks))
+    new = list(iter_knn_grid_predictions(index, U, Q, alphas, ks))
+    assert [c[:2] for c in new] == [c[:2] for c in old]
+    for (ai, ki, want), (_, _, got) in zip(old, new):
+        if want is None:
+            assert got is None
+            continue
+        assert np.array_equal(got, want)
+        model = fit_alpha_knn(X, U, alphas[ai], ks[ki], strategy=strategy)
+        assert np.array_equal(model.predict(Q), want)
+
+
+def _kernel_cells(monkeypatch, chunk_bytes, *args):
+    monkeypatch.setattr(regressors, "_CHUNK_BYTES", chunk_bytes)
+    return list(iter_kernel_grid_predictions(*args))
+
+
+@pytest.mark.parametrize("D", [4, 7])
+def test_kernel_blocks_equal_one_block(monkeypatch, D):
+    # A quarter of the default budget: 524 rows of n = 1000 per block.
+    # m = 2 * 524 + 10 would leave a 10-row tail, whose GEMM a BLAS may
+    # round with a different small-matrix kernel; equal blocks of 352-353
+    # rows keep every GEMM above 1e6 multiply-adds.
+    rng = np.random.default_rng(D)
+    n, m = 1000, 2 * 524 + 10
+    X = rng.normal(size=(n, 2))
+    U = closure(rng.random((n, D)) + 0.02)
+    Q = rng.normal(size=(m, 2))
+    args = (X, U, Q, (-1.0, 0.0, 0.5, 1.0), (0.2, 1.0), "gaussian")
+    chunk = 16 * 2**20
+    assert -(-m // (chunk // 4 // (8 * n))) >= 3
+    one = _kernel_cells(monkeypatch, 2**40, *args)
+    blocked = _kernel_cells(monkeypatch, chunk, *args)
+    assert [c[:2] for c in blocked] == [c[:2] for c in one]
+    for (_, _, want), (_, _, got) in zip(one, blocked):
+        assert np.array_equal(got, want)
+
+
+def test_kernel_degenerate_row_in_later_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 1))
+    U = closure(rng.random((40, 3)) + 0.05)
+    Q = rng.normal(size=(20, 1))
+    Q[[6, 13]] = 1e3  # every weight underflows at h = 1 in rows 6 and 13
+    calls = []
+    gaussian = regressors.KERNELS["gaussian"]
+
+    def counted(d, h):
+        calls.append(h)
+        return gaussian(d, h)
+
+    monkeypatch.setitem(regressors.KERNELS, "gaussian", counted)
+    chunk = 4 * 8 * len(X) * 4  # four query rows per block: rows 6 and 13 in blocks 2 and 4
+    cells = _kernel_cells(monkeypatch, chunk, X, U, Q, (0.5, 1.0), (1.0, 1e4), "gaussian")
+    dead = [pred for _, hi, pred in cells if hi == 0]
+    assert len(dead) == 2
+    assert all(isinstance(e, DegenerateWeightsError) for e in dead)
+    assert all(e.query_index == 6 for e in dead)
+    assert "query row 6" in str(dead[0])
+    assert all(isinstance(pred, np.ndarray) for _, hi, pred in cells if hi == 1)
+    # the dead bandwidth is not evaluated again after its second block
+    assert calls.count(1.0) == 2
+    assert calls.count(1e4) == 5
+
+
+@pytest.mark.parametrize("family", ["alpha-knn", "alpha-kernel"])
+def test_tune_bytes_identical_across_threads_at_D7(family):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(240, 2))
+    U = closure(rng.random((240, 7)) + 0.02)
+    alphas = (-1.0, 0.0, 0.5, 1.0)
+    if family == "alpha-knn":
+        grid = TuningGrid(alphas=alphas, ks=(2, 5, 20), folds=5, seed=3)
+    else:
+        grid = TuningGrid(alphas=alphas, hs=(0.2, 0.6, 2.0), folds=5, seed=3)
+    one = tune(X, U, family, grid, threads=1).to_json()
+    two = tune(X, U, family, grid, threads=2).to_json()
+    assert one == two
+
+
+def test_distance_kernel_beats_row_sum_formula():
+    # Ratio gate, never absolute seconds: p whole-array adds against a
+    # sum over a length-p trailing axis (measured 5-8x).
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(2700, 2))
+    Q = rng.normal(size=(300, 2))
+
+    def best_of_3(fn):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fn(X[None, :, :], Q[:, None, :])
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_of_3(_distances_to) <= 0.5 * best_of_3(_row_sum_distances)
