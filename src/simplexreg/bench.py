@@ -9,22 +9,25 @@ medians over repeats on identical data.  Absolute numbers depend on the
 machine and are reported next to a hardware descriptor; only ratios and
 how times scale with n and D are meaningful.  Cells whose estimated
 working set exceeds available memory are skipped with a reason instead
-of thrashing.
+of thrashing.  The k-NN timing is `tune`'s own grid iterator over one
+`query_batch` (one block loop, blocks from `neighbors._row_blocks`);
+sampled cells pass `as_composition_matrix`, the package's composition
+gate, and the report's JSON keys are the dataclass fields.
 """
 
 import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datagen import SimSpec, gen_polynomial
+from .datagen import SimSpec, _check_seed, gen_polynomial
 from .errors import SimplexRegError, ValidationError
 from .neighbors import build_index
 from .regressors import fit_kld, fit_logratio_ols, iter_knn_grid_predictions
-from .simplex import SUM_TOL
+from .simplex import as_composition_matrix
 
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 10) for i in range(11))
 DEFAULT_KS = tuple(range(2, 101))
@@ -66,6 +69,7 @@ class BenchScenario:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
         if self.predictors < 1:
             raise ValidationError(f"predictors must be >= 1, got {self.predictors}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -93,30 +97,7 @@ class BenchReport:
     ks: tuple
 
     def to_dict(self):
-        return {
-            "schema_version": 1,
-            "hardware": self.hardware,
-            "threads": self.threads,
-            "queries": self.queries,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "alphas": list(self.alphas),
-            "ks": list(self.ks),
-            "cells": [
-                {
-                    "n": c.n,
-                    "D": c.D,
-                    "ols_seconds": c.ols_seconds,
-                    "kld_seconds": c.kld_seconds,
-                    "aknn_seconds": c.aknn_seconds,
-                    "kld_over_ols": c.kld_over_ols,
-                    "aknn_over_ols": c.aknn_over_ols,
-                    "skipped": c.skipped,
-                    "reason": c.reason,
-                }
-                for c in self.cells
-            ],
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -141,12 +122,7 @@ def _validate_sample(preds, D):
     for pred in preds:
         if pred.shape[1] != D:
             raise ValidationError("benchmark prediction has wrong width")
-        if not np.all(np.isfinite(pred)):
-            raise ValidationError("benchmark prediction has non-finite values")
-        if np.any(pred < 0):
-            raise ValidationError("benchmark prediction has negative components")
-        if np.max(np.abs(pred.sum(axis=1) - 1.0)) > SUM_TOL:
-            raise ValidationError("benchmark prediction rows do not sum to 1")
+        as_composition_matrix(pred)
 
 
 def _time_cell(scenario, n, D):

@@ -33,6 +33,7 @@ from .ingestion import (
     load_csv,
     standardize,
     write_csv,
+    write_dataset_csv,
 )
 from .regressors import (
     KERNELS,
@@ -89,10 +90,10 @@ def _threads(value):
     return int(value)
 
 
-def _schema_from_args(args, need_predictors=True, need_responses=True):
-    resp = _split_list(args.response_cols) if getattr(args, "response_cols", None) else []
+def _schema_from_args(args, need_predictors=True):
+    resp = _split_list(args.response_cols)
     pred = _split_list(args.predictor_cols) if getattr(args, "predictor_cols", None) else []
-    if need_responses and not resp:
+    if not resp:
         raise ValidationError("--response-cols is required here")
     if need_predictors and not pred:
         raise ValidationError("--predictor-cols is required here")
@@ -102,6 +103,13 @@ def _schema_from_args(args, need_predictors=True, need_responses=True):
         delimiter=args.delimiter,
         has_header=not args.no_header,
     )
+
+
+def _reject_flags(args, flags):
+    # Flags for parameters the chosen --model lacks are errors, not no-ops.
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise ValidationError(f"--{flag} does not apply to --model {args.model}")
 
 
 def _geo_convert(X, predictor_cols, geo_cols):
@@ -158,30 +166,27 @@ def _note(message):
 
 
 def cmd_tune(args):
+    knn = args.model == "aknn"
+    _reject_flags(args, ("h-grid",) if knn else ("k-grid",))
     schema = _schema_from_args(args)
     X, U = load_csv(args.input, schema)
     X, _prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,
                                  args.standardize)
     zero_free = not np.any(U == 0)
     alphas = _float_list(args.alpha_grid) if args.alpha_grid else default_alpha_grid(zero_free)
-    family = _FAMILIES[args.model]
-    if family == "alpha-knn":
+    ks = hs = None
+    if knn:
         ks = _int_list(args.k_grid) if args.k_grid else default_k_grid()
-        grid = TuningGrid(alphas=tuple(alphas), ks=tuple(ks),
-                          folds=args.folds, seed=args.seed)
     else:
         hs = _float_list(args.h_grid) if args.h_grid else default_h_grid(X, seed=args.seed)
-        grid = TuningGrid(alphas=tuple(alphas), hs=tuple(hs),
-                          folds=args.folds, seed=args.seed)
+    grid = TuningGrid(alphas=tuple(alphas), ks=ks, hs=hs, folds=args.folds, seed=args.seed)
     report = tune(
-        X, U, family, grid,
+        X, U, _FAMILIES[args.model], grid,
         metric=args.metric, clamp=args.clamp, kernel=args.kernel,
         threads=_threads(args.threads),
     )
     _write_text(args, report.to_json())
-    chosen = (
-        f"k={report.selected_k}" if family == "alpha-knn" else f"h={report.selected_h:.6g}"
-    )
+    chosen = f"k={report.selected_k}" if knn else f"h={report.selected_h:.6g}"
     _note(
         f"tune: selected alpha={report.selected_alpha} {chosen} "
         f"with mean {args.metric} divergence {report.selected_score:.6g}"
@@ -214,6 +219,10 @@ def _digest(payload):
 
 
 def cmd_fit(args):
+    params = {"aknn": ("alpha", "k"), "akernel": ("alpha", "h")}.get(args.model, ())
+    _reject_flags(args, [name for name in ("alpha", "k", "h") if name not in params])
+    if any(getattr(args, name) is None for name in params):
+        raise ValidationError(f"fit {args.model} needs --{params[0]} and --{params[1]}")
     schema = _schema_from_args(args)
     X, U = load_csv(args.input, schema)
     X, prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,
@@ -225,27 +234,19 @@ def cmd_fit(args):
         "predictor_cols": list(schema.predictor_cols),
         "preprocessing": prep,
     }
-    if args.model == "aknn":
-        if args.alpha is None or args.k is None:
-            raise ValidationError("fit aknn needs --alpha and --k")
-        fit_alpha_knn(X, U, args.alpha, args.k)  # validates now, rebuilt at predict
-        payload.update(alpha=args.alpha, k=args.k)
-    elif args.model == "akernel":
-        if args.alpha is None or args.h is None:
-            raise ValidationError("fit akernel needs --alpha and --h")
-        fit_alpha_kernel(X, U, args.alpha, args.h, kernel=args.kernel)
-        payload.update(alpha=args.alpha, h=args.h, kernel=args.kernel)
+    if args.model in _FAMILIES:
+        payload.update({name: getattr(args, name) for name in params},
+                       predictors=_encode_array(X), responses=_encode_array(U))
+        if args.model == "akernel":
+            payload["kernel"] = args.kernel
+        _rebuild_model(payload, args.output)  # validates now, as predict will rebuild it
     elif args.model == "kld":
         model = fit_kld(X, U)
         payload.update(iterations=model.iterations, objective=model.objective,
-                       hessian_damped=model.hessian_damped)
+                       hessian_damped=model.hessian_damped, coefficients=model.coef.tolist())
     else:  # ols
         model = fit_logratio_ols(X, U, transform=args.transform)
-        payload.update(transform=model.transform)
-    if args.model in _FAMILIES:
-        payload.update(predictors=_encode_array(X), responses=_encode_array(U))
-    else:
-        payload["coefficients"] = model.coef.tolist()
+        payload.update(transform=model.transform, coefficients=model.coef.tolist())
     payload["sha256"] = _digest(payload)
     _write_text(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _note(f"fit: {args.model} model written")
@@ -336,11 +337,7 @@ def cmd_simulate(args):
         data_seed=args.seed + 1,
     )
     X, U, coef = generate(spec)
-    names = [f"x{j + 1}" for j in range(X.shape[1])]
-    names += [f"y{j + 1}" for j in range(U.shape[1])]
-    columns = [X[:, j] for j in range(X.shape[1])]
-    columns += [U[:, j] for j in range(U.shape[1])]
-    write_csv(args.output or sys.stdout, columns, names)
+    write_dataset_csv(args.output or sys.stdout, X, U)
     if args.truth_output:
         truth = {
             "schema_version": 1,
@@ -418,15 +415,14 @@ def cmd_validate(args):
 # parser
 
 
-def _add_io_args(sp, predictors=True, responses=True, responses_required=True):
+def _add_io_args(sp, predictors=True):
     sp.add_argument("--input", required=True, help="input CSV path")
-    if responses:
-        sp.add_argument(
-            "--response-cols",
-            required=responses_required,
-            help="comma-separated response column names "
-            "(0-based indices with --no-header)",
-        )
+    sp.add_argument(
+        "--response-cols",
+        required=True,
+        help="comma-separated response column names "
+        "(0-based indices with --no-header)",
+    )
     if predictors:
         sp.add_argument(
             "--predictor-cols",

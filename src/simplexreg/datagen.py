@@ -27,6 +27,13 @@ from .transforms import alr_inverse
 _LINKS = ("polynomial", "segmented")
 
 
+def _check_seed(seed, what="seed"):
+    """Negative integer seeds are a ValidationError, not numpy's ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Recipe for one synthetic dataset."""
@@ -64,6 +71,8 @@ class SimSpec:
             raise ValidationError(
                 f"noise_scale must be nonnegative, got {self.noise_scale!r}"
             )
+        _check_seed(self.coef_seed, "coef_seed")
+        _check_seed(self.data_seed, "data_seed")
 
 
 def simplex_link(F):

@@ -85,7 +85,7 @@ def load_csv(path, schema):
     rows_resp = []
     rows_pred = []
     line_nums = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = None
         if schema.has_header:

@@ -16,6 +16,11 @@ per row.  For p <= 7 the result equals `sqrt(((X - q) ** 2).sum(-1))`
 bitwise, since numpy sums fewer than eight terms left to right; for
 p >= 8 the summation order differs from that formula, but every search
 path shares the kernel, so the strategies still agree bitwise.
+
+`query_batch` runs the one block loop of both strategies: `_search_brute`
+and `_search_kdtree` each answer one block, and the kd-tree's rare full
+scan is `_search_brute` on one row.  `_row_blocks` is the package's only
+block-size rule; every blocked loop passes it its own byte budget.
 """
 
 import numpy as np
@@ -51,6 +56,13 @@ def _distances_to(X, q):
     return np.sqrt(total, out=total)
 
 
+def _row_blocks(m, row_bytes, budget):
+    # Equal slices of at most budget // row_bytes rows (at least one); not
+    # full blocks plus a short tail, so two or more are each >= half the budget.
+    blocks = -(-m // max(1, budget // max(1, row_bytes)))
+    return [slice(i * m // blocks, (i + 1) * m // blocks) for i in range(blocks)]
+
+
 def _check_magnitude(A, what):
     # p squared differences of at most (2 * limit)^2 sum to half the float
     # maximum, so squared distances within the bound stay finite.
@@ -72,12 +84,9 @@ def pairwise_distances(A, B):
         raise ValidationError(
             f"predictor widths differ: {A.shape[1]} vs {B.shape[1]}"
         )
-    m, p = A.shape
-    n = B.shape[0]
-    out = np.empty((m, n))
-    step = max(1, _CHUNK_BYTES // max(1, n * p * 8))
-    for s in range(0, m, step):
-        out[s : s + step] = _distances_to(B[None, :, :], A[s : s + step, None, :])
+    out = np.empty((A.shape[0], B.shape[0]))
+    for b in _row_blocks(A.shape[0], B.size * 8, _CHUNK_BYTES):
+        out[b] = _distances_to(B[None, :, :], A[b, None, :])
     return out
 
 
@@ -144,47 +153,39 @@ class NeighborIndex:
             raise ValidationError(f"k must be at least 1, got {k}")
         kk = min(int(k), self.n)
         if self._tree is None:
-            return self._query_brute(Q, kk)
-        return self._query_kdtree(Q, kk)
-
-    def _query_brute(self, Q, kk):
-        m = Q.shape[0]
-        n, p = self._X.shape
-        out_idx = np.empty((m, kk), dtype=np.int64)
-        out_dist = np.empty((m, kk))
-        step = max(1, _CHUNK_BYTES // max(1, n * p * 8))
-        for s in range(0, m, step):
-            d = _distances_to(self._X[None, :, :], Q[s : s + step, None, :])
-            # Stable sort on distance keeps ties in ascending index order.
-            order = np.argsort(d, axis=1, kind="stable")[:, :kk]
-            out_idx[s : s + step] = order
-            out_dist[s : s + step] = np.take_along_axis(d, order, axis=1)
+            search, row_bytes, budget = self._search_brute, self._X.size * 8, _CHUNK_BYTES
+        else:
+            # A block keeps several (rows, k + 1, p) temporaries alive; small
+            # blocks keep them out of the peak footprint at no cost in time.
+            row_bytes = min(kk + 1, self.n) * self.p * 8
+            search, budget = self._search_kdtree, _CHUNK_BYTES // 64
+        out_idx = np.empty((Q.shape[0], kk), dtype=np.int64)
+        out_dist = np.empty((Q.shape[0], kk))
+        for b in _row_blocks(Q.shape[0], row_bytes, budget):
+            out_idx[b], out_dist[b] = search(Q[b], kk)
         return out_idx, out_dist
 
-    def _query_kdtree(self, Q, kk):
-        m = Q.shape[0]
+    def _search_brute(self, Qb, kk):
+        d = _distances_to(self._X[None, :, :], Qb[:, None, :])
+        # Stable sort on distance keeps ties in ascending index order.
+        order = np.argsort(d, axis=1, kind="stable")[:, :kk]
+        return order, np.take_along_axis(d, order, axis=1)
+
+    def _search_kdtree(self, Qb, kk):
         k_probe = min(kk + 1, self.n)
-        out_idx = np.empty((m, kk), dtype=np.int64)
-        out_dist = np.empty((m, kk))
-        # A block keeps several (rows, k_probe, p) temporaries alive; small
-        # blocks keep them out of the peak footprint at no cost in time.
-        step = max(1, _CHUNK_BYTES // 64 // (k_probe * self.p * 8))
-        for s in range(0, m, step):
-            Qs = Q[s : s + step]
-            ii = self._tree.query(Qs, k=k_probe)[1].reshape(len(Qs), k_probe)
-            # Re-derive candidate distances with the shared kernel; the
-            # tree's own values may differ in the last ulp.
-            d = _distances_to(self._X[ii], Qs[:, None, :])
-            order = np.lexsort((ii, d))
-            ii = np.take_along_axis(ii, order, axis=1)
-            d = np.take_along_axis(d, order, axis=1)
-            out_idx[s : s + step] = ii[:, :kk]
-            out_dist[s : s + step] = d[:, :kk]
-            # Rows whose probe neighbor may tie the k-th are re-resolved.
-            tied = d[:, kk] <= d[:, kk - 1] * (1.0 + _TIE_RTOL) if k_probe > kk else []
-            for r in np.flatnonzero(tied):
-                out_idx[s + r], out_dist[s + r] = self._resolve_row(Qs[r], kk, d[r, kk - 1])
-        return out_idx, out_dist
+        ii = self._tree.query(Qb, k=k_probe)[1].reshape(len(Qb), k_probe)
+        # Re-derive candidate distances with the shared kernel; the
+        # tree's own values may differ in the last ulp.
+        d = _distances_to(self._X[ii], Qb[:, None, :])
+        order = np.lexsort((ii, d))
+        ii = np.take_along_axis(ii, order, axis=1)
+        d = np.take_along_axis(d, order, axis=1)
+        idx, dist = ii[:, :kk], d[:, :kk]
+        # Rows whose probe neighbor may tie the k-th are re-resolved.
+        tied = d[:, kk] <= d[:, kk - 1] * (1.0 + _TIE_RTOL) if k_probe > kk else []
+        for r in np.flatnonzero(tied):
+            idx[r], dist[r] = self._resolve_row(Qb[r], kk, d[r, kk - 1])
+        return idx, dist
 
     def _resolve_row(self, q, kk, d_edge):
         # Tie suspected at the cut: collect every point within the widened
@@ -194,7 +195,7 @@ class NeighborIndex:
         if cand.size < kk:
             # Radius-zero corner case (duplicate points at the query); a
             # full scan is exact and this branch is rare.
-            cand = np.arange(self.n, dtype=np.int64)
+            return tuple(a[0] for a in self._search_brute(q[None, :], kk))
         d = _distances_to(self._X[cand], q)
         order = np.lexsort((cand, d))[:kk]
         return cand[order], d[order]

@@ -32,7 +32,7 @@ from .errors import (
     ZeroNotAllowedError,
 )
 from .frechet import _check_zero_alpha, _power, _unpower
-from .neighbors import _CHUNK_BYTES, NeighborIndex, build_index, pairwise_distances
+from .neighbors import _CHUNK_BYTES, NeighborIndex, _row_blocks, build_index, pairwise_distances
 # closure stays bound for benchmark/tracing.py, which rebinds it by module.
 from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
@@ -231,14 +231,10 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     powered = [_power(U, a) for a in alphas]
     S = np.empty((len(hs), len(alphas), m, U.shape[1]))
     errors = [None] * len(hs)
-    # Equal blocks, not full ones plus a short tail: with more than one
-    # block each GEMM is at least half the budget.  BLAS libraries may
-    # round small GEMMs differently (OpenBLAS switches kernels below 1e6
-    # multiply-adds); large row blocks round like one unblocked GEMM.
-    blocks = -(-m // max(1, _CHUNK_BYTES // 4 // (8 * n)))
-    bounds = [i * m // blocks for i in range(blocks + 1)]
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        block = slice(s, e)
+    # Equal blocks keep each GEMM at least half the budget.  BLAS libraries
+    # may round small GEMMs differently (OpenBLAS switches kernels below
+    # 1e6 multiply-adds); large row blocks round like one unblocked GEMM.
+    for block in _row_blocks(m, 8 * n, _CHUNK_BYTES // 4):
         dist = pairwise_distances(Q[block], P)
         for hi, h in enumerate(hs):
             if errors[hi] is not None:
@@ -247,7 +243,7 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
             totals = W.sum(axis=1)
             dead = np.flatnonzero(~(totals > 0))
             if dead.size:
-                row = s + int(dead[0])
+                row = block.start + int(dead[0])
                 errors[hi] = DegenerateWeightsError(
                     f"all kernel weights underflowed for query row {row} "
                     f"(h={h!r}, kernel={kernel!r})",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _check_seed
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _distances_to, build_index, pairwise_distances  # noqa: F401
@@ -48,6 +49,19 @@ def _check_pair(y, yhat):
     return y, yhat, False
 
 
+def _check_clamp(clamp):
+    clamp = float(clamp)
+    if not (np.isfinite(clamp) and clamp >= 0):
+        raise ValidationError(f"clamp must be finite and nonnegative, got {clamp!r}")
+    return clamp
+
+
+def _kl_terms(y, q):
+    # y log(y / q) elementwise; parts with y = 0 contribute zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y > 0, y * (np.log(y) - np.log(q)), 0.0)
+
+
 def kl_divergence(y, yhat, clamp=0.0):
     """Kullback-Leibler divergence of yhat from y, rowwise.
 
@@ -57,13 +71,8 @@ def kl_divergence(y, yhat, clamp=0.0):
     length-n array for matrix inputs.
     """
     y, yhat, single = _check_pair(y, yhat)
-    clamp = float(clamp)
-    if clamp < 0:
-        raise ValidationError(f"clamp must be nonnegative, got {clamp!r}")
-    q = np.maximum(yhat, clamp) if clamp > 0 else yhat
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(y > 0, y * (np.log(y) - np.log(q)), 0.0)
-    out = terms.sum(axis=1)
+    clamp = _check_clamp(clamp)
+    out = _kl_terms(y, np.maximum(yhat, clamp) if clamp > 0 else yhat).sum(axis=1)
     return float(out[0]) if single else out
 
 
@@ -74,10 +83,7 @@ def js_divergence(y, yhat):
     """
     y, yhat, single = _check_pair(y, yhat)
     m = 0.5 * (y + yhat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(y > 0, y * (np.log(y) - np.log(m)), 0.0)
-        t2 = np.where(yhat > 0, yhat * (np.log(yhat) - np.log(m)), 0.0)
-    out = (t1 + t2).sum(axis=1)
+    out = (_kl_terms(y, m) + _kl_terms(yhat, m)).sum(axis=1)
     return float(out[0]) if single else out
 
 
@@ -99,7 +105,7 @@ def make_folds(n, folds=10, seed=0):
         raise ValidationError(f"folds must be an integer >= 2, got {folds!r}")
     if n < folds:
         raise ValidationError(f"cannot split {n} rows into {folds} folds")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(_check_seed(seed)).permutation(n)
     labels = np.empty(n, dtype=np.int64)
     labels[perm] = np.arange(n, dtype=np.int64) % folds
     return labels
@@ -134,6 +140,7 @@ class TuningGrid:
             object.__setattr__(self, "hs", hs)
         if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
             raise ValidationError(f"folds must be an integer >= 2, got {self.folds!r}")
+        _check_seed(self.seed)
 
 
 def default_alpha_grid(zero_free=True):
@@ -159,7 +166,7 @@ def default_h_grid(X, seed=0, size=10):
     n = X.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 rows to estimate bandwidths")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     i = rng.integers(0, n, size=1000)
     j = rng.integers(0, n - 1, size=1000)
     j = j + (j >= i)  # uniform over off-diagonal pairs
@@ -265,9 +272,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         raise ValidationError("grid must be a TuningGrid")
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
-    clamp = float(clamp)
-    if clamp < 0:
-        raise ValidationError(f"clamp must be nonnegative, got {clamp!r}")
+    clamp = _check_clamp(clamp)
     threads = int(threads)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
@@ -314,7 +319,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
                 sums[i, j] = _divergence_rows(metric, U_test, pred, clamp).sum()
             else:
                 infeasible[i, j] = True
-        return sums, infeasible, U_test.shape[0]
+        return sums, infeasible
 
     fold_ids = list(range(grid.folds))
     if threads == 1:
@@ -326,31 +331,23 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     # Fixed-order reduction keeps totals identical for any thread count.
     total = np.zeros(shape)
     infeasible = np.zeros(shape, dtype=bool)
-    fold_sums = []
-    fold_counts = []
-    for sums, bad, count in results:
+    for sums, bad in results:
         total += sums
         infeasible |= bad
-        fold_sums.append(sums)
-        fold_counts.append(count)
     if infeasible.all():
         raise TuningError("no feasible grid cell")
 
     mean = total / n
-    best = None
-    for ai, a in enumerate(grid.alphas):
-        for bi, b in enumerate(axis2):
-            if infeasible[ai, bi]:
-                continue
-            key = (float(mean[ai, bi]), a, b)
-            if best is None or key < best:
-                best = key
-    score, best_alpha, best_b = best
+    # Smallest mean divergence, ties to the smaller alpha, then k or h.
+    score, best_alpha, best_b = min(
+        (float(mean[ai, bi]), a, b)
+        for ai, a in enumerate(grid.alphas) for bi, b in enumerate(axis2)
+        if not infeasible[ai, bi]
+    )
     ai = grid.alphas.index(best_alpha)
     bi = axis2.index(best_b)
-    per_fold = tuple(
-        float(fold_sums[f][ai, bi] / fold_counts[f]) for f in fold_ids
-    )
+    counts = np.bincount(labels, minlength=grid.folds)
+    per_fold = tuple(float(results[f][0][ai, bi] / counts[f]) for f in fold_ids)
     cells = tuple(
         tuple(
             None if infeasible[i, j] else float(mean[i, j])
@@ -358,7 +355,6 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         )
         for i in range(len(grid.alphas))
     )
-    counts = np.bincount(labels, minlength=grid.folds)
     return TuningReport(
         family=model_family,
         metric=metric,

@@ -53,7 +53,7 @@ def helmert_submatrix(D):
     return _helmert_cached(int(D))
 
 
-def _as_rows(u, min_cols=2, what="composition"):
+def _as_rows(u, op, min_cols=2, what="composition"):
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -68,12 +68,12 @@ def _as_rows(u, min_cols=2, what="composition"):
         raise ValidationError(
             f"{what} needs at least {min_cols} columns, got {arr.shape[1]}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{op}: input contains non-finite values")
     return arr, squeeze
 
 
 def _check_parts(arr, op, positive):
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{op}: input contains non-finite values")
     if np.any(arr < 0):
         raise ValidationError(f"{op}: input contains negative values")
     if positive and np.any(arr == 0):
@@ -90,7 +90,7 @@ def alr(u):
     Maps a strictly positive composition of D parts to the D-1 vector
     log(u_j / u_1) for j = 2..D.
     """
-    arr, squeeze = _as_rows(u)
+    arr, squeeze = _as_rows(u, "alr")
     _check_parts(arr, "alr", positive=True)
     logs = np.log(arr)
     return _maybe_squeeze(logs[:, 1:] - logs[:, :1], squeeze)
@@ -102,9 +102,7 @@ def alr_inverse(v):
     Logits are shifted by the row maximum before exponentiation so large
     values cannot overflow.
     """
-    arr, squeeze = _as_rows(v, min_cols=1, what="alr coordinates")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("alr_inverse: input contains non-finite values")
+    arr, squeeze = _as_rows(v, "alr_inverse", min_cols=1, what="alr coordinates")
     shift = np.maximum(arr.max(axis=1), 0.0)
     expv = np.exp(arr - shift[:, None])
     denom = np.exp(-shift) + expv.sum(axis=1)
@@ -119,7 +117,7 @@ def clr(u):
 
     Output coordinates sum to zero within float error.
     """
-    arr, squeeze = _as_rows(u)
+    arr, squeeze = _as_rows(u, "clr")
     _check_parts(arr, "clr", positive=True)
     logs = np.log(arr)
     return _maybe_squeeze(logs - logs.mean(axis=1, keepdims=True), squeeze)
@@ -131,32 +129,22 @@ def clr_inverse(y):
     Invariant to adding a constant to every coordinate, so coordinates
     need not sum exactly to zero.
     """
-    arr, squeeze = _as_rows(y, what="clr coordinates")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("clr_inverse: input contains non-finite values")
+    arr, squeeze = _as_rows(y, "clr_inverse", what="clr coordinates")
     shifted = arr - arr.max(axis=1, keepdims=True)
     return _maybe_squeeze(closure(np.exp(shifted)), squeeze)
 
 
 def ilr(u):
     """Isometric log-ratio transform: Helmert rotation of clr coordinates."""
-    arr, squeeze = _as_rows(u)
+    arr, squeeze = _as_rows(u, "ilr")
     _check_parts(arr, "ilr", positive=True)
-    H = helmert_submatrix(arr.shape[1])
-    logs = np.log(arr)
-    centered = logs - logs.mean(axis=1, keepdims=True)
-    return _maybe_squeeze(centered @ H.T, squeeze)
+    return _maybe_squeeze(clr(arr) @ helmert_submatrix(arr.shape[1]).T, squeeze)
 
 
 def ilr_inverse(z):
     """Inverse isometric log-ratio transform."""
-    arr, squeeze = _as_rows(z, min_cols=1, what="ilr coordinates")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("ilr_inverse: input contains non-finite values")
-    H = helmert_submatrix(arr.shape[1] + 1)
-    y = arr @ H
-    shifted = y - y.max(axis=1, keepdims=True)
-    return _maybe_squeeze(closure(np.exp(shifted)), squeeze)
+    arr, squeeze = _as_rows(z, "ilr_inverse", min_cols=1, what="ilr coordinates")
+    return _maybe_squeeze(clr_inverse(arr @ helmert_submatrix(arr.shape[1] + 1)), squeeze)
 
 
 def power_transform(u, alpha):
@@ -166,7 +154,7 @@ def power_transform(u, alpha):
     the uniform one.  Negative alpha requires strictly positive parts.
     """
     a = check_alpha(alpha)
-    arr, squeeze = _as_rows(u)
+    arr, squeeze = _as_rows(u, "power_transform")
     _check_parts(arr, "power_transform", positive=a <= 0)
     if a == 0.0:
         out = np.full_like(arr, 1.0 / arr.shape[1])
@@ -184,7 +172,7 @@ def alpha_transform(u, alpha):
     alpha > 0.
     """
     a = check_alpha(alpha)
-    arr, squeeze = _as_rows(u)
+    arr, squeeze = _as_rows(u, "alpha_transform")
     if a == 0.0:
         return ilr(arr if not squeeze else arr[0])
     _check_parts(arr, "alpha_transform", positive=a < 0)
@@ -203,11 +191,9 @@ def alpha_inverse(z, alpha):
     not correspond to any composition.
     """
     a = check_alpha(alpha)
-    arr, squeeze = _as_rows(z, min_cols=1, what="transform coordinates")
+    arr, squeeze = _as_rows(z, "alpha_inverse", min_cols=1, what="transform coordinates")
     if a == 0.0:
         return ilr_inverse(arr if not squeeze else arr[0])
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("alpha_inverse: input contains non-finite values")
     H = helmert_submatrix(arr.shape[1] + 1)
     t = a * (arr @ H) + 1.0
     if np.any(t < 0):

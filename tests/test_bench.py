@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from simplexreg.bench import BenchScenario, run_bench
+from simplexreg.bench import BenchScenario, _validate_sample, run_bench
 from simplexreg.errors import ValidationError
 
 
@@ -52,6 +52,10 @@ class TestScenario:
     def test_invalid_knobs(self, kwargs, match):
         with pytest.raises(ValidationError, match=match):
             tiny_scenario(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            tiny_scenario(seed=-1)
 
 
 class TestRunBench:
@@ -104,3 +108,26 @@ class TestRunBench:
         assert [(c.n, c.D, c.skipped) for c in r1.cells] == [
             (c.n, c.D, c.skipped) for c in r2.cells
         ]
+
+
+class TestReportAndSampleGate:
+    def test_json_keys_are_the_fields(self):
+        payload = json.loads(run_bench(tiny_scenario()).to_json())
+        assert set(payload) == {"schema_version", "cells", "hardware", "threads",
+                                "queries", "repeats", "seed", "alphas", "ks"}
+        assert set(payload["cells"][0]) == {
+            "n", "D", "ols_seconds", "kld_seconds", "aknn_seconds",
+            "kld_over_ols", "aknn_over_ols", "skipped", "reason"}
+        assert payload["alphas"] == [0.0, 1.0] and payload["ks"] == [2, 5]
+
+    @pytest.mark.parametrize("bad, match", [
+        ([[0.5, 0.5]], "wrong width"),
+        ([[np.nan, 0.5, 0.5]], "non-finite"),
+        ([[-0.1, 0.6, 0.5]], "negative"),
+        ([[0.2, 0.2, 0.2]], "outside tolerance"),
+    ])
+    def test_sample_gate_rejects_non_compositions(self, bad, match):
+        good = np.full((2, 3), 1 / 3)
+        _validate_sample([good], 3)
+        with pytest.raises(ValidationError, match=match):
+            _validate_sample([good, np.array(bad)], 3)

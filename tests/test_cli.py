@@ -744,3 +744,102 @@ class TestThreadsDefault:
         assert cli._threads(None) == 3
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._threads(None) == 1
+
+
+def _io(train_csv):
+    return ("--input", str(train_csv), "--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
+
+
+def _exits_2_naming(capsys, argv, *needles):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValidationError: ")
+    assert len(err.splitlines()) == 1
+    for needle in needles:
+        assert needle in err
+
+
+class TestRejectedArguments:
+    """Bad values and flags exit 2 with one error line, never a traceback,
+    a silently ignored flag or a report that is not valid JSON."""
+
+    @pytest.mark.parametrize("model, axis", [("aknn", "--k-grid"), ("akernel", "--h-grid")])
+    def test_negative_tune_seed(self, train_csv, capsys, model, axis):
+        _exits_2_naming(capsys, ["tune", *_io(train_csv), "--model", model, "--seed", "-1",
+                                 "--threads", "1"], "seed", "-1")
+        # With an explicit grid the check comes from the tuning grid.
+        _exits_2_naming(capsys, ["tune", *_io(train_csv), "--model", model, "--seed", "-1",
+                                 axis, "3" if model == "aknn" else "0.5", "--threads", "1"],
+                        "seed", "-1")
+
+    def test_negative_simulate_seed(self, tmp_path, capsys):
+        _exits_2_naming(capsys, ["simulate", "--n", "5", "--D", "3", "--seed", "-1",
+                                 "--output", str(tmp_path / "never.csv")], "coef_seed", "-1")
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_negative_bench_seed(self, capsys):
+        _exits_2_naming(capsys, ["bench", "--n", "150", "--D", "3", "--queries", "5",
+                                 "--repeats", "1", "--seed", "-1"], "seed", "-1")
+
+    @pytest.mark.parametrize("clamp", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tune_clamp(self, train_csv, capsys, clamp):
+        _exits_2_naming(capsys, ["tune", *_io(train_csv), "--model", "aknn", "--k-grid", "3",
+                                 "--threads", "1", f"--clamp={clamp}"], "clamp")
+
+    def test_bad_predict_clamp(self, train_csv, tmp_path, capsys):
+        model_file = tmp_path / "kld.json"
+        assert run(capsys, "fit", *_io(train_csv), "--model", "kld",
+                   "--output", str(model_file))[0] == 0
+        _exits_2_naming(capsys, ["predict", "--input", str(train_csv), "--model-file",
+                                 str(model_file), "--response-cols", "y1,y2,y3",
+                                 "--clamp", "nan"], "clamp")
+
+    @pytest.mark.parametrize("model, flag, value", [
+        ("akernel", "--k-grid", "2,3"),
+        ("aknn", "--h-grid", "0.5"),
+    ])
+    def test_grid_of_the_other_family(self, train_csv, capsys, model, flag, value):
+        _exits_2_naming(capsys, ["tune", *_io(train_csv), "--model", model, flag, value,
+                                 "--threads", "1"], flag, model)
+
+    @pytest.mark.parametrize("model, extra, flag", [
+        ("kld", ["--alpha", "0.3", "--k", "5"], "--alpha"),
+        ("kld", ["--h", "0.5"], "--h"),
+        ("ols", ["--k", "5"], "--k"),
+        ("aknn", ["--alpha", "0.5", "--k", "4", "--h", "0.5"], "--h"),
+        ("akernel", ["--alpha", "0.5", "--h", "0.5", "--k", "4"], "--k"),
+    ])
+    def test_fit_flag_the_model_does_not_take(self, train_csv, tmp_path, capsys,
+                                              model, extra, flag):
+        out = tmp_path / "model.json"
+        _exits_2_naming(capsys, ["fit", *_io(train_csv), "--model", model, *extra,
+                                 "--output", str(out)], flag, model)
+        assert not out.exists()
+
+    def test_missing_kernel_hyperparameter(self, train_csv, capsys):
+        _exits_2_naming(capsys, ["fit", *_io(train_csv), "--model", "akernel",
+                                 "--alpha", "0.5"], "needs --alpha and --h")
+
+
+class TestPredictTruthColumn:
+    def test_default_kl_column_equals_library_bitwise(self, train_csv, tmp_path, capsys):
+        # The default truth metric is KL at DEFAULT_CLAMP; the benchmark's
+        # holdout_kl is the mean of this column.
+        from simplexreg import DEFAULT_CLAMP, kl_divergence
+
+        model_file = tmp_path / "aknn.json"
+        pred_file = tmp_path / "pred.csv"
+        assert run(capsys, "fit", *_io(train_csv), "--model", "aknn", "--alpha", "0.5",
+                   "--k", "4", "--output", str(model_file))[0] == 0
+        code, _, _ = run(capsys, "predict", "--input", str(train_csv), "--model-file",
+                         str(model_file), "--response-cols", "y1,y2,y3",
+                         "--output", str(pred_file))
+        assert code == 0
+        lines = pred_file.read_text().splitlines()
+        assert lines[0] == "y1,y2,y3,kl"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        _, truth = load_csv(train_csv, DatasetSchema(response_cols=("y1", "y2", "y3")))
+        want = kl_divergence(truth, table[:, :3], clamp=DEFAULT_CLAMP)
+        assert np.array_equal(table[:, 3], want)
+        assert np.any(want > 0)

@@ -48,6 +48,17 @@ class TestSimSpec:
         with pytest.raises(ValidationError):
             SimSpec(n=10, D=3, predictors=0)
 
+    @pytest.mark.parametrize("field", ["coef_seed", "data_seed"])
+    def test_negative_seed_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be a non-negative"):
+            SimSpec(n=10, D=3, **{field: -1})
+
+    def test_seed_sequence_accepted(self):
+        seq = np.random.SeedSequence(7)
+        spec = SimSpec(n=10, D=3, data_seed=seq)
+        X, _, _ = gen_polynomial(spec)
+        assert np.array_equal(X, np.random.default_rng(seq).standard_normal((10, 1)))
+
 
 class TestSimplexLink:
     def test_zero_row_is_uniform(self):

@@ -179,6 +179,14 @@ class TestLoadCsv:
         _, U = load_csv(path, schema)
         assert np.array_equal(U[0], [0.25, 0.75])
 
+    def test_utf8_bom_is_not_part_of_the_header(self, simple_csv, tmp_path):
+        # Spreadsheet programs often save CSV as UTF-8 with a byte order mark.
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + simple_csv.read_bytes())
+        X, U = load_csv(bom, SCHEMA)
+        X0, U0 = load_csv(simple_csv, SCHEMA)
+        assert np.array_equal(X, X0) and np.array_equal(U, U0)
+
 
 class TestWriteCsv:
     def test_round_trip_value_exact(self, tmp_path):

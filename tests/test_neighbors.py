@@ -38,6 +38,37 @@ class TestPairwiseDistances:
             pairwise_distances(rng.normal(size=(4, 2)), rng.normal(size=(4, 3)))
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("m, row_bytes, budget", [
+        (25, 8, 32), (1, 8, 8), (7, 100, 1), (1000, 8000, 2**20), (10, 8, 2**30),
+    ])
+    def test_equal_blocks_within_budget(self, m, row_bytes, budget):
+        blocks = neighbors._row_blocks(m, row_bytes, budget)
+        sizes = [b.stop - b.start for b in blocks]
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == m
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= max(1, budget // row_bytes)
+        assert len(blocks) == -(-m // max(1, budget // row_bytes))
+
+    def test_pairwise_blocks_equal_one_block(self, monkeypatch, rng):
+        A = rng.normal(size=(37, 3))
+        B = rng.normal(size=(50, 3))
+        whole = pairwise_distances(A, B)
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 50 * 3 * 8 * 4)
+        assert len(neighbors._row_blocks(37, 50 * 3 * 8, neighbors._CHUNK_BYTES)) == 10
+        assert np.array_equal(pairwise_distances(A, B), whole)
+
+    def test_brute_blocks_equal_one_block(self, monkeypatch, rng):
+        X = np.round(rng.normal(size=(60, 2)), 1)
+        Q = np.round(rng.normal(size=(23, 2)), 1)
+        whole = build_index(X, strategy="brute").query_batch(Q, 6)
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 60 * 2 * 8 * 3)
+        blocked = build_index(X, strategy="brute").query_batch(Q, 6)
+        assert np.array_equal(whole[0], blocked[0])
+        assert np.array_equal(whole[1], blocked[1])
+
+
 class TestQueryBasics:
     def test_single_point(self):
         idx = build_index(np.array([[1.0, 2.0]]))

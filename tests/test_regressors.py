@@ -314,6 +314,17 @@ class TestKld:
         assert model.coef.shape == (3, 4)
         assert len(model.objective_path) == 2
 
+    def test_collinear_predictors_damp_the_hessian(self, rng):
+        # A duplicated column makes the Newton Hessian singular; the ridge
+        # retry must fire, be recorded, and still give compositions.
+        X, U = make_data(rng, n=80, p=1, D=3)
+        assert not fit_kld(X, U).hessian_damped
+        model = fit_kld(np.column_stack([X, X]), U)
+        assert model.hessian_damped
+        pred = model.predict(np.column_stack([X, X])[:5])
+        assert np.all(np.isfinite(pred))
+        assert np.max(np.abs(pred.sum(axis=1) - 1.0)) <= 1e-12
+
     def test_too_few_rows(self, rng):
         X = rng.normal(size=(3, 2))
         U = closure(rng.random((3, 3)) + 0.1)

@@ -75,6 +75,11 @@ class TestKlDivergence:
         with pytest.raises(ValidationError):
             kl_divergence([0.5, 0.5], [0.5, 0.5], clamp=-1.0)
 
+    @pytest.mark.parametrize("clamp", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_clamp_rejected(self, clamp):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            kl_divergence([0.5, 0.5], [0.5, 0.5], clamp=clamp)
+
 
 class TestJsDivergence:
     def test_identity_is_exact_zero(self):
@@ -124,6 +129,11 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             make_folds(0, folds=2)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            make_folds(10, folds=2, seed=seed)
+
 
 class TestGrids:
     def test_tuning_grid_needs_exactly_one_axis(self):
@@ -171,6 +181,27 @@ class TestGrids:
         X = np.zeros((50, 2))
         with pytest.raises(ValidationError):
             default_h_grid(X)
+
+    def test_default_h_grid_starts_at_smallest_positive_distance(self):
+        # One predictor rounded to 0.1: a few percent of the sampled pairs
+        # coincide, so the 1st percentile is 0 and the grid starts at the
+        # smallest positive sampled distance instead.
+        X = np.round(np.random.default_rng(3).normal(size=(2000, 1)), 1)
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, len(X), size=1000)
+        j = rng.integers(0, len(X) - 1, size=1000)
+        d = np.abs(X[i, 0] - X[j + (j >= i), 0])
+        assert 0.01 < np.mean(d == 0) < 0.05
+        hs = default_h_grid(X, seed=0)
+        assert hs[0] == d[d > 0].min() > 0
+        assert hs[-1] == pytest.approx(np.percentile(d, 50), rel=1e-12)
+
+    def test_negative_seeds_rejected(self):
+        X = np.random.default_rng(4).normal(size=(20, 2))
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            default_h_grid(X, seed=-1)
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            TuningGrid(alphas=(0.5,), ks=(3,), seed=-1)
 
 
 def quadruplet_data():
@@ -280,6 +311,33 @@ class TestTuneKnn:
         for bad in (0, -1):
             with pytest.raises(ValidationError, match="threads must be >= 1"):
                 tune(X, U, "alpha-knn", grid, threads=bad)
+
+    @pytest.mark.parametrize("clamp", [math.nan, math.inf])
+    def test_nonfinite_clamp_rejected(self, clamp):
+        # Either would reach the report as a bare NaN or -Infinity score.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=40)
+        U = closure(rng.random((40, 3)) + 0.05)
+        grid = TuningGrid(alphas=(1.0,), ks=(3,), folds=10, seed=0)
+        for metric in ("kl", "js"):
+            with pytest.raises(ValidationError, match="finite and nonnegative"):
+                tune(X, U, "alpha-knn", grid, metric=metric, clamp=clamp)
+
+    def test_per_fold_scores_are_fold_means(self):
+        # Fold sizes differ (43 rows in 10 folds); each per-fold score is
+        # that fold's summed divergence over its own row count.
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=43)
+        U = closure(rng.random((43, 3)) + 0.05)
+        grid = TuningGrid(alphas=(0.5,), ks=(4,), folds=10, seed=2)
+        report = tune(X, U, "alpha-knn", grid)
+        assert sorted(set(report.fold_sizes)) == [4, 5]
+        labels = make_folds(43, 10, 2)
+        for f, score in enumerate(report.per_fold_selected_scores):
+            test = labels == f
+            model = AlphaKnnSpec(alpha=0.5, k=4).fit(X[~test], U[~test])
+            rows = kl_divergence(U[test], model.predict(X[test]), clamp=1e-12)
+            assert score == pytest.approx(rows.mean(), rel=1e-12)
 
     def test_thread_count_does_not_change_report(self):
         rng = np.random.default_rng(8)
