@@ -195,26 +195,14 @@ def run_bench(scenario):
                 n, D, scenario.predictors, scenario.queries, k_max
             )
             if avail is not None and est > 0.8 * avail:
-                cells.append(
-                    BenchCell(
-                        n=n,
-                        D=D,
-                        skipped=True,
-                        reason=f"estimated {est} bytes exceeds available {avail}",
-                    )
-                )
-                continue
-            try:
-                cells.append(_time_cell(scenario, n, D))
-            except SimplexRegError as err:
-                cells.append(
-                    BenchCell(
-                        n=n,
-                        D=D,
-                        skipped=True,
-                        reason=f"{type(err).__name__}: {err}",
-                    )
-                )
+                reason = f"estimated {est} bytes exceeds available {avail}"
+            else:
+                try:
+                    cells.append(_time_cell(scenario, n, D))
+                    continue
+                except SimplexRegError as err:
+                    reason = f"{type(err).__name__}: {err}"
+            cells.append(BenchCell(n=n, D=D, skipped=True, reason=reason))
     hardware = (
         f"{platform.platform()} / "
         f"{platform.processor() or platform.machine()} / "

@@ -5,7 +5,9 @@ Reports and predictions go to --output (or stdout when omitted) so data
 streams stay clean for piping; human-readable progress and summaries go
 to stderr.  All randomness is controlled by --seed and every report is a
 deterministic function of its inputs; reports carry no timestamps.
-Failures exit nonzero with a single-line `error: <kind>: <message>`.
+Failures exit nonzero with a single-line `error: <kind>: <message>`;
+so does a flag that would not act on the run, such as `--kernel` on a
+model without a kernel or `--clamp` with `--metric js`.
 
 A model file from `fit` is one self-contained JSON document holding the
 coefficients (kld, ols) or the preprocessed training arrays (aknn,
@@ -19,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,18 +69,12 @@ def _split_list(text):
     return [t.strip() for t in str(text).split(",") if t.strip()]
 
 
-def _float_list(text):
+def _number_list(text, kind=float):
     try:
-        return [float(t) for t in _split_list(text)]
+        return [kind(t) for t in _split_list(text)]
     except ValueError:
-        raise ValidationError(f"cannot parse {text!r} as comma-separated numbers") from None
-
-
-def _int_list(text):
-    try:
-        return [int(t) for t in _split_list(text)]
-    except ValueError:
-        raise ValidationError(f"cannot parse {text!r} as comma-separated integers") from None
+        what = "integers" if kind is int else "numbers"
+        raise ValidationError(f"cannot parse {text!r} as comma-separated {what}") from None
 
 
 def _threads(value):
@@ -105,11 +102,26 @@ def _schema_from_args(args, need_predictors=True):
     )
 
 
-def _reject_flags(args, flags):
-    # Flags for parameters the chosen --model lacks are errors, not no-ops.
+def _reject_flags(args, flags, why=None):
+    # A flag that would not act on this run is an error, not a no-op.
     for flag in flags:
         if getattr(args, flag.replace("-", "_")) is not None:
-            raise ValidationError(f"--{flag} does not apply to --model {args.model}")
+            raise ValidationError(f"--{flag} does not apply {why or f'to --model {args.model}'}")
+
+
+def _fill_defaults(args, **defaults):
+    # These flags default to None so that _reject_flags can tell a given
+    # flag from an absent one; the ones that act get their values here.
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
+def _resolve_metric_args(args):
+    # The clamp floors KL's predicted parts; JS has no use for it.
+    if args.metric == "js":
+        _reject_flags(args, ("clamp",), "to --metric js")
+    _fill_defaults(args, metric="kl", clamp=DEFAULT_CLAMP)
 
 
 def _geo_convert(X, predictor_cols, geo_cols):
@@ -167,18 +179,20 @@ def _note(message):
 
 def cmd_tune(args):
     knn = args.model == "aknn"
-    _reject_flags(args, ("h-grid",) if knn else ("k-grid",))
+    _reject_flags(args, ("h-grid", "kernel") if knn else ("k-grid",))
+    _resolve_metric_args(args)
+    _fill_defaults(args, kernel="gaussian")
     schema = _schema_from_args(args)
     X, U = load_csv(args.input, schema)
     X, _prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,
                                  args.standardize)
     zero_free = not np.any(U == 0)
-    alphas = _float_list(args.alpha_grid) if args.alpha_grid else default_alpha_grid(zero_free)
+    alphas = _number_list(args.alpha_grid) if args.alpha_grid else default_alpha_grid(zero_free)
     ks = hs = None
     if knn:
-        ks = _int_list(args.k_grid) if args.k_grid else default_k_grid()
+        ks = _number_list(args.k_grid, int) if args.k_grid else default_k_grid()
     else:
-        hs = _float_list(args.h_grid) if args.h_grid else default_h_grid(X, seed=args.seed)
+        hs = _number_list(args.h_grid) if args.h_grid else default_h_grid(X, seed=args.seed)
     grid = TuningGrid(alphas=tuple(alphas), ks=ks, hs=hs, folds=args.folds, seed=args.seed)
     report = tune(
         X, U, _FAMILIES[args.model], grid,
@@ -219,10 +233,13 @@ def _digest(payload):
 
 
 def cmd_fit(args):
-    params = {"aknn": ("alpha", "k"), "akernel": ("alpha", "h")}.get(args.model, ())
-    _reject_flags(args, [name for name in ("alpha", "k", "h") if name not in params])
+    takes = {"aknn": ("alpha", "k"), "akernel": ("alpha", "h", "kernel"),
+             "ols": ("transform",)}.get(args.model, ())
+    _reject_flags(args, [f for f in ("alpha", "k", "h", "kernel", "transform") if f not in takes])
+    params = [name for name in takes if name in ("alpha", "k", "h")]
     if any(getattr(args, name) is None for name in params):
         raise ValidationError(f"fit {args.model} needs --{params[0]} and --{params[1]}")
+    _fill_defaults(args, kernel="gaussian", transform="alr")
     schema = _schema_from_args(args)
     X, U = load_csv(args.input, schema)
     X, prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,
@@ -294,6 +311,9 @@ def _load_model(path):
 
 
 def cmd_predict(args):
+    if not args.response_cols:
+        _reject_flags(args, ("metric", "clamp"), "without --response-cols")
+    _resolve_metric_args(args)
     model, predictor_cols, response_cols, prep = _load_model(args.model_file)
     truth_cols = _split_list(args.response_cols) if args.response_cols else []
     schema = DatasetSchema(
@@ -339,18 +359,9 @@ def cmd_simulate(args):
     X, U, coef = generate(spec)
     write_dataset_csv(args.output or sys.stdout, X, U)
     if args.truth_output:
-        truth = {
-            "schema_version": 1,
-            "link": spec.link,
-            "degree": spec.degree,
-            "n": spec.n,
-            "D": spec.D,
-            "predictors": spec.predictors,
-            "noise_scale": spec.noise_scale,
-            "zero_fraction": spec.zero_fraction,
-            "seed": args.seed,
-            "coefficients": [[float(v) for v in row] for row in coef],
-        }
+        truth = {key: v for key, v in asdict(spec).items() if not key.endswith("_seed")}
+        truth.update(schema_version=1, seed=args.seed,
+                     coefficients=[[float(v) for v in row] for row in coef])
         with open(args.truth_output, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(truth, indent=2, sort_keys=True) + "\n")
     _note(f"simulate: wrote {spec.n} rows (link={spec.link}, D={spec.D})")
@@ -361,7 +372,7 @@ def cmd_frechet_path(args):
     schema = _schema_from_args(args, need_predictors=False)
     _, U = load_csv(args.input, schema)
     zero_free = not np.any(U == 0)
-    alphas = _float_list(args.alpha_grid) if args.alpha_grid else default_alpha_grid(zero_free)
+    alphas = _number_list(args.alpha_grid) if args.alpha_grid else default_alpha_grid(zero_free)
     path = frechet_path(U, alphas)
     names = ["alpha"] + list(schema.response_cols)
     columns = [np.array([a for a, _ in path])]
@@ -374,8 +385,8 @@ def cmd_frechet_path(args):
 
 def cmd_bench(args):
     scenario = BenchScenario(
-        n_grid=tuple(_int_list(args.n)),
-        d_grid=tuple(_int_list(args.D)),
+        n_grid=tuple(_number_list(args.n, int)),
+        d_grid=tuple(_number_list(args.D, int)),
         queries=args.queries,
         repeats=args.repeats,
         seed=args.seed,
@@ -398,12 +409,7 @@ def cmd_validate(args):
     schema = _schema_from_args(args, need_predictors=False)
     X, U = load_csv(args.input, schema)
     report = validate_composition_matrix(U)
-    out = {
-        "rows": report.rows,
-        "zero_rows": report.zero_rows,
-        "column_zero_counts": list(report.column_zero_counts),
-        "predictor_cols": len(schema.predictor_cols),
-    }
+    out = {**asdict(report), "predictor_cols": len(schema.predictor_cols)}
     _write_text(args, json.dumps(out, indent=2, sort_keys=True) + "\n")
     _note(
         f"validate: {report.rows} rows, {report.zero_rows} with zeros"
@@ -451,6 +457,12 @@ def _add_preprocess_args(sp):
     )
 
 
+def _add_metric_args(sp):
+    sp.add_argument("--metric", default=None, choices=METRICS, help="default: kl")
+    sp.add_argument("--clamp", type=float, default=None,
+                    help=f"kl only: floor for predicted parts, below 1/D (default: {DEFAULT_CLAMP})")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="simplexreg",
@@ -465,11 +477,11 @@ def build_parser():
     sp.add_argument("--alpha-grid", default=None, help="comma-separated exponents")
     sp.add_argument("--k-grid", default=None, help="comma-separated neighborhood sizes")
     sp.add_argument("--h-grid", default=None, help="comma-separated bandwidths")
-    sp.add_argument("--kernel", default="gaussian", choices=tuple(KERNELS))
+    sp.add_argument("--kernel", default=None, choices=tuple(KERNELS),
+                    help="akernel only (default: gaussian)")
     sp.add_argument("--folds", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--metric", default="kl", choices=METRICS)
-    sp.add_argument("--clamp", type=float, default=DEFAULT_CLAMP)
+    _add_metric_args(sp)
     sp.add_argument("--threads", type=int, default=None,
                     help="fold worker threads (default: available cores)")
     sp.add_argument("--output", default=None, help="report JSON path (default stdout)")
@@ -482,9 +494,10 @@ def build_parser():
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--kernel", default="gaussian", choices=tuple(KERNELS))
-    sp.add_argument("--transform", default="alr", choices=("alr", "ilr"),
-                    help="log-ratio coordinates for the ols model")
+    sp.add_argument("--kernel", default=None, choices=tuple(KERNELS),
+                    help="akernel only (default: gaussian)")
+    sp.add_argument("--transform", default=None, choices=("alr", "ilr"),
+                    help="log-ratio coordinates for the ols model (default: alr)")
     sp.add_argument("--output", default=None, help="model JSON path (default stdout)")
     sp.set_defaults(func=cmd_fit)
 
@@ -496,8 +509,7 @@ def build_parser():
                     "per-row divergence column")
     sp.add_argument("--delimiter", default=",")
     sp.add_argument("--no-header", action="store_true")
-    sp.add_argument("--metric", default="kl", choices=METRICS)
-    sp.add_argument("--clamp", type=float, default=DEFAULT_CLAMP)
+    _add_metric_args(sp)
     sp.add_argument("--output", default=None, help="predictions CSV (default stdout)")
     sp.set_defaults(func=cmd_predict)
 

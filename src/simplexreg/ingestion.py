@@ -50,27 +50,34 @@ class DatasetSchema:
         object.__setattr__(self, "predictor_cols", pred)
 
 
-def _column_positions(names, header, has_header, path):
-    if has_header:
-        positions = []
-        for name in names:
-            try:
-                positions.append(header.index(name))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: column {name!r} not in header {header}"
-                ) from None
-        return positions
+def _column_positions(schema, header, path):
+    """File positions of the response and predictor columns.
+
+    header is None for a headerless file, whose names are 0-based indices;
+    distinct spellings of one index ("1", "01") are caught as duplicates.
+    """
+    names = schema.response_cols + schema.predictor_cols
+    n_resp = len(schema.response_cols)
     positions = []
-    for name in names:
+    for i, name in enumerate(names):
         try:
-            positions.append(int(name))
+            pos = int(name) if header is None else header.index(name)
         except ValueError:
+            if header is not None:
+                raise ValidationError(f"{path}: column {name!r} not in header {header}") from None
             raise ValidationError(
-                f"{path}: without a header, columns must be integer "
-                f"indices, got {name!r}"
+                f"{path}: without a header, columns must be integer indices, got {name!r}"
             ) from None
-    return positions
+        if pos < 0:
+            raise ValidationError(f"{path}: column index {name!r} is negative; indices start at 0")
+        if pos in positions:
+            first = positions.index(pos)
+            what = ("column listed as both response and predictor"
+                    if (first < n_resp) != (i < n_resp) else "duplicate column")
+            raise ValidationError(f"{path}: {what}: {names[first]!r} and {name!r} are both "
+                                  f"column {pos}")
+        positions.append(pos)
+    return positions[:n_resp], positions[n_resp:]
 
 
 def load_csv(path, schema):
@@ -93,8 +100,7 @@ def load_csv(path, schema):
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise ValidationError(f"{path}: file is empty") from None
-        resp_pos = _column_positions(schema.response_cols, header, schema.has_header, path)
-        pred_pos = _column_positions(schema.predictor_cols, header, schema.has_header, path)
+        resp_pos, pred_pos = _column_positions(schema, header, path)
         needed = max(resp_pos + pred_pos) + 1
         for row in reader:
             if not row:
@@ -172,9 +178,9 @@ def write_csv(path_or_file, columns, names, delimiter=","):
             emit(fh)
 
 
-def write_dataset_csv(path, X, U, predictor_names=None, response_names=None,
-                      delimiter=","):
-    """Write predictors and responses side by side as x1..xp, y1..yD."""
+def write_dataset_csv(path, X, U):
+    """Write predictors and responses side by side, comma-separated, under
+    the header x1..xp, y1..yD; X may be None for responses only."""
     U = as_composition_matrix(U)
     columns = []
     names = []
@@ -184,19 +190,11 @@ def write_dataset_csv(path, X, U, predictor_names=None, response_names=None,
             raise ValidationError(
                 f"predictors have {X.shape[0]} rows, responses {U.shape[0]}"
             )
-        if predictor_names is None:
-            predictor_names = [f"x{j + 1}" for j in range(X.shape[1])]
-        if len(predictor_names) != X.shape[1]:
-            raise ValidationError("one name per predictor column required")
         columns += [X[:, j] for j in range(X.shape[1])]
-        names += list(predictor_names)
-    if response_names is None:
-        response_names = [f"y{j + 1}" for j in range(U.shape[1])]
-    if len(response_names) != U.shape[1]:
-        raise ValidationError("one name per response column required")
+        names += [f"x{j + 1}" for j in range(X.shape[1])]
     columns += [U[:, j] for j in range(U.shape[1])]
-    names += list(response_names)
-    write_csv(path, columns, names, delimiter=delimiter)
+    names += [f"y{j + 1}" for j in range(U.shape[1])]
+    write_csv(path, columns, names)
 
 
 def latlon_to_euclidean(lat, lon):

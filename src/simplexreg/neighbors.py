@@ -63,6 +63,13 @@ def _row_blocks(m, row_bytes, budget):
     return [slice(i * m // blocks, (i + 1) * m // blocks) for i in range(blocks)]
 
 
+def _check_k(k):
+    """The package's one neighborhood-size rule: an int (not a bool) >= 1."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    return int(k)
+
+
 def _check_magnitude(A, what):
     # p squared differences of at most (2 * limit)^2 sum to half the float
     # maximum, so squared distances within the bound stay finite.
@@ -147,11 +154,7 @@ class NeighborIndex:
                 f"query width {Q.shape[1]} does not match index width {self.p}"
             )
         _check_magnitude(Q, "query")
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise ValidationError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ValidationError(f"k must be at least 1, got {k}")
-        kk = min(int(k), self.n)
+        kk = min(_check_k(k), self.n)
         if self._tree is None:
             search, row_bytes, budget = self._search_brute, self._X.size * 8, _CHUNK_BYTES
         else:

@@ -32,7 +32,8 @@ from .errors import (
     ZeroNotAllowedError,
 )
 from .frechet import _check_zero_alpha, _power, _unpower
-from .neighbors import _CHUNK_BYTES, NeighborIndex, _row_blocks, build_index, pairwise_distances
+from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _row_blocks, build_index,
+                        pairwise_distances)
 # closure stays bound for benchmark/tracing.py, which rebinds it by module.
 from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
@@ -42,6 +43,19 @@ KERNELS = {
     "exponential": lambda d, h: np.exp(-d / (2.0 * h * h)),
     "laplacian": lambda d, h: np.exp(-d / h),
 }
+
+
+def _check_bandwidth(h):
+    h = float(h)
+    if not np.isfinite(h) or h <= 0:
+        raise ValidationError(f"bandwidth h must be positive and finite, got {h!r}")
+    return h
+
+
+def _check_kernel(kernel):
+    if kernel not in KERNELS:
+        raise ValidationError(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
+    return kernel
 
 
 def _fit_arrays(X, U):
@@ -106,13 +120,10 @@ def fit_alpha_knn(X, U, alpha, k, strategy="auto"):
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
     _check_zero_alpha(U, a, "fit_alpha_knn")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= X.shape[0]:
+    k = _check_k(k)
+    if k > X.shape[0]:
         raise ValidationError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
-    return AlphaKnnModel(
-        index=build_index(X, strategy=strategy), responses=U, alpha=a, k=int(k)
-    )
+    return AlphaKnnModel(index=build_index(X, strategy=strategy), responses=U, alpha=a, k=k)
 
 
 def predict_alpha_knn(model, Xnew):
@@ -182,14 +193,8 @@ def fit_alpha_kernel(X, U, alpha, h, kernel="gaussian"):
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
     _check_zero_alpha(U, a, "fit_alpha_kernel")
-    h = float(h)
-    if not np.isfinite(h) or h <= 0:
-        raise ValidationError(f"bandwidth h must be positive and finite, got {h!r}")
-    if kernel not in KERNELS:
-        raise ValidationError(
-            f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}"
-        )
-    return AlphaKernelModel(predictors=X, responses=U, alpha=a, h=h, kernel=kernel)
+    return AlphaKernelModel(predictors=X, responses=U, alpha=a, h=_check_bandwidth(h),
+                            kernel=_check_kernel(kernel))
 
 
 def predict_alpha_kernel(model, Xnew):

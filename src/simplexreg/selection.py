@@ -17,16 +17,16 @@ differs from one, but every fold and thread count shares it.
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .datagen import _check_seed
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
-from .neighbors import _distances_to, build_index, pairwise_distances  # noqa: F401
-from .regressors import (KERNELS, _fit_arrays, iter_kernel_grid_predictions,
-                         iter_knn_grid_predictions)
+from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
+from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
+                         iter_kernel_grid_predictions, iter_knn_grid_predictions)
 from .simplex import as_predictor_matrix, closure  # noqa: F401
 from .transforms import check_alpha
 
@@ -49,10 +49,15 @@ def _check_pair(y, yhat):
     return y, yhat, False
 
 
-def _check_clamp(clamp):
+def _check_clamp(clamp, D):
+    # A clamp >= 1/D floors a uniform prediction in all D parts, so that
+    # different predictions score alike.
     clamp = float(clamp)
-    if not (np.isfinite(clamp) and clamp >= 0):
-        raise ValidationError(f"clamp must be finite and nonnegative, got {clamp!r}")
+    if not (np.isfinite(clamp) and 0 <= clamp < 1.0 / D):
+        raise ValidationError(
+            f"clamp must be finite and nonnegative and below 1/D for D = {D} parts, "
+            f"got {clamp!r}"
+        )
     return clamp
 
 
@@ -66,12 +71,12 @@ def kl_divergence(y, yhat, clamp=0.0):
     """Kullback-Leibler divergence of yhat from y, rowwise.
 
     Terms with y_i = 0 contribute zero.  With clamp = 0 a zero predicted
-    component facing positive truth yields +inf; a positive clamp floors
-    yhat at that value first.  Returns a scalar for vector inputs, a
-    length-n array for matrix inputs.
+    component facing positive truth yields +inf; a positive clamp, which
+    must be below 1/D for D parts, floors yhat at that value first.
+    Returns a scalar for vector inputs, a length-n array for matrix inputs.
     """
     y, yhat, single = _check_pair(y, yhat)
-    clamp = _check_clamp(clamp)
+    clamp = _check_clamp(clamp, y.shape[1])
     out = _kl_terms(y, np.maximum(yhat, clamp) if clamp > 0 else yhat).sum(axis=1)
     return float(out[0]) if single else out
 
@@ -122,22 +127,16 @@ class TuningGrid:
     seed: int = 0
 
     def __post_init__(self):
-        alphas = tuple(check_alpha(a) for a in np.atleast_1d(self.alphas))
-        if not alphas:
-            raise ValidationError("alpha grid is empty")
-        object.__setattr__(self, "alphas", alphas)
         if (self.ks is None) == (self.hs is None):
             raise ValidationError("exactly one of ks or hs must be given")
-        if self.ks is not None:
-            ks = tuple(int(k) for k in np.atleast_1d(self.ks))
-            if not ks or any(k < 1 for k in ks):
-                raise ValidationError(f"ks must be integers >= 1, got {self.ks!r}")
-            object.__setattr__(self, "ks", ks)
-        else:
-            hs = tuple(float(h) for h in np.atleast_1d(self.hs))
-            if not hs or any(not np.isfinite(h) or h <= 0 for h in hs):
-                raise ValidationError(f"hs must be positive and finite, got {self.hs!r}")
-            object.__setattr__(self, "hs", hs)
+        # Each value passes the rule fit applies to the same parameter; an
+        # object array keeps 2.7 and True from becoming ints before the check.
+        axis = ("ks", _check_k) if self.hs is None else ("hs", _check_bandwidth)
+        for name, check in (("alphas", check_alpha), axis):
+            values = np.atleast_1d(np.asarray(getattr(self, name), dtype=object))
+            if not values.size:
+                raise ValidationError(f"{name} grid is empty")
+            object.__setattr__(self, name, tuple(check(v) for v in values))
         if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
             raise ValidationError(f"folds must be an integer >= 2, got {self.folds!r}")
         _check_seed(self.seed)
@@ -211,27 +210,12 @@ class TuningReport:
     per_fold_selected_scores: tuple
 
     def to_dict(self):
-        out = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "family": self.family,
-            "metric": self.metric,
-            "clamp": self.clamp,
-            "seed": self.seed,
-            "folds": self.folds,
-            "fold_sizes": list(self.fold_sizes),
-            "alphas": list(self.alphas),
-            "mean_divergence": [list(row) for row in self.mean_divergence],
-            "selected": {"alpha": self.selected_alpha, "score": self.selected_score},
-            "per_fold_selected_scores": list(self.per_fold_selected_scores),
-        }
-        if self.ks is not None:
-            out["ks"] = list(self.ks)
-            out["selected"]["k"] = self.selected_k
-        if self.hs is not None:
-            out["hs"] = list(self.hs)
-            out["selected"]["h"] = self.selected_h
-            out["kernel"] = self.kernel
-        return out
+        """The fields, less the other family's (None); selected_* nest
+        under "selected"."""
+        out = {key: v for key, v in asdict(self).items() if v is not None}
+        selected = {key[len("selected_"):]: out.pop(key) for key in list(out)
+                    if key.startswith("selected_")}
+        return {"schema_version": REPORT_SCHEMA_VERSION, **out, "selected": selected}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -252,7 +236,8 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     metric : {"kl", "js"}
         Held-out divergence to minimize.
     clamp : float
-        Floor applied to predicted components inside the kl metric.
+        Floor applied to predicted components inside the kl metric; in
+        [0, 1/D) for D parts.
     kernel : str
         Kernel name, used by the kernel family only.
     threads : int
@@ -272,7 +257,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         raise ValidationError("grid must be a TuningGrid")
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
-    clamp = _check_clamp(clamp)
+    clamp = _check_clamp(clamp, U.shape[1])
     threads = int(threads)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
@@ -287,10 +272,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     else:
         if grid.hs is None:
             raise ValidationError("alpha-kernel tuning needs grid.hs")
-        if kernel not in KERNELS:
-            raise ValidationError(
-                f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}"
-            )
+        _check_kernel(kernel)
         axis2 = grid.hs
 
     n = X.shape[0]

@@ -843,3 +843,107 @@ class TestPredictTruthColumn:
         want = kl_divergence(truth, table[:, :3], clamp=DEFAULT_CLAMP)
         assert np.array_equal(table[:, 3], want)
         assert np.any(want > 0)
+
+
+class TestFlagsThatWouldNotAct:
+    """A flag that would change nothing on this run exits 2 and writes
+    nothing; the defaults of these flags are unchanged when they are absent."""
+
+    @pytest.fixture
+    def kld_file(self, train_csv, tmp_path, capsys):
+        path = tmp_path / "kld.json"
+        assert run(capsys, "fit", *_io(train_csv), "--model", "kld",
+                   "--output", str(path))[0] == 0
+        return path
+
+    @pytest.mark.parametrize("extra, flag, why", [
+        (["--metric", "kl"], "--metric", "without --response-cols"),
+        (["--clamp", "0.01"], "--clamp", "without --response-cols"),
+        (["--response-cols", "y1,y2,y3", "--metric", "js", "--clamp", "nan"],
+         "--clamp", "to --metric js"),
+    ])
+    def test_predict(self, train_csv, kld_file, tmp_path, capsys, extra, flag, why):
+        out = tmp_path / "pred.csv"
+        _exits_2_naming(capsys, ["predict", "--input", str(train_csv), "--model-file",
+                                 str(kld_file), *extra, "--output", str(out)],
+                        f"{flag} does not apply {why}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, extra, flag, why", [
+        ("aknn", ["--metric", "js", "--clamp", "0.01"], "--clamp", "to --metric js"),
+        ("akernel", ["--metric", "js", "--clamp", "0.01"], "--clamp", "to --metric js"),
+        ("aknn", ["--kernel", "laplacian"], "--kernel", "to --model aknn"),
+    ])
+    def test_tune(self, train_csv, tmp_path, capsys, model, extra, flag, why):
+        out = tmp_path / "report.json"
+        _exits_2_naming(capsys, ["tune", *_io(train_csv), "--model", model, *extra,
+                                 "--threads", "1", "--output", str(out)],
+                        f"{flag} does not apply {why}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, extra, flag", [
+        ("aknn", ["--alpha", "0.5", "--k", "4", "--kernel", "gaussian"], "--kernel"),
+        ("kld", ["--kernel", "laplacian"], "--kernel"),
+        ("ols", ["--kernel", "gaussian"], "--kernel"),
+        ("kld", ["--transform", "alr"], "--transform"),
+        ("aknn", ["--alpha", "0.5", "--k", "4", "--transform", "ilr"], "--transform"),
+        ("akernel", ["--alpha", "0.5", "--h", "0.5", "--transform", "alr"], "--transform"),
+    ])
+    def test_fit(self, train_csv, tmp_path, capsys, model, extra, flag):
+        out = tmp_path / "model.json"
+        _exits_2_naming(capsys, ["fit", *_io(train_csv), "--model", model, *extra,
+                                 "--output", str(out)], f"{flag} does not apply to --model {model}")
+        assert not out.exists()
+
+    def test_tune_clamp_at_one_over_d(self, train_csv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        _exits_2_naming(capsys, ["tune", *_io(train_csv), "--model", "aknn", "--k-grid", "3",
+                                 "--threads", "1", "--clamp", "2", "--output", str(out)],
+                        "clamp", "D = 3")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, given", [
+        ("tune aknn", ["--metric", "kl", "--clamp", "1e-12"]),
+        ("tune akernel", ["--kernel", "gaussian", "--metric", "kl", "--clamp", "1e-12"]),
+        ("fit akernel", ["--kernel", "gaussian"]),
+        ("fit ols", ["--transform", "alr"]),
+        ("predict", ["--metric", "kl", "--clamp", "1e-12"]),
+    ])
+    def test_absent_flag_equals_its_default(self, train_csv, kld_file, tmp_path, capsys,
+                                            command, given):
+        argv = {
+            "tune aknn": ["tune", *_io(train_csv), "--model", "aknn", "--k-grid", "2,5",
+                          "--threads", "1"],
+            "tune akernel": ["tune", *_io(train_csv), "--model", "akernel", "--h-grid", "0.5,1",
+                             "--threads", "1"],
+            "fit akernel": ["fit", *_io(train_csv), "--model", "akernel", "--alpha", "0.5",
+                            "--h", "0.5"],
+            "fit ols": ["fit", *_io(train_csv), "--model", "ols"],
+            "predict": ["predict", "--input", str(train_csv), "--model-file", str(kld_file),
+                        "--response-cols", "y1,y2,y3"],
+        }[command]
+        outputs = []
+        for extra in ([], given):
+            out = tmp_path / f"out{len(outputs)}"
+            assert run(capsys, *argv, *extra, "--output", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestDerivedJsonKeys:
+    def test_truth_json_keys(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        assert run(capsys, "simulate", "--n", "20", "--D", "3", "--seed", "4",
+                   "--output", str(tmp_path / "d.csv"), "--truth-output", str(truth))[0] == 0
+        payload = json.loads(truth.read_text())
+        assert set(payload) == {"schema_version", "link", "degree", "n", "D", "predictors",
+                                "noise_scale", "zero_fraction", "seed", "coefficients"}
+        assert payload["seed"] == 4 and payload["schema_version"] == 1
+
+    def test_validate_json_keys(self, train_csv, capsys):
+        code, out, _ = run(capsys, "validate", "--input", str(train_csv),
+                           "--response-cols", "y1,y2,y3")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"rows", "zero_rows", "column_zero_counts", "predictor_cols"}
+        assert payload["column_zero_counts"] == [0, 0, 0]

@@ -172,6 +172,27 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="integer"):
             load_csv(path, schema)
 
+    @pytest.mark.parametrize("resp, pred, what, names", [
+        (("1", "2"), ("01",), "both response and predictor", ("'1'", "'01'")),
+        (("1", "2", "+2"), (), "duplicate column", ("'2'", "'+2'")),
+        (("1", "2"), ("0", "00"), "duplicate column", ("'0'", "'00'")),
+    ])
+    def test_headerless_aliases_of_one_column(self, tmp_path, resp, pred, what, names):
+        # Two spellings of one index name the same file column.
+        path = tmp_path / "alias.csv"
+        path.write_text("3.0,0.25,0.75\n4.0,0.5,0.5\n")
+        schema = DatasetSchema(response_cols=resp, predictor_cols=pred, has_header=False)
+        with pytest.raises(ValidationError, match=what) as info:
+            load_csv(path, schema)
+        assert all(name in str(info.value) for name in names)
+
+    def test_headerless_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("3.0,0.25,0.75\n4.0,0.5,0.5\n")
+        schema = DatasetSchema(response_cols=("1", "2"), predictor_cols=("-3",), has_header=False)
+        with pytest.raises(ValidationError, match="'-3' is negative"):
+            load_csv(path, schema)
+
     def test_semicolon_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("y1;y2\n0.25;0.75\n")

@@ -445,3 +445,101 @@ class TestCrossValidatedScore:
         score = cross_validated_score(X, U, spec, folds=10, seed=0)
         assert score.kl >= 0
         assert np.isfinite(score.js)
+
+
+class TestSharedParameterRules:
+    """A grid value is rejected exactly when fit rejects the same parameter."""
+
+    @pytest.mark.parametrize("k", [2.7, True, 0, -3, np.bool_(True)])
+    def test_bad_k_rejected_by_grid_and_fit(self, k):
+        from simplexreg import fit_alpha_knn
+
+        X, U = quadruplet_data()
+        with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+            TuningGrid(alphas=(0.5,), ks=(3, k))
+        with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+            fit_alpha_knn(X, U, 0.5, k)
+
+    def test_integer_ks_kept(self):
+        grid = TuningGrid(alphas=(0.5,), ks=(np.int64(4), 2))
+        assert grid.ks == (4, 2) and all(type(k) is int for k in grid.ks)
+
+    @pytest.mark.parametrize("h", [0.0, math.nan, -1.0, math.inf])
+    def test_bad_h_rejected_by_grid_and_fit(self, h):
+        from simplexreg import fit_alpha_kernel
+
+        X, U = quadruplet_data()
+        with pytest.raises(ValidationError, match="bandwidth h must be positive and finite"):
+            TuningGrid(alphas=(0.5,), hs=(1.0, h))
+        with pytest.raises(ValidationError, match="bandwidth h must be positive and finite"):
+            fit_alpha_kernel(X, U, 0.5, h)
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValidationError, match="ks grid is empty"):
+            TuningGrid(alphas=(0.5,), ks=())
+
+    def test_unknown_kernel_same_message_in_tune_and_fit(self):
+        from simplexreg import fit_alpha_kernel
+
+        X, U = quadruplet_data()
+        grid = TuningGrid(alphas=(1.0,), hs=(1.0,), folds=10, seed=0)
+        with pytest.raises(ValidationError) as from_tune:
+            tune(X, U, "alpha-kernel", grid, kernel="box")
+        with pytest.raises(ValidationError) as from_fit:
+            fit_alpha_kernel(X, U, 1.0, 1.0, kernel="box")
+        assert str(from_tune.value) == str(from_fit.value)
+
+
+class TestClampBound:
+    """A clamp of 1/D or more floors a uniform prediction in every part."""
+
+    def test_kl_divergence_boundary(self):
+        y = [0.1, 0.2, 0.3, 0.4]
+        with pytest.raises(ValidationError, match="D = 4"):
+            kl_divergence(y, [0.25] * 4, clamp=0.25)
+        below = np.nextafter(0.25, 0.0)
+        assert kl_divergence(y, [0.25] * 4, clamp=below) == kl_divergence(y, [0.25] * 4)
+        # Below the bound two different predictions still score differently.
+        assert (kl_divergence(y, [0.0, 0.0, 0.5, 0.5], clamp=0.2)
+                != kl_divergence(y, [0.0, 0.0, 0.0, 1.0], clamp=0.2))
+
+    def test_tune_boundary(self):
+        X, U = quadruplet_data()
+        D = U.shape[1]
+        grid = TuningGrid(alphas=(1.0,), ks=(2, 3), folds=10, seed=0)
+        with pytest.raises(ValidationError, match=f"D = {D}"):
+            tune(X, U, "alpha-knn", grid, clamp=1.0 / D)
+        with pytest.raises(ValidationError, match=f"D = {D}"):
+            tune(X, U, "alpha-knn", grid, clamp=2.0)
+        report = tune(X, U, "alpha-knn", grid, clamp=np.nextafter(1.0 / D, 0.0))
+        assert report.clamp < 1.0 / D
+
+
+class TestReportKeys:
+    """The report's keys are TuningReport's fields, less the other family's."""
+
+    COMMON = {"schema_version", "family", "metric", "clamp", "seed", "folds", "fold_sizes",
+              "alphas", "mean_divergence", "selected", "per_fold_selected_scores"}
+
+    def test_knn_keys(self):
+        X, U = quadruplet_data()
+        grid = TuningGrid(alphas=(0.5, 1.0), ks=(1, 3), folds=10, seed=0)
+        payload = json.loads(tune(X, U, "alpha-knn", grid).to_json())
+        assert set(payload) == self.COMMON | {"ks"}
+        assert set(payload["selected"]) == {"alpha", "k", "score"}
+        assert payload["schema_version"] == 1
+
+    def test_kernel_keys(self):
+        X, U = quadruplet_data()
+        grid = TuningGrid(alphas=(0.5, 1.0), hs=(0.5, 2.0), folds=10, seed=0)
+        payload = json.loads(tune(X, U, "alpha-kernel", grid).to_json())
+        assert set(payload) == self.COMMON | {"hs", "kernel"}
+        assert set(payload["selected"]) == {"alpha", "h", "score"}
+
+    def test_infeasible_cells_stay_null(self):
+        rng = np.random.default_rng(11)
+        X = np.concatenate([rng.normal(size=30), rng.normal(size=30) + 1e4])
+        U = closure(rng.random((60, 3)) + 0.05)
+        grid = TuningGrid(alphas=(1.0,), hs=(1e-8, 50.0), folds=10, seed=0)
+        payload = json.loads(tune(X, U, "alpha-kernel", grid).to_json())
+        assert payload["mean_divergence"][0][0] is None
