@@ -25,7 +25,7 @@ import numpy as np
 
 from .datagen import SimSpec, _check_seed, gen_polynomial
 from .errors import SimplexRegError, ValidationError
-from .neighbors import build_index
+from .neighbors import _check_k, build_index
 from .regressors import fit_kld, fit_logratio_ols, iter_knn_grid_predictions
 from .simplex import as_composition_matrix
 
@@ -34,6 +34,15 @@ DEFAULT_KS = tuple(range(2, 101))
 
 # Fraction of grid cells whose predictions get re-validated after timing.
 _VALIDATE_EVERY = 100
+
+
+def _check_count(name, value):
+    # An integer, or a float of integral value; never a bool, never truncated.
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if not integral or isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -51,12 +60,14 @@ class BenchScenario:
     ks: tuple = DEFAULT_KS
 
     def __post_init__(self):
-        n_grid = tuple(int(n) for n in np.atleast_1d(self.n_grid))
-        d_grid = tuple(int(d) for d in np.atleast_1d(self.d_grid))
-        object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "d_grid", d_grid)
+        for name in ("n_grid", "d_grid"):
+            values = getattr(self, name)
+            values = tuple(values) if np.ndim(values) else (values,)
+            object.__setattr__(self, name, tuple(_check_count(name, v) for v in values))
+        for name in ("queries", "repeats", "predictors"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        object.__setattr__(self, "ks", tuple(_check_k(k) for k in self.ks))
         if not self.n_grid or min(self.n_grid) <= max(self.ks):
             raise ValidationError(
                 f"every n must exceed the largest k ({max(self.ks)})"

@@ -548,6 +548,9 @@ def build_parser():
 
     sp = sub.add_parser("validate", help="check a composition table, report zeros")
     _add_io_args(sp, predictors=False)
+    sp.add_argument("--predictor-cols", default=None,
+                    help="comma-separated predictor column names, parsed and "
+                    "checked as fit does; the report counts them")
     sp.add_argument("--output", default=None, help="report JSON path (default stdout)")
     sp.set_defaults(func=cmd_validate)
 

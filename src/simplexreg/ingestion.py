@@ -1,6 +1,11 @@
 """CSV ingestion, geographic coordinate conversion, standardization.
 
-Files are plain RFC-4180 CSV read with the standard library.  Response
+Files are plain RFC-4180 CSV.  `csv.reader` reads the header; numpy's
+`loadtxt` then parses the data lines in one pass from the open file.
+When any line defeats that pass (a quote character, a field that is not
+a finite number, a short row, a failed composition check), the file is
+read again by a `csv.reader` loop one field at a time, which returns the
+same arrays or raises with the physical line and column.  Response
 columns must already be compositions row by row (sums within the simplex
 tolerance of 1); out-of-tolerance rows are rejected with their location
 rather than silently closed.  Floats are written with shortest
@@ -9,6 +14,7 @@ round-trip formatting so a load / export / load cycle is value-exact.
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +86,78 @@ def _column_positions(schema, header, path):
     return positions[:n_resp], positions[n_resp:]
 
 
+def _unquoted(lines):
+    # numpy splits a quoted field at its delimiters, csv.reader does not.
+    for line in lines:
+        if '"' in line:
+            raise ValueError("quoted field")
+        yield line
+
+
+def _parse_numbers(fh, delimiter, positions):
+    # The rest of fh in one numpy pass; None unless every row parses finite.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
+            A = np.loadtxt(_unquoted(fh), delimiter=delimiter, usecols=positions,
+                           comments=None, ndmin=2, dtype=float)
+    except (TypeError, ValueError):  # TypeError: a newline delimiter
+        return None
+    return A if len(A) and np.isfinite(A).all() else None
+
+
+def _composition_fault(U):
+    # (row, message) of the first row with a negative part, else of the
+    # first whose sum is outside SUM_TOL; None when every row passes.
+    bad = np.flatnonzero(np.any(U < 0, axis=1))
+    if bad.size:
+        return bad[0], "negative response component"
+    sums = U.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
+    if bad.size:
+        return bad[0], f"response columns sum to {sums[bad[0]]!r}, outside tolerance {SUM_TOL}"
+    return None
+
+
+def _parse_rows(reader, path, schema, positions, n_resp):
+    # One field at a time, naming the physical line of the first fault.
+    rows, line_nums = [], []
+    needed = max(positions) + 1
+    for row in reader:
+        if not row:
+            continue  # tolerate blank lines
+        if len(row) < needed:
+            raise ValidationError(
+                f"{path}: line {reader.line_num}: expected at least "
+                f"{needed} fields, got {len(row)}"
+            )
+        values = []
+        for pos, name in zip(positions, schema.response_cols + schema.predictor_cols):
+            text = row[pos].strip()
+            try:
+                v = float(text)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: column {name!r}: "
+                    f"cannot parse {text!r} as a number"
+                ) from None
+            if not math.isfinite(v):
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: column {name!r}: "
+                    f"non-finite value {text!r}"
+                )
+            values.append(v)
+        rows.append(values)
+        line_nums.append(reader.line_num)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    A = np.asarray(rows, dtype=float)
+    fault = _composition_fault(A[:, :n_resp]) if n_resp else None
+    if fault:
+        raise ValidationError(f"{path}: line {line_nums[fault[0]]}: {fault[1]}")
+    return A
+
+
 def load_csv(path, schema):
     """Read (X, U) from a CSV file according to `schema`.
 
@@ -89,9 +167,6 @@ def load_csv(path, schema):
     are all rejected with the physical line number.
     """
     path = str(path)
-    rows_resp = []
-    rows_pred = []
-    line_nums = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = None
@@ -101,55 +176,16 @@ def load_csv(path, schema):
             except StopIteration:
                 raise ValidationError(f"{path}: file is empty") from None
         resp_pos, pred_pos = _column_positions(schema, header, path)
-        needed = max(resp_pos + pred_pos) + 1
-        for row in reader:
-            if not row:
-                continue  # tolerate blank lines
-            if len(row) < needed:
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected at least "
-                    f"{needed} fields, got {len(row)}"
-                )
-            values = []
-            for pos, name in zip(
-                resp_pos + pred_pos, schema.response_cols + schema.predictor_cols
-            ):
-                text = row[pos].strip()
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: line {reader.line_num}: column {name!r}: "
-                        f"cannot parse {text!r} as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValidationError(
-                        f"{path}: line {reader.line_num}: column {name!r}: "
-                        f"non-finite value {text!r}"
-                    )
-                values.append(v)
-            rows_resp.append(values[: len(resp_pos)])
-            rows_pred.append(values[len(resp_pos) :])
-            line_nums.append(reader.line_num)
-    if not rows_resp:
-        raise ValidationError(f"{path}: no data rows")
-    U = None
-    if resp_pos:
-        U = np.asarray(rows_resp, dtype=float)
-        bad = np.flatnonzero(np.any(U < 0, axis=1))
-        if bad.size:
-            raise ValidationError(
-                f"{path}: line {line_nums[bad[0]]}: negative response component"
-            )
-        sums = U.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
-        if bad.size:
-            raise ValidationError(
-                f"{path}: line {line_nums[bad[0]]}: response columns sum to "
-                f"{sums[bad[0]]!r}, outside tolerance {SUM_TOL}"
-            )
-        U = as_composition_matrix(U)
-    X = as_predictor_matrix(np.asarray(rows_pred, dtype=float)) if pred_pos else None
+        positions, n_resp = resp_pos + pred_pos, len(resp_pos)
+        A = _parse_numbers(fh, schema.delimiter, positions)
+        if A is None or (n_resp and _composition_fault(A[:, :n_resp])):
+            fh.seek(0)
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            if schema.has_header:
+                next(reader)
+            A = _parse_rows(reader, path, schema, positions, n_resp)
+    U = as_composition_matrix(A[:, :n_resp]) if n_resp else None
+    X = as_predictor_matrix(A[:, n_resp:]) if pred_pos else None
     return X, U
 
 

@@ -3,7 +3,9 @@
 Two interchangeable strategies produce identical output: a vectorized
 brute-force scan and a kd-tree accelerated path.  "auto" uses the kd-tree
 for every training set above AUTO_KDTREE_THRESHOLD rows; brute force is
-kept as the reference oracle and for tiny n.  Neighbors are ordered by
+kept as the reference oracle and for tiny n.  The tree (scipy's cKDTree)
+is built on the first kd-tree query, and scipy is imported only then, so
+a command that never searches pays for neither.  Neighbors are ordered by
 (distance, row index), so exact distance ties always resolve to the lower
 training row.  The kd-tree path re-evaluates candidate distances with the
 same floating point kernel the brute path uses, then widens the candidate
@@ -24,7 +26,6 @@ block-size rule; every blocked loop passes it its own byte budget.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .simplex import as_predictor_matrix
@@ -117,7 +118,7 @@ class NeighborIndex:
         if strategy == "auto":
             strategy = "kdtree" if self._X.shape[0] > AUTO_KDTREE_THRESHOLD else "brute"
         self.strategy = strategy
-        self._tree = cKDTree(self._X) if strategy == "kdtree" else None
+        self._tree = None
 
     @property
     def n(self):
@@ -155,7 +156,7 @@ class NeighborIndex:
             )
         _check_magnitude(Q, "query")
         kk = min(_check_k(k), self.n)
-        if self._tree is None:
+        if self.strategy == "brute":
             search, row_bytes, budget = self._search_brute, self._X.size * 8, _CHUNK_BYTES
         else:
             # A block keeps several (rows, k + 1, p) temporaries alive; small
@@ -168,6 +169,15 @@ class NeighborIndex:
             out_idx[b], out_dist[b] = search(Q[b], kk)
         return out_idx, out_dist
 
+    def _kdtree(self):
+        # Two threads making the first query at once each build an
+        # identical tree, and either one is kept: harmless.
+        if self._tree is None:
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self._X)
+        return self._tree
+
     def _search_brute(self, Qb, kk):
         d = _distances_to(self._X[None, :, :], Qb[:, None, :])
         # Stable sort on distance keeps ties in ascending index order.
@@ -176,7 +186,7 @@ class NeighborIndex:
 
     def _search_kdtree(self, Qb, kk):
         k_probe = min(kk + 1, self.n)
-        ii = self._tree.query(Qb, k=k_probe)[1].reshape(len(Qb), k_probe)
+        ii = self._kdtree().query(Qb, k=k_probe)[1].reshape(len(Qb), k_probe)
         # Re-derive candidate distances with the shared kernel; the
         # tree's own values may differ in the last ulp.
         d = _distances_to(self._X[ii], Qb[:, None, :])
@@ -194,7 +204,7 @@ class NeighborIndex:
         # Tie suspected at the cut: collect every point within the widened
         # radius and redo the selection exactly.
         radius = d_edge * (1.0 + _TIE_RTOL)
-        cand = np.asarray(self._tree.query_ball_point(q, radius), dtype=np.int64)
+        cand = np.asarray(self._kdtree().query_ball_point(q, radius), dtype=np.int64)
         if cand.size < kk:
             # Radius-zero corner case (duplicate points at the query); a
             # full scan is exact and this branch is rare.

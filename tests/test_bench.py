@@ -53,6 +53,23 @@ class TestScenario:
         with pytest.raises(ValidationError, match=match):
             tiny_scenario(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(n_grid=(200.9,)), "n_grid must be an integer, got 200.9"),
+            (dict(n_grid=(200, True)), "n_grid must be an integer, got True"),
+            (dict(d_grid=(3.5,)), "d_grid must be an integer"),
+            (dict(ks=(2.7, True)), "k must be an integer >= 1, got 2.7"),
+            (dict(ks=(2, True)), "k must be an integer >= 1, got True"),
+            (dict(queries=True), "queries must be an integer"),
+            (dict(repeats=2.5), "repeats must be an integer"),
+            (dict(predictors=np.bool_(True)), "predictors must be an integer"),
+        ],
+    )
+    def test_counts_not_truncated(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            tiny_scenario(**kwargs)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             tiny_scenario(seed=-1)

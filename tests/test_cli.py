@@ -7,10 +7,14 @@ and thread counts.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import simplexreg
 from simplexreg import DatasetSchema, load_csv
 from simplexreg.cli import main
 
@@ -132,6 +136,26 @@ class TestValidate:
         assert payload["rows"] == 50
         assert payload["zero_rows"] == 10
         assert sum(payload["column_zero_counts"]) == 10  # D=5 floors to 1 each
+
+    def test_predictor_cols_counted_and_checked(self, tmp_path, capsys):
+        data = tmp_path / "v.csv"
+        run(capsys, "simulate", "--n", "30", "--D", "3", "--predictors", "2",
+            "--seed", "3", "--output", str(data))
+        argv = ("validate", "--input", str(data), "--response-cols", "y1,y2,y3")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        assert plain == ('{\n  "column_zero_counts": [\n    0,\n    0,\n    0\n  ],\n'
+                         '  "predictor_cols": 0,\n  "rows": 30,\n  "zero_rows": 0\n}\n')
+        code, out, _ = run(capsys, *argv, "--predictor-cols", "x1,x2")
+        assert code == 0
+        assert json.loads(out) == {**json.loads(plain), "predictor_cols": 2}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,y1,y2\n0.5,0.5,0.5\nnan,0.25,0.75\n")
+        bad_argv = ("validate", "--input", str(bad), "--response-cols", "y1,y2")
+        assert run(capsys, *bad_argv)[0] == 0
+        code, _, err = run(capsys, *bad_argv, "--predictor-cols", "x1")
+        assert code == 2
+        assert "line 3: column 'x1': non-finite value 'nan'" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(
@@ -947,3 +971,46 @@ class TestDerivedJsonKeys:
         payload = json.loads(out)
         assert set(payload) == {"rows", "zero_rows", "column_zero_counts", "predictor_cols"}
         assert payload["column_zero_counts"] == [0, 0, 0]
+
+
+# Runs in a fresh interpreter: records after each command whether scipy
+# has been imported.
+_SCIPY_PROBE = """
+import json, sys
+from simplexreg import cli
+
+loaded = {"import": "scipy" in sys.modules}
+
+def step(name, *argv):
+    assert cli.main(list(argv)) == 0, name
+    loaded[name] = "scipy" in sys.modules
+
+step("simulate", "simulate", "--n", "200", "--D", "3", "--seed", "2", "--output", "train.csv")
+io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
+step("fit aknn", "fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "5",
+     "--output", "aknn.json")
+step("fit akernel", "fit", *io, "--model", "akernel", "--alpha", "0.5", "--h", "0.3",
+     "--output", "akernel.json")
+step("predict akernel", "predict", "--input", "train.csv", "--model-file", "akernel.json",
+     "--output", "p1.csv")
+step("validate", "validate", "--input", "train.csv", "--response-cols", "y1,y2,y3",
+     "--output", "v.json")
+step("predict aknn", "predict", "--input", "train.csv", "--model-file", "aknn.json",
+     "--output", "p2.csv")
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyLoadedOnlyForKdtreeSearch:
+    def test_commands_without_a_neighbor_search_skip_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simplexreg.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        # 200 training rows: "auto" answers predict aknn with the kd-tree.
+        assert loaded.pop("predict aknn") is True
+        assert loaded == dict.fromkeys(loaded, False)
+        assert set(loaded) == {"import", "simulate", "fit aknn", "fit akernel",
+                               "predict akernel", "validate"}

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexreg import ingestion
 from simplexreg import (
     DatasetSchema,
     OutOfRangeError,
@@ -207,6 +208,110 @@ class TestLoadCsv:
         X, U = load_csv(bom, SCHEMA)
         X0, U0 = load_csv(simple_csv, SCHEMA)
         assert np.array_equal(X, X0) and np.array_equal(U, U0)
+
+
+XY = DatasetSchema(response_cols=("y1", "y2"), predictor_cols=("x1",))
+HEADERLESS = DatasetSchema(response_cols=("1", "2"), predictor_cols=("0",), has_header=False)
+TAB = DatasetSchema(response_cols=("y1", "y2"), predictor_cols=("x1",), delimiter="\t")
+
+# name -> (file text, schema); each is loaded by the numpy pass (with its
+# fallback) and by the csv.reader loop alone.
+PARSER_CORPUS = {
+    "plain": ("x1,y1,y2\n0.5,0.25,0.75\n1.5,0.5,0.5\n", XY),
+    "blank lines": ("x1,y1,y2\n\n0.5,0.25,0.75\n\n\n1.5,0.5,0.5\n\n", XY),
+    "whitespace-only line": ("x1,y1,y2\n0.5,0.25,0.75\n   \n1.5,0.5,0.5\n", XY),
+    "crlf": ("x1,y1,y2\r\n0.5,0.25,0.75\r\n1.5,0.5,0.5\r\n", XY),
+    "bare cr": ("x1,y1,y2\r0.5,0.25,0.75\r1.5,0.5,0.5\r", XY),
+    "bom": ("\ufeffx1,y1,y2\n0.5,0.25,0.75\n", XY),
+    "no final newline": ("x1,y1,y2\n0.5,0.25,0.75", XY),
+    "padded fields": ("x1,y1,y2\n 0.5 ,\t0.25, 0.75\n", XY),
+    "plus sign": ("x1,y1,y2\n+1,+0.25,0.75\n", XY),
+    "underscore digits": ("x1,y1,y2\n1_000,0.25,0.75\n", XY),
+    "hex": ("x1,y1,y2\n0x10,0.25,0.75\n", XY),
+    "nan": ("x1,y1,y2\nnan,0.25,0.75\n", XY),
+    "inf": ("x1,y1,y2\n0.5,inf,0.75\n", XY),
+    "overflow": ("x1,y1,y2\n1e400,0.25,0.75\n", XY),
+    "hash in used field": ("x1,y1,y2\n0.5#c,0.25,0.75\n", XY),
+    "hash in unused field": ("x1,y1,y2,note\n0.5,0.25,0.75,# c\n", XY),
+    "extra columns": ("x1,y1,y2,z\n0.5,0.25,0.75,9\n1.5,0.5,0.5,8\n", XY),
+    "ragged trailing columns": ("x1,y1,y2,z\n0.5,0.25,0.75,9,10\n1.5,0.5,0.5\n", XY),
+    "short row": ("x1,y1,y2\n0.5,0.25,0.75\n1.5,0.5\n", XY),
+    "trailing delimiter": ("x1,y1,y2\n0.5,0.25,0.75,\n1.5,0.5,0.5,\n", XY),
+    "empty field": ("x1,y1,y2\n0.5,,0.75\n", XY),
+    "tab delimiter": ("x1\ty1\ty2\n0.5\t0.25\t0.75\n", TAB),
+    "comma under tab delimiter": ("x1\ty1\ty2\n0,5\t0.25\t0.75\n", TAB),
+    "headerless": ("0.5,0.25,0.75\n1.5,0.5,0.5\n", HEADERLESS),
+    "headerless blank first": ("\n0.5,0.25,0.75\n", HEADERLESS),
+    "quoted comma": ('x1,z,y1,y2\n0.5,"a,b",0.25,0.75\n', XY),
+    "quoted comma headerless": ('1,"a,b",2,3\n', DatasetSchema(
+        response_cols=("0", "3"), has_header=False)),
+    # Split at the quoted comma, columns 3 and 4 would read 0.75 and 0.75.
+    "quoted comma shifting columns": ('0.25,"a,b",0.75,0.75,2\n', DatasetSchema(
+        response_cols=("0", "3"), predictor_cols=("4",), has_header=False)),
+    "doubled quote": ('x1,z,y1,y2\n0.5,"say ""hi""",0.25,0.75\n', XY),
+    "quoted number": ('x1,y1,y2\n"0.5",0.25,"0.75"\n', XY),
+    "quote mid field": ('x1,z,y1,y2\n0.5,a"b,0.25,0.75\n', XY),
+    "quoted newline": ('x1,z,y1,y2\n0.5,"a\nb",0.25,0.75\n1.5,c,0.5,0.5\n', XY),
+    "negative zero": ("x1,y1,y2\n-0.0,-0.0,1.0\n", XY),
+    "negative part": ("x1,y1,y2\n0.5,0.25,0.75\n0.5,-0.25,1.25\n", XY),
+    "bad sum": ("x1,y1,y2\n0.5,0.25,0.75\n0.5,0.25,0.5\n", XY),
+    "within tolerance": ("x1,y1,y2\n0.5,0.25,0.7500000001\n", XY),
+    "header only": ("x1,y1,y2\n", XY),
+    "empty file": ("", XY),
+    "missing column": ("x1,y1\n0.5,0.25\n", XY),
+    "responses only": ("y1,y2\n0.25,0.75\n", DatasetSchema(response_cols=("y1", "y2"))),
+    "predictors only": ("x1,x2\n1,2\n3,nan\n", DatasetSchema(response_cols=(), predictor_cols=("x1", "x2"))),
+    "semicolon": ("x1;y1;y2\n0,5;0.25;0.75\n", DatasetSchema(
+        response_cols=("y1", "y2"), predictor_cols=("x1",), delimiter=";")),
+}
+
+
+def _load_outcome(path, schema):
+    try:
+        return load_csv(path, schema)
+    except Exception as err:  # compared by type and text
+        return type(err), str(err)
+
+
+def _same_outcome(a, b):
+    if isinstance(a[0], type) or isinstance(b[0], type):
+        return a == b
+    return all(
+        (x is None and y is None)
+        or (x is not None and y is not None and x.dtype == y.dtype
+            and np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y)))
+        for x, y in zip(a, b)
+    )
+
+
+class TestNumpyPassAgreesWithLoop:
+    @pytest.mark.parametrize("name", sorted(PARSER_CORPUS))
+    def test_same_arrays_or_same_error(self, name, tmp_path, monkeypatch):
+        text, schema = PARSER_CORPUS[name]
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(text.encode("utf-8"))
+        both = _load_outcome(path, schema)
+        monkeypatch.setattr(ingestion, "_parse_numbers", lambda *args: None)
+        loop_only = _load_outcome(path, schema)
+        assert _same_outcome(both, loop_only), (both, loop_only)
+
+    def test_loop_runs_only_when_needed(self, tmp_path, monkeypatch):
+        looped = []
+        parse_rows = ingestion._parse_rows
+        monkeypatch.setattr(ingestion, "_parse_rows",
+                            lambda *args: looped.append(True) or parse_rows(*args))
+        fast = set()
+        for name, (text, schema) in PARSER_CORPUS.items():
+            path = tmp_path / "corpus.csv"
+            path.write_bytes(text.encode("utf-8"))
+            looped.clear()
+            _load_outcome(path, schema)
+            if not looped:
+                fast.add(name)
+        assert {"plain", "crlf", "bom", "tab delimiter", "headerless", "negative zero",
+                "extra columns", "responses only"} <= fast
+        assert not {name for name in fast if '"' in PARSER_CORPUS[name][0]}
+        assert not fast & {"negative part", "bad sum", "nan", "short row", "header only"}
 
 
 class TestWriteCsv:

@@ -5,6 +5,7 @@ bit-identical indices and distances on every problem, including exact
 ties, which both backends break toward the lower training index.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -289,6 +290,39 @@ class TestKdtreeEdgeCases:
         ib, db = build_index(X, strategy="brute").query(q, 5)
         assert np.array_equal(i, ib)
         assert np.array_equal(d, db)
+
+    def test_tree_built_on_first_kdtree_query(self, rng):
+        X = rng.normal(size=(300, 2))
+        idx = build_index(X, strategy="kdtree")
+        assert idx._tree is None
+        idx.query_batch(X[:3], 2)
+        tree = idx._tree
+        assert tree is not None
+        idx.query_batch(X[:3], 2)
+        assert idx._tree is tree
+
+    def test_first_query_from_two_threads(self, rng):
+        # Both threads may build the tree; either build answers alike.
+        X = np.round(rng.normal(size=(3000, 3)), 1)
+        Q = np.round(rng.normal(size=(400, 3)), 1)
+        expected = build_index(X, strategy="kdtree").query_batch(Q, 7)
+        for _ in range(5):
+            idx = build_index(X, strategy="kdtree")
+            barrier = threading.Barrier(2)
+            results = [None, None]
+
+            def first_query(slot):
+                barrier.wait()
+                results[slot] = idx.query_batch(Q, 7)
+
+            threads = [threading.Thread(target=first_query, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for got in results:
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
 
     def test_duplicated_query_rows(self, rng):
         X = np.round(rng.normal(size=(300, 3)), 1)
