@@ -23,26 +23,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datagen import SimSpec, _check_seed, gen_polynomial
+from .datagen import SimSpec, gen_polynomial
 from .errors import SimplexRegError, ValidationError
 from .neighbors import _check_k, build_index
 from .regressors import fit_kld, fit_logratio_ols, iter_knn_grid_predictions
-from .simplex import as_composition_matrix
+from .simplex import _check_count, _grid_axis, as_composition_matrix
+from .transforms import check_alpha
 
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 10) for i in range(11))
 DEFAULT_KS = tuple(range(2, 101))
 
 # Fraction of grid cells whose predictions get re-validated after timing.
 _VALIDATE_EVERY = 100
-
-
-def _check_count(name, value):
-    # An integer, or a float of integral value; never a bool, never truncated.
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer())
-    if not integral or isinstance(value, (bool, np.bool_)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -54,7 +46,6 @@ class BenchScenario:
     queries: int = 1000
     repeats: int = 3
     seed: int = 0
-    threads: int = 1
     predictors: int = 1
     alphas: tuple = DEFAULT_ALPHAS
     ks: tuple = DEFAULT_KS
@@ -65,22 +56,17 @@ class BenchScenario:
             values = tuple(values) if np.ndim(values) else (values,)
             object.__setattr__(self, name, tuple(_check_count(name, v) for v in values))
         for name in ("queries", "repeats", "predictors"):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "ks", tuple(_check_k(k) for k in self.ks))
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 1))
+        # The seed is mixed into each cell's SeedSequence and reported: an int.
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
+        object.__setattr__(self, "alphas", _grid_axis("alphas", self.alphas, check_alpha))
+        object.__setattr__(self, "ks", _grid_axis("ks", self.ks, _check_k))
         if not self.n_grid or min(self.n_grid) <= max(self.ks):
             raise ValidationError(
                 f"every n must exceed the largest k ({max(self.ks)})"
             )
         if not self.d_grid or min(self.d_grid) < 2:
             raise ValidationError("every D must be at least 2")
-        if self.queries < 1:
-            raise ValidationError(f"queries must be >= 1, got {self.queries}")
-        if self.repeats < 1:
-            raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.predictors < 1:
-            raise ValidationError(f"predictors must be >= 1, got {self.predictors}")
-        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -100,7 +86,7 @@ class BenchCell:
 class BenchReport:
     cells: tuple
     hardware: str
-    threads: int
+    threads: int  # always 1: the harness runs serially
     queries: int
     repeats: int
     seed: int
@@ -222,10 +208,10 @@ def run_bench(scenario):
     return BenchReport(
         cells=tuple(cells),
         hardware=hardware,
-        threads=int(scenario.threads),
-        queries=int(scenario.queries),
-        repeats=int(scenario.repeats),
-        seed=int(scenario.seed),
+        threads=1,
+        queries=scenario.queries,
+        repeats=scenario.repeats,
+        seed=scenario.seed,
         alphas=scenario.alphas,
         ks=scenario.ks,
     )

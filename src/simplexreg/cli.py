@@ -84,7 +84,7 @@ def _threads(value):
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
-    return int(value)
+    return value
 
 
 def _schema_from_args(args, need_predictors=True):
@@ -384,13 +384,14 @@ def cmd_frechet_path(args):
 
 
 def cmd_bench(args):
+    if args.threads != 1:
+        raise ValidationError("--threads does not apply to bench: the harness runs serially")
     scenario = BenchScenario(
         n_grid=tuple(_number_list(args.n, int)),
         d_grid=tuple(_number_list(args.D, int)),
         queries=args.queries,
         repeats=args.repeats,
         seed=args.seed,
-        threads=args.threads,
     )
     report = run_bench(scenario)
     _write_text(args, report.to_json())
@@ -541,8 +542,8 @@ def build_parser():
     sp.add_argument("--queries", type=int, default=1000)
     sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=BenchScenario.threads,
-                    help="recorded in the report; the harness runs serially")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="only 1 is accepted: the harness runs serially")
     sp.add_argument("--output", default=None, help="report JSON path (default stdout)")
     sp.set_defaults(func=cmd_bench)
 

@@ -21,17 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .simplex import as_composition_matrix
+from .simplex import _check_count, _check_seed, as_composition_matrix
 from .transforms import alr_inverse
 
 _LINKS = ("polynomial", "segmented")
-
-
-def _check_seed(seed, what="seed"):
-    """Negative integer seeds are a ValidationError, not numpy's ValueError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {seed!r}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -49,30 +42,30 @@ class SimSpec:
     data_seed: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.D, (int, np.integer)) or self.D < 2:
-            raise ValidationError(f"D must be an integer >= 2, got {self.D!r}")
+        for name, minimum in (("n", 2), ("D", 2), ("degree", 1), ("predictors", 1)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
         if self.link not in _LINKS:
             raise ValidationError(f"link must be one of {_LINKS}, got {self.link!r}")
         if self.degree not in (1, 2, 3):
             raise ValidationError(f"degree must be 1, 2, or 3, got {self.degree!r}")
-        if not isinstance(self.predictors, (int, np.integer)) or self.predictors < 1:
-            raise ValidationError(
-                f"predictors must be an integer >= 1, got {self.predictors!r}"
-            )
         if self.link == "segmented" and self.predictors != 1:
             raise ValidationError("segmented link uses exactly one predictor")
+        if self.link == "segmented" and self.degree != 1:
+            raise ValidationError("segmented link has no degree; leave degree at 1")
         if not 0.0 <= float(self.zero_fraction) < 1.0:
             raise ValidationError(
                 f"zero_fraction must lie in [0, 1), got {self.zero_fraction!r}"
+            )
+        if self.zero_fraction > 0 and self.D == 2:
+            raise ValidationError(
+                "zero_fraction needs D >= 3: zeros go in D // 3 parts, none when D = 2"
             )
         if not np.isfinite(self.noise_scale) or self.noise_scale < 0:
             raise ValidationError(
                 f"noise_scale must be nonnegative, got {self.noise_scale!r}"
             )
-        _check_seed(self.coef_seed, "coef_seed")
-        _check_seed(self.data_seed, "data_seed")
+        for name in ("coef_seed", "data_seed"):
+            object.__setattr__(self, name, _check_seed(getattr(self, name), name))
 
 
 def simplex_link(F):

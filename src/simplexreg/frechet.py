@@ -19,7 +19,7 @@ only these two helpers know that alpha = 0 is the geometric limit.
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError, ZeroNotAllowedError
-from .simplex import as_composition_matrix, closure
+from .simplex import _grid_axis, as_composition_matrix, closure
 from .transforms import check_alpha
 
 
@@ -90,10 +90,4 @@ def frechet_path(U, alphas):
     requested exponent.
     """
     arr = as_composition_matrix(U)
-    grid = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("alpha grid must be a non-empty 1-D sequence")
-    out = []
-    for alpha in grid:
-        out.append((float(alpha), frechet_mean(arr, float(alpha))))
-    return out
+    return [(a, frechet_mean(arr, a)) for a in _grid_axis("alphas", alphas, check_alpha)]

@@ -175,6 +175,8 @@ def load_csv(path, schema):
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise ValidationError(f"{path}: file is empty") from None
+            except csv.Error as err:  # e.g. a field over csv.field_size_limit()
+                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
         resp_pos, pred_pos = _column_positions(schema, header, path)
         positions, n_resp = resp_pos + pred_pos, len(resp_pos)
         A = _parse_numbers(fh, schema.delimiter, positions)
@@ -183,7 +185,10 @@ def load_csv(path, schema):
             reader = csv.reader(fh, delimiter=schema.delimiter)
             if schema.has_header:
                 next(reader)
-            A = _parse_rows(reader, path, schema, positions, n_resp)
+            try:
+                A = _parse_rows(reader, path, schema, positions, n_resp)
+            except csv.Error as err:
+                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
     U = as_composition_matrix(A[:, :n_resp]) if n_resp else None
     X = as_predictor_matrix(A[:, n_resp:]) if pred_pos else None
     return X, U

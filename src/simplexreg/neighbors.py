@@ -28,7 +28,7 @@ block-size rule; every blocked loop passes it its own byte budget.
 import numpy as np
 
 from .errors import ValidationError
-from .simplex import as_predictor_matrix
+from .simplex import _check_count, as_predictor_matrix
 
 # Above this row count "auto" uses the kd-tree, below it brute force.  The
 # measured crossover grows with k: n ~ 32-192 at k <= 10, n ~ 192-384 at
@@ -65,10 +65,8 @@ def _row_blocks(m, row_bytes, budget):
 
 
 def _check_k(k):
-    """The package's one neighborhood-size rule: an int (not a bool) >= 1."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
-    return int(k)
+    """The package's one neighborhood-size rule: an integer >= 1."""
+    return _check_count("k", k, 1)
 
 
 def _check_magnitude(A, what):

@@ -34,8 +34,9 @@ from .errors import (
 from .frechet import _check_zero_alpha, _power, _unpower
 from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _row_blocks, build_index,
                         pairwise_distances)
+from .simplex import _check_count, as_composition_matrix, as_predictor_matrix
 # closure stays bound for benchmark/tracing.py, which rebinds it by module.
-from .simplex import as_composition_matrix, as_predictor_matrix, closure  # noqa: F401
+from .simplex import closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
 KERNELS = {
@@ -334,8 +335,7 @@ def fit_kld(X, U, tol=1e-7, max_iter=100):
     tol = float(tol)
     if not np.isfinite(tol) or tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = _check_count("max_iter", max_iter, 1)
     U_tail = U[:, 1:]
     q = X1.shape[1]
     d = U.shape[1] - 1
@@ -361,7 +361,7 @@ def fit_kld(X, U, tol=1e-7, max_iter=100):
             )
         return model
 
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         G = X1.T @ (W - U_tail)
         H = _kld_hessian(X1, W)
         g = G.T.reshape(-1)  # class-major layout matching the Hessian

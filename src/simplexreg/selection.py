@@ -21,13 +21,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datagen import _check_seed
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
-from .simplex import as_predictor_matrix, closure  # noqa: F401
+from .simplex import _check_count, _check_seed, _grid_axis, as_predictor_matrix
+from .simplex import closure  # noqa: F401
 from .transforms import check_alpha
 
 REPORT_SCHEMA_VERSION = 1
@@ -104,10 +104,8 @@ def make_folds(n, folds=10, seed=0):
     Returns an int array of length n with values in [0, folds); fold
     sizes differ by at most one.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(folds, (int, np.integer)) or folds < 2:
-        raise ValidationError(f"folds must be an integer >= 2, got {folds!r}")
+    n = _check_count("n", n, 1)
+    folds = _check_count("folds", folds, 2)
     if n < folds:
         raise ValidationError(f"cannot split {n} rows into {folds} folds")
     perm = np.random.default_rng(_check_seed(seed)).permutation(n)
@@ -129,17 +127,13 @@ class TuningGrid:
     def __post_init__(self):
         if (self.ks is None) == (self.hs is None):
             raise ValidationError("exactly one of ks or hs must be given")
-        # Each value passes the rule fit applies to the same parameter; an
-        # object array keeps 2.7 and True from becoming ints before the check.
+        # Each value passes the rule fit applies to the same parameter.
         axis = ("ks", _check_k) if self.hs is None else ("hs", _check_bandwidth)
         for name, check in (("alphas", check_alpha), axis):
-            values = np.atleast_1d(np.asarray(getattr(self, name), dtype=object))
-            if not values.size:
-                raise ValidationError(f"{name} grid is empty")
-            object.__setattr__(self, name, tuple(check(v) for v in values))
-        if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
-            raise ValidationError(f"folds must be an integer >= 2, got {self.folds!r}")
-        _check_seed(self.seed)
+            object.__setattr__(self, name, _grid_axis(name, getattr(self, name), check))
+        object.__setattr__(self, "folds", _check_count("folds", self.folds, 2))
+        # The seed is reported, so it is an int, never a SeedSequence.
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
 
 def default_alpha_grid(zero_free=True):
@@ -258,7 +252,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     clamp = _check_clamp(clamp, U.shape[1])
-    threads = int(threads)
+    threads = _check_count("threads", threads)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if np.any(U == 0) and min(grid.alphas) <= 0:
@@ -341,8 +335,8 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         family=model_family,
         metric=metric,
         clamp=clamp,
-        seed=int(grid.seed),
-        folds=int(grid.folds),
+        seed=grid.seed,
+        folds=grid.folds,
         fold_sizes=tuple(int(c) for c in counts),
         alphas=grid.alphas,
         ks=grid.ks,

@@ -3,7 +3,9 @@
 A composition is a vector of D >= 2 nonnegative parts summing to 1.  The
 functions here are the single entry point for turning raw arrays into
 validated compositions; downstream modules assume their inputs already
-passed these gates.
+passed these gates.  The package's scalar rules live here too: one for
+counts (`_check_count`), one for seeds (`_check_seed`) and one for the
+axes of a parameter grid (`_grid_axis`).
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,35 @@ SUM_TOL = 1e-9
 # Deviations below this are pure float noise; skip the rescale so already
 # closed data passes through by reference.
 _EXACT_TOL = 1e-15
+
+
+def _check_count(name, value, minimum=None):
+    """The package's one integer rule: an int, numpy integer or integral
+    float, never a bool, and at least `minimum`; returns a plain int."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if (not integral or isinstance(value, (bool, np.bool_))
+            or (minimum is not None and value < minimum)):
+        rule = ("an integer" if minimum is None else
+                "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}")
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def _check_seed(seed, what="seed"):
+    """A numpy SeedSequence passes unchanged; any other seed is a count >= 0."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return _check_count(what, seed, 0)
+
+
+def _grid_axis(name, values, check):
+    """A non-empty grid axis as a tuple of `check(v)`."""
+    # An object array keeps 2.7 and True from becoming ints before the check.
+    values = np.atleast_1d(np.asarray(values, dtype=object))
+    if not values.size:
+        raise ValidationError(f"{name} grid is empty")
+    return tuple(check(v) for v in values)
 
 
 def closure(values, axis=-1):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, ZeroNotAllowedError
-from .simplex import closure
+from .simplex import _check_count, closure
 
 
 def check_alpha(alpha):
@@ -46,11 +46,7 @@ def helmert_submatrix(D):
     Row i (1-based) holds i copies of 1/sqrt(i(i+1)), then -i/sqrt(i(i+1)),
     then zeros.  The returned array is cached and read-only.
     """
-    if not isinstance(D, (int, np.integer)) or isinstance(D, bool):
-        raise ValidationError(f"D must be an integer, got {D!r}")
-    if D < 2:
-        raise ValidationError(f"D must be at least 2, got {D}")
-    return _helmert_cached(int(D))
+    return _helmert_cached(_check_count("D", D, 2))
 
 
 def _as_rows(u, op, min_cols=2, what="composition"):

@@ -74,6 +74,13 @@ class TestScenario:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             tiny_scenario(seed=-1)
 
+    def test_no_threads_knob(self):
+        # The harness runs serially; the report records 1.
+        assert "threads" not in BenchScenario.__dataclass_fields__
+        with pytest.raises(TypeError):
+            tiny_scenario(threads=2)
+        assert run_bench(tiny_scenario(n_grid=(60,))).threads == 1
+
 
 class TestRunBench:
     def test_report_structure(self):

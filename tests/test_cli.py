@@ -845,6 +845,32 @@ class TestRejectedArguments:
         _exits_2_naming(capsys, ["fit", *_io(train_csv), "--model", "akernel",
                                  "--alpha", "0.5"], "needs --alpha and --h")
 
+    @pytest.mark.parametrize("threads", ["2", "0"])
+    def test_bench_threads_other_than_one(self, tmp_path, capsys, threads):
+        out = tmp_path / "bench.json"
+        _exits_2_naming(capsys, ["bench", "--n", "150", "--D", "3", "--queries", "5",
+                                 "--repeats", "1", "--threads", threads, "--output", str(out)],
+                        "--threads does not apply to bench: the harness runs serially")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, needle", [
+        (["--link", "segmented", "--degree", "3"], "segmented link has no degree"),
+        (["--D", "2", "--zero-fraction", "0.4"], "zero_fraction needs D >= 3"),
+    ])
+    def test_simulate_knob_the_data_never_reads(self, tmp_path, capsys, extra, needle):
+        out = tmp_path / "never.csv"
+        argv = ["simulate", "--n", "20", "--D", "3", "--seed", "1", "--output", str(out)]
+        _exits_2_naming(capsys, argv + extra, needle)
+        assert not out.exists()
+
+    def test_field_over_the_csv_limit(self, tmp_path, capsys):
+        # A quoted field sends the file to the csv.reader loop, whose field
+        # limit (131,072 characters) used to end the run in a traceback.
+        path = tmp_path / "long.csv"
+        path.write_text('y1,y2,note\n0.5,0.5,"a"\n0.25,0.75,' + "x" * 200_000 + "\n")
+        _exits_2_naming(capsys, ["validate", "--input", str(path), "--response-cols", "y1,y2"],
+                        str(path), "line 3", "field larger than field limit")
+
 
 class TestPredictTruthColumn:
     def test_default_kl_column_equals_library_bitwise(self, train_csv, tmp_path, capsys):

@@ -59,6 +59,17 @@ class TestSimSpec:
         X, _, _ = gen_polynomial(spec)
         assert np.array_equal(X, np.random.default_rng(seq).standard_normal((10, 1)))
 
+    def test_knobs_the_data_never_reads_rejected(self):
+        # gen_segmented never reads degree, and D // 3 = 0 parts are
+        # zeroed when D = 2; both used to write the data of the default.
+        with pytest.raises(ValidationError, match="segmented link has no degree"):
+            SimSpec(n=10, D=3, link="segmented", degree=3)
+        with pytest.raises(ValidationError, match="zero_fraction needs D >= 3"):
+            SimSpec(n=10, D=2, zero_fraction=0.4)
+        SimSpec(n=10, D=3, link="segmented", degree=1)
+        SimSpec(n=10, D=2, zero_fraction=0.0)
+        SimSpec(n=10, D=3, zero_fraction=0.4)
+
 
 class TestSimplexLink:
     def test_zero_row_is_uniform(self):

@@ -194,6 +194,27 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="'-3' is negative"):
             load_csv(path, schema)
 
+    def test_field_over_the_csv_limit(self, tmp_path, monkeypatch):
+        long_field = "x" * 200_000
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(f'y1,y2,note\n0.5,0.5,"a"\n0.25,0.75,{long_field}\n')
+        schema = DatasetSchema(response_cols=("y1", "y2"))
+        with pytest.raises(ValidationError, match=r"quoted.csv: line 3: field larger"):
+            load_csv(quoted, schema)
+        # Without a quote the numpy pass reads the file; it never parses
+        # the unused note column.
+        plain = tmp_path / "plain.csv"
+        plain.write_text(f"y1,y2,note\n0.5,0.5,a\n0.25,0.75,{long_field}\n")
+        monkeypatch.setattr(ingestion, "_parse_rows", None)
+        _, U = load_csv(plain, schema)
+        assert np.array_equal(U, [[0.5, 0.5], [0.25, 0.75]])
+
+    def test_header_over_the_csv_limit(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_text("y1,y2," + "h" * 200_000 + "\n0.5,0.5,1\n")
+        with pytest.raises(ValidationError, match=r"head.csv: line 1: field larger"):
+            load_csv(path, DatasetSchema(response_cols=("y1", "y2")))
+
     def test_semicolon_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("y1;y2\n0.25;0.75\n")

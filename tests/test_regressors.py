@@ -155,6 +155,46 @@ class TestKnnGridIterator:
             assert np.array_equal(pred, model.predict(Q))
 
 
+class TestKnnRowIndependence:
+    """A query row's k-NN prediction does not depend on the other rows of
+    the call: the whole batch equals its 7-row chunks stacked, bit for bit,
+    on tied (rounded) and continuous predictors.  The kernel family is left
+    out: its BLAS products round differently by batch shape."""
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        from simplexreg.neighbors import NeighborIndex
+
+        seen = []
+        resolve = NeighborIndex._resolve_row
+
+        def counting(self, q, kk, d_edge):
+            seen.append(kk)
+            return resolve(self, q, kk, d_edge)
+
+        monkeypatch.setattr(NeighborIndex, "_resolve_row", counting)
+        return seen
+
+    @pytest.mark.parametrize("rounded", [True, False])
+    @pytest.mark.parametrize("strategy", ["kdtree", "brute"])
+    def test_chunks_equal_whole_batch(self, strategy, rounded, resolved):
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(300, 2))
+        Q = rng.normal(size=(60, 2))
+        if rounded:
+            X, Q = np.round(X, 1), np.round(Q, 1)
+        U = closure(rng.random((300, 4)) + 0.05)
+        for a in (0.1, 0.5, 1.0):
+            for k in (2, 10, 45):
+                model = fit_alpha_knn(X, U, a, k, strategy=strategy)
+                chunks = [model.predict(Q[i:i + 7]) for i in range(0, len(Q), 7)]
+                assert np.array_equal(model.predict(Q), np.vstack(chunks)), (a, k)
+        if strategy == "kdtree" and rounded:
+            assert resolved  # the tie path ran
+        elif strategy == "kdtree":
+            assert not resolved
+
+
 class TestKernelGridIterator:
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_cells_equal_predict_bitwise(self, rng, kernel):

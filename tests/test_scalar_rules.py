@@ -1,0 +1,168 @@
+"""The package's scalar rules: one for counts, one for seeds, one for grid axes.
+
+`simplex._check_count`, `simplex._check_seed` and `simplex._grid_axis` are
+the only integer, seed and grid-axis checks; every constructor and public
+entry point that takes a count, a seed or a grid goes through them, so
+the same value is accepted or rejected, with the parameter named, at
+every call site.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from simplexreg import closure, fit_alpha_knn, fit_kld, frechet_path
+from simplexreg.bench import BenchScenario
+from simplexreg.datagen import SimSpec, generate
+from simplexreg.errors import ValidationError
+from simplexreg.selection import TuningGrid, default_h_grid, make_folds, tune
+from simplexreg.simplex import _check_count, _check_seed, _grid_axis
+from simplexreg.transforms import check_alpha, helmert_submatrix
+
+
+def data(n=40, seed=8):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 1)), closure(rng.random((n, 3)) + 0.05)
+
+
+def bench(**kwargs):
+    base = dict(n_grid=(60,), d_grid=(3,), queries=8, repeats=1, alphas=(1.0,), ks=(2,))
+    base.update(kwargs)
+    return BenchScenario(**base)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)])
+    def test_integral_values_become_plain_ints(self, value):
+        out = _check_count("n", value)
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 2.5, math.nan, math.inf, None,
+                                       "3", 1 + 0j])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValidationError, match="n must be an integer, got "):
+            _check_count("n", value)
+
+    @pytest.mark.parametrize("minimum, rule", [
+        (None, "an integer"), (0, "a non-negative integer"), (2, "an integer >= 2"),
+    ])
+    def test_message_states_the_rule(self, minimum, rule):
+        with pytest.raises(ValidationError, match=f"^n must be {rule}, got 2.5$"):
+            _check_count("n", 2.5, minimum)
+        if minimum is not None:
+            with pytest.raises(ValidationError, match=f"^n must be {rule}, got -1$"):
+                _check_count("n", -1, minimum)
+        else:
+            assert _check_count("n", -1) == -1
+
+    def test_minimum_is_inclusive(self):
+        assert _check_count("folds", 2, 2) == 2
+        assert _check_count("seed", 0, 0) == 0
+
+
+class TestCheckSeed:
+    def test_seed_sequence_passes_unchanged(self):
+        seq = np.random.SeedSequence(7)
+        assert _check_seed(seq) is seq
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, [1, 2]])
+    def test_other_seeds_are_counts(self, seed):
+        with pytest.raises(ValidationError, match="data_seed must be a non-negative integer"):
+            _check_seed(seed, "data_seed")
+
+    def test_integral_float_seed_is_an_int(self):
+        assert type(_check_seed(np.float64(5.0))) is int
+
+
+class TestGridAxis:
+    def test_values_checked_one_by_one(self):
+        assert _grid_axis("alphas", [0, 0.5, np.float64(1)], check_alpha) == (0.0, 0.5, 1.0)
+        assert _grid_axis("alphas", 0.5, check_alpha) == (0.5,)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="^xs grid is empty$"):
+            _grid_axis("xs", (), check_alpha)
+
+    def test_values_are_not_coerced_before_the_check(self):
+        # A numeric array would turn (2, True) into (2, 1) and 2.7 into 2.
+        with pytest.raises(ValidationError, match="got True"):
+            _grid_axis("ks", (2, True), lambda v: _check_count("k", v, 1))
+
+
+class TestCallSitesRejectWhatTheyUsedToMisread:
+    """Each call here was accepted or ended in a numpy TypeError before."""
+
+    @pytest.mark.parametrize("field", ["predictors", "degree"])
+    def test_sim_spec_bool_counts(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1, got True"):
+            SimSpec(n=10, D=3, **{field: True})
+
+    def test_non_integral_seeds(self):
+        with pytest.raises(ValidationError, match="coef_seed must be a non-negative integer"):
+            generate(SimSpec(n=10, D=3, coef_seed=1.5))
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            make_folds(10, 2, seed=1.5)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            TuningGrid(alphas=(1.0,), ks=(3,), seed=2.5)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            default_h_grid(data()[0], seed=True)
+
+    def test_fractional_max_iter(self):
+        X, U = data()
+        with pytest.raises(ValidationError, match="max_iter must be an integer >= 1, got 2.5"):
+            fit_kld(X, U, max_iter=2.5)
+
+    @pytest.mark.parametrize("threads", [2.5, True, None])
+    def test_tune_threads(self, threads):
+        X, U = data()
+        grid = TuningGrid(alphas=(1.0,), ks=(3,))
+        with pytest.raises(ValidationError, match="threads must be an integer"):
+            tune(X, U, "alpha-knn", grid, threads=threads)
+
+    @pytest.mark.parametrize("alpha, match", [(5.0, r"alpha must lie in \[-1, 1\]"),
+                                              (math.nan, "alpha must be finite")])
+    def test_bench_alphas_follow_the_alpha_rule(self, alpha, match):
+        with pytest.raises(ValidationError, match=match):
+            bench(alphas=(alpha,))
+
+    @pytest.mark.parametrize("axis", ["alphas", "ks"])
+    def test_bench_empty_axis(self, axis):
+        with pytest.raises(ValidationError, match=f"^{axis} grid is empty$"):
+            bench(**{axis: ()})
+
+    def test_frechet_path_empty_grid(self):
+        with pytest.raises(ValidationError, match="alphas grid is empty"):
+            frechet_path(data()[1], [])
+
+    @pytest.mark.parametrize("call", [
+        lambda: SimSpec(n=None, D=3),
+        lambda: make_folds(10, None),
+        lambda: TuningGrid(alphas=(1.0,), ks=(3,), folds=None),
+        lambda: helmert_submatrix(None),
+        lambda: bench(queries=None),
+        lambda: fit_alpha_knn(*data(), 0.5, None),
+    ])
+    def test_none_rejected(self, call):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
+
+
+class TestIntegralFloatsAccepted:
+    """A float of integral value means the same as the int everywhere."""
+
+    def test_same_results_as_ints(self):
+        X, U = data()
+        assert np.array_equal(fit_alpha_knn(X, U, 0.5, 2.0).predict(X),
+                              fit_alpha_knn(X, U, 0.5, 2).predict(X))
+        assert np.array_equal(make_folds(20, 10.0, seed=3.0), make_folds(20, 10, seed=3))
+        assert helmert_submatrix(3.0) is helmert_submatrix(3)
+        a, b = SimSpec(n=10.0, D=3.0, coef_seed=4.0), SimSpec(n=10, D=3, coef_seed=4)
+        assert a == b and type(a.n) is int and type(a.coef_seed) is int
+        assert all(np.array_equal(u, v) for u, v in zip(generate(a), generate(b)))
+        grid = TuningGrid(alphas=(1.0,), ks=(3.0,), folds=5.0, seed=1.0)
+        assert (grid.ks, grid.folds, grid.seed) == ((3,), 5, 1)
+        assert type(grid.folds) is int and type(grid.seed) is int
+        report = tune(X, U, "alpha-knn", grid, threads=2.0)
+        assert report.to_json() == tune(
+            X, U, "alpha-knn", TuningGrid(alphas=(1.0,), ks=(3,), folds=5, seed=1)).to_json()
