@@ -56,6 +56,11 @@ class SimSpec:
             raise ValidationError(
                 f"zero_fraction must lie in [0, 1), got {self.zero_fraction!r}"
             )
+        if 0 < self.zero_fraction * self.n < 1:
+            raise ValidationError(
+                f"zero_fraction {self.zero_fraction!r} zeroes no row of n = {self.n}: "
+                "zeros go in floor(zero_fraction * n) rows"
+            )
         if self.zero_fraction > 0 and self.D == 2:
             raise ValidationError(
                 "zero_fraction needs D >= 3: zeros go in D // 3 parts, none when D = 2"

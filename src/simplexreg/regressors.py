@@ -39,6 +39,12 @@ from .simplex import _check_count, as_composition_matrix, as_predictor_matrix
 from .simplex import closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
+# Per-alpha GEMM size (rows * n * D multiply-adds) from which a kernel block
+# may run one GEMM over every alpha.  On OpenBLAS 0.3.31 the stacked columns
+# differed from the one-alpha GEMM at up to 9.9e5 and matched from 1.08e6,
+# so 2e6 leaves a 2x margin.
+_STACK_MULADDS = 2_000_000
+
 KERNELS = {
     "gaussian": lambda d, h: np.exp(-(d * d) / (2.0 * h * h)),
     "exponential": lambda d, h: np.exp(-d / (2.0 * h * h)),
@@ -226,21 +232,39 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
 
     Queries are processed in equal blocks whose (rows, n) distance and
     weight matrices each stay under `_CHUNK_BYTES // 4` bytes; only the
-    (H, A, m, D) weighted sums, which do not grow with n, outlive a block,
+    (H, m, A, D) weighted sums, which do not grow with n, outlive a block,
     and the cells are yielded once the last block is done.  A bandwidth
     with a dead row is skipped in later blocks.  Each weighted sum is
     closed Fortran-ordered, so the closure over the D parts is D - 1
     whole-column adds (bitwise a row-major sum for D <= 7).
+
+    When every block's per-alpha GEMM has at least `_STACK_MULADDS`
+    multiply-adds (rows * n * D) and more rows than the A * D columns of
+    all alphas' powered responses side by side, each block runs one GEMM
+    over those columns; otherwise it runs one GEMM per alpha.  Either way
+    each cell has the bits of its one-alpha GEMM, and at A = 1 the two
+    routes are the same call, so predict and tune agree bitwise.
     """
     Q = as_predictor_matrix(Q)
-    m, n = Q.shape[0], len(P)
-    powered = [_power(U, a) for a in alphas]
-    S = np.empty((len(hs), len(alphas), m, U.shape[1]))
+    m, (n, D), A = Q.shape[0], U.shape, len(alphas)
+    blocks = _row_blocks(m, 8 * n, _CHUNK_BYTES // 4)
+    # Equal blocks keep each GEMM at least half the budget.  OpenBLAS runs
+    # GEMMs below ~1e6 multiply-adds through a small-matrix kernel, whose
+    # stacked columns round differently from the narrow GEMM.  Threaded, it
+    # also splits a GEMM with fewer rows than columns across its columns
+    # (seen at two threads), which moves the bits too.  The smallest block
+    # decides for all of them.
+    rows = m // len(blocks)
+    stack = rows * n * D >= _STACK_MULADDS and rows > A * D
+    # (n, A, D) either way: alpha-minor so the stack is one (n, A * D)
+    # matrix, or alpha-major so each narrow GEMM reads contiguous rows,
+    # which at large n is much faster than a strided column block.
+    powered = np.empty((n, A, D)) if stack else np.empty((A, n, D)).transpose(1, 0, 2)
+    for ai, a in enumerate(alphas):
+        _power(U, a, out=powered[:, ai])
+    S = np.empty((len(hs), m, A, D))
     errors = [None] * len(hs)
-    # Equal blocks keep each GEMM at least half the budget.  BLAS libraries
-    # may round small GEMMs differently (OpenBLAS switches kernels below
-    # 1e6 multiply-adds); large row blocks round like one unblocked GEMM.
-    for block in _row_blocks(m, 8 * n, _CHUNK_BYTES // 4):
+    for block in blocks:
         dist = pairwise_distances(Q[block], P)
         for hi, h in enumerate(hs):
             if errors[hi] is not None:
@@ -257,14 +281,17 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
                 )
                 continue
             W /= totals[:, None]
-            for ai in range(len(alphas)):
-                np.matmul(W, powered[ai], out=S[hi, ai, block])
+            if stack:
+                np.matmul(W, powered.reshape(n, A * D), out=S[hi, block].reshape(-1, A * D))
+            else:
+                for ai in range(A):
+                    np.matmul(W, powered[:, ai], out=S[hi, block, ai])
     for hi in range(len(hs)):
         for ai, a in enumerate(alphas):
             if errors[hi] is not None:
                 yield ai, hi, errors[hi]
             else:
-                yield ai, hi, _unpower(np.asfortranarray(S[hi, ai]), a)
+                yield ai, hi, _unpower(np.asfortranarray(S[hi, :, ai]), a)
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,15 @@ def closure(values, axis=-1):
     total = x.sum(axis=axis, keepdims=True)
     if np.any(total <= 0):
         raise DegenerateInputError("closure: a slice sums to zero")
-    # Sums within float noise of 1 mean the input is already closed;
-    # skipping the division makes closure exactly idempotent.
-    if np.all(np.abs(total - 1.0) <= 8e-15):
+    # A slice whose sum is within float noise of 1 is already closed;
+    # leaving it undivided makes closure exactly idempotent.  The rule is
+    # per slice, so no slice's bits depend on the others in the call.
+    closed = np.abs(total - 1.0) <= 8e-15
+    if not closed.any():
+        return x / total
+    if closed.all():
         return x
-    return x / total
+    return np.where(closed, x, x / total)
 
 
 def as_composition(values):

@@ -856,6 +856,7 @@ class TestRejectedArguments:
     @pytest.mark.parametrize("extra, needle", [
         (["--link", "segmented", "--degree", "3"], "segmented link has no degree"),
         (["--D", "2", "--zero-fraction", "0.4"], "zero_fraction needs D >= 3"),
+        (["--n", "10", "--zero-fraction", "0.05"], "zeroes no row of n = 10"),
     ])
     def test_simulate_knob_the_data_never_reads(self, tmp_path, capsys, extra, needle):
         out = tmp_path / "never.csv"

@@ -70,6 +70,13 @@ class TestSimSpec:
         SimSpec(n=10, D=2, zero_fraction=0.0)
         SimSpec(n=10, D=3, zero_fraction=0.4)
 
+    def test_zero_fraction_that_zeroes_no_row_rejected(self):
+        # floor(0.05 * 10) = 0 rows: the data would equal zero_fraction = 0.
+        with pytest.raises(ValidationError, match="zeroes no row of n = 10"):
+            SimSpec(n=10, D=3, zero_fraction=0.05)
+        _, U, _ = gen_polynomial(SimSpec(n=10, D=3, zero_fraction=0.1))
+        assert (U == 0).any(axis=1).sum() == 1
+
 
 class TestSimplexLink:
     def test_zero_row_is_uniform(self):

@@ -33,6 +33,7 @@ from simplexreg import (
     predict_logratio_ols,
 )
 from simplexreg.regressors import (
+    _STACK_MULADDS,
     KERNELS,
     iter_kernel_grid_predictions,
     iter_knn_grid_predictions,
@@ -158,8 +159,9 @@ class TestKnnGridIterator:
 class TestKnnRowIndependence:
     """A query row's k-NN prediction does not depend on the other rows of
     the call: the whole batch equals its 7-row chunks stacked, bit for bit,
-    on tied (rounded) and continuous predictors.  The kernel family is left
-    out: its BLAS products round differently by batch shape."""
+    on tied (rounded) and continuous predictors.  The kernel family has
+    this property only when every block's GEMM has at least
+    `_STACK_MULADDS` multiply-adds (TestKernelRowIndependence)."""
 
     @pytest.fixture
     def resolved(self, monkeypatch):
@@ -228,6 +230,69 @@ class TestKernelGridIterator:
         report = tune(X, U, "alpha-kernel", grid)
         assert [row[0] for row in report.mean_divergence] == [None, None]
         assert all(row[1] is not None for row in report.mean_divergence)
+
+
+class TestKernelGemmRoutes:
+    """Tune's cells keep predict's bits on both sides of `_STACK_MULADDS`.
+    A BLAS whose stacked columns round unlike the one-alpha GEMM at these
+    shapes (say, a small-matrix cutoff moved past the constant) fails here."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        # Column counts of the GEMMs the kernel iterator runs.
+        seen = []
+        matmul = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            seen.append(b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        return seen
+
+    # One block each.  rows * n * D = 6e5 (OpenBLAS's small-matrix kernel,
+    # where stacking would change the bits), 1.2e6 and 2.88e6 (fewer rows
+    # than the 84 stacked columns) run per alpha; 2.4e6 and 4.2e6 stack.
+    @pytest.mark.parametrize("n, m, n_alphas, stacked", [
+        (1500, 100, 5, False),
+        (1500, 200, 5, False),
+        (1500, 400, 5, True),
+        (1500, 700, 5, True),
+        (12000, 60, 21, False),
+    ])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_cells_equal_predict_around_the_constant(self, widths, kernel, n, m,
+                                                     n_alphas, stacked):
+        rng = np.random.default_rng(n + m)
+        X, U = make_data(rng, n=n, p=2, D=4)
+        Q = rng.normal(size=(m, 2))
+        alphas = tuple(np.linspace(-1.0, 1.0, n_alphas))
+        hs = (0.5, 2.0)
+        cells = list(iter_kernel_grid_predictions(X, U, Q, alphas, hs, kernel))
+        assert (4 * n_alphas in widths) == stacked
+        assert widths.count(4) == (0 if stacked else len(hs) * n_alphas)
+        for ai, hi, pred in cells:
+            model = fit_alpha_kernel(X, U, alphas[ai], hs[hi], kernel)
+            assert np.array_equal(pred, model.predict(Q)), (ai, hi)
+
+
+class TestKernelRowIndependence:
+    """A query row's kernel prediction does not depend on the other rows of
+    the call when every block's GEMM has at least `_STACK_MULADDS`
+    multiply-adds: the whole batch (one 4.8e6 block) equals its two halves
+    (2.4e6 each) stacked, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_halves_equal_whole_batch(self, kernel):
+        rng = np.random.default_rng(43)
+        X, U = make_data(rng, n=1500, p=2, D=4)
+        Q = rng.normal(size=(800, 2))
+        assert 400 * 1500 * 4 >= _STACK_MULADDS
+        for a in (-0.5, 0.0, 0.5, 1.0):
+            for h in (0.3, 1.0):
+                model = fit_alpha_kernel(X, U, a, h, kernel)
+                halves = [model.predict(Q[:400]), model.predict(Q[400:])]
+                assert np.array_equal(model.predict(Q), np.vstack(halves)), (a, h)
 
 
 class TestAlphaKernel:

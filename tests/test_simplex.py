@@ -40,6 +40,16 @@ class TestClosure:
         once = closure(x)
         assert np.array_equal(closure(once), once)
 
+    def test_closed_rows_decided_per_row(self):
+        # The first row sums to 1 + 4.4e-16 and is left undivided; the
+        # second row's sum 0.8 must not force a division on it too.
+        nearly = [0.1, 0.2, 0.3, 0.4 + 4.4e-16]
+        mixed = closure([nearly, [0.2, 0.2, 0.2, 0.2]])
+        assert np.array_equal(mixed[0], closure(nearly))
+        assert np.array_equal(mixed[1], [0.25, 0.25, 0.25, 0.25])
+        by_column = closure(np.array([nearly, [0.2, 0.2, 0.2, 0.2]]).T, axis=0)
+        assert np.array_equal(by_column.T, mixed)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         x = rng.random((30, 5)) + 0.01
