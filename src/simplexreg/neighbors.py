@@ -45,10 +45,10 @@ _CHUNK_BYTES = 64 * 2**20
 _TIE_RTOL = 1e-9
 
 
-def _distances_to(X, q):
+def _distances_to(X, q, out=None):
     # Rows of X against broadcast queries q; the one distance kernel of
     # every code path, so that distances agree bitwise between strategies.
-    total = X[..., 0] - q[..., 0]
+    total = np.subtract(X[..., 0], q[..., 0], out=out)
     total *= total
     for j in range(1, X.shape[-1]):
         t = X[..., j] - q[..., j]
@@ -82,14 +82,18 @@ def _check_magnitude(A, what):
     return A
 
 
-def pairwise_distances(A, B):
-    """Dense (m, n) Euclidean distance matrix, computed in chunks."""
-    A = as_predictor_matrix(A)
-    B = as_predictor_matrix(B)
+def _check_widths(A, B):
     if A.shape[1] != B.shape[1]:
         raise ValidationError(
             f"predictor widths differ: {A.shape[1]} vs {B.shape[1]}"
         )
+
+
+def pairwise_distances(A, B):
+    """Dense (m, n) Euclidean distance matrix, computed in chunks."""
+    A = as_predictor_matrix(A)
+    B = as_predictor_matrix(B)
+    _check_widths(A, B)
     out = np.empty((A.shape[0], B.shape[0]))
     for b in _row_blocks(A.shape[0], B.size * 8, _CHUNK_BYTES):
         out[b] = _distances_to(B[None, :, :], A[b, None, :])

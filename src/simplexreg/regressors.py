@@ -32,10 +32,12 @@ from .errors import (
     ZeroNotAllowedError,
 )
 from .frechet import _check_zero_alpha, _power, _unpower
-from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _row_blocks, build_index,
-                        pairwise_distances)
-from .simplex import _check_count, as_composition_matrix, as_predictor_matrix
-# closure stays bound for benchmark/tracing.py, which rebinds it by module.
+from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _check_widths,
+                        _distances_to, _row_blocks, build_index)
+# pairwise_distances and closure stay bound for benchmark/tracing.py, which
+# rebinds them by module.
+from .neighbors import pairwise_distances  # noqa: F401
+from .simplex import _check_count, _check_real, as_composition_matrix, as_predictor_matrix
 from .simplex import closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
@@ -45,15 +47,34 @@ from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
 # so 2e6 leaves a 2x margin.
 _STACK_MULADDS = 2_000_000
 
-KERNELS = {
-    "gaussian": lambda d, h: np.exp(-(d * d) / (2.0 * h * h)),
-    "exponential": lambda d, h: np.exp(-d / (2.0 * h * h)),
-    "laplacian": lambda d, h: np.exp(-d / h),
+
+def _negative_square(d, out=None):
+    return np.negative(np.multiply(d, d, out=out), out=out)
+
+
+def _kernel_weights(base, scale, out=None):
+    return np.exp(np.divide(base, scale, out=out), out=out)
+
+
+# A kernel weight is exp(base(d) / scale(h)).  The base depends on the
+# distance alone, so the kernel grid works it out once per query block and
+# runs only the divide and the exp once per bandwidth.
+_KERNEL_PARTS = {
+    "gaussian": (_negative_square, lambda h: 2.0 * h * h),
+    "exponential": (np.negative, lambda h: 2.0 * h * h),
+    "laplacian": (np.negative, lambda h: h),
 }
 
 
+def _kernel(base, scale):
+    return lambda d, h: _kernel_weights(base(d), scale(h))
+
+
+KERNELS = {name: _kernel(*parts) for name, parts in _KERNEL_PARTS.items()}
+
+
 def _check_bandwidth(h):
-    h = float(h)
+    h = _check_real("bandwidth h", h)
     if not np.isfinite(h) or h <= 0:
         raise ValidationError(f"bandwidth h must be positive and finite, got {h!r}")
     return h
@@ -219,6 +240,24 @@ def predict_alpha_kernel(model, Xnew):
     return pred
 
 
+def _fill_weights(W, base, h, kernel, tiles):
+    """Row-normalised kernel weights of one query block into W, tile by tile.
+
+    base holds the block's exponent bases.  Returns the position in the
+    block of the first row whose weights all underflow, leaving W partly
+    filled, or None.
+    """
+    scale = _KERNEL_PARTS[kernel][1](h)
+    for tile in tiles:
+        w = _kernel_weights(base[tile], scale, out=W[tile])
+        totals = w.sum(axis=1)
+        dead = np.flatnonzero(~(totals > 0))
+        if dead.size:
+            return tile.start + int(dead[0])
+        w /= totals[:, None]
+    return None
+
+
 def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     """Predictions for every (alpha, h) cell from one pass over the distances.
 
@@ -230,13 +269,19 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     predictions.  Inputs are assumed validated (grid exponents in range,
     zeros only with positive alphas, positive bandwidths, a known kernel).
 
-    Queries are processed in equal blocks whose (rows, n) distance and
-    weight matrices each stay under `_CHUNK_BYTES // 4` bytes; only the
-    (H, m, A, D) weighted sums, which do not grow with n, outlive a block,
-    and the cells are yielded once the last block is done.  A bandwidth
-    with a dead row is skipped in later blocks.  Each weighted sum is
-    closed Fortran-ordered, so the closure over the D parts is D - 1
-    whole-column adds (bitwise a row-major sum for D <= 7).
+    Queries are processed in equal blocks whose (rows, n) exponent-base
+    and weight matrices each stay under `_CHUNK_BYTES // 4` bytes; one
+    buffer of each serves every block and bandwidth.  Only the GEMM runs
+    on a whole block.  Everything else runs on row tiles of at most
+    `_CHUNK_BYTES // 64` bytes, which stay in cache between passes: the
+    distances and their kernel base once per block, and the divide, exp,
+    row sums and normalising once per bandwidth.  The weights are
+    elementwise and summed row by row, so the tiling does not move a bit.
+    Only the (H, m, A, D) weighted sums, which do not grow with n, outlive
+    a block, and the cells are yielded once the last block is done.  A
+    bandwidth with a dead row is skipped in later blocks.  Each weighted
+    sum is closed Fortran-ordered, so the closure over the D parts is
+    D - 1 whole-column adds (bitwise a row-major sum for D <= 7).
 
     When every block's per-alpha GEMM has at least `_STACK_MULADDS`
     multiply-adds (rows * n * D) and more rows than the A * D columns of
@@ -246,6 +291,7 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     routes are the same call, so predict and tune agree bitwise.
     """
     Q = as_predictor_matrix(Q)
+    _check_widths(Q, P)
     m, (n, D), A = Q.shape[0], U.shape, len(alphas)
     blocks = _row_blocks(m, 8 * n, _CHUNK_BYTES // 4)
     # Equal blocks keep each GEMM at least half the budget.  OpenBLAS runs
@@ -264,23 +310,28 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
         _power(U, a, out=powered[:, ai])
     S = np.empty((len(hs), m, A, D))
     errors = [None] * len(hs)
+    base_of = _KERNEL_PARTS[kernel][0]
+    base_rows = np.empty((-(-m // len(blocks)), n))
+    weight_rows = np.empty_like(base_rows)
     for block in blocks:
-        dist = pairwise_distances(Q[block], P)
+        Qb = Q[block]
+        base, W = base_rows[:len(Qb)], weight_rows[:len(Qb)]
+        tiles = _row_blocks(len(Qb), 8 * n, _CHUNK_BYTES // 64)
+        for tile in tiles:
+            d = _distances_to(P[None, :, :], Qb[tile, None, :], out=base[tile])
+            base_of(d, out=d)
         for hi, h in enumerate(hs):
             if errors[hi] is not None:
                 continue
-            W = KERNELS[kernel](dist, h)
-            totals = W.sum(axis=1)
-            dead = np.flatnonzero(~(totals > 0))
-            if dead.size:
-                row = block.start + int(dead[0])
+            dead = _fill_weights(W, base, h, kernel, tiles)
+            if dead is not None:
+                row = block.start + dead
                 errors[hi] = DegenerateWeightsError(
                     f"all kernel weights underflowed for query row {row} "
                     f"(h={h!r}, kernel={kernel!r})",
                     query_index=row,
                 )
                 continue
-            W /= totals[:, None]
             if stack:
                 np.matmul(W, powered.reshape(n, A * D), out=S[hi, block].reshape(-1, A * D))
             else:

@@ -4,8 +4,9 @@ A composition is a vector of D >= 2 nonnegative parts summing to 1.  The
 functions here are the single entry point for turning raw arrays into
 validated compositions; downstream modules assume their inputs already
 passed these gates.  The package's scalar rules live here too: one for
-counts (`_check_count`), one for seeds (`_check_seed`) and one for the
-axes of a parameter grid (`_grid_axis`).
+counts (`_check_count`), one for real numbers (`_check_real`), one for
+seeds (`_check_seed`) and one for the axes of a parameter grid
+(`_grid_axis`).
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,17 @@ def _check_count(name, value, minimum=None):
                 "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}")
         raise ValidationError(f"{name} must be {rule}, got {value!r}")
     return int(value)
+
+
+def _check_real(name, value):
+    """The package's one real-number rule: anything `float` takes, never a
+    bool; returns a plain float, which may still be nan or infinite."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 def _check_seed(seed, what="seed"):

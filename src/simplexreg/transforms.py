@@ -13,15 +13,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, ZeroNotAllowedError
-from .simplex import _check_count, closure
+from .simplex import _check_count, _check_real, closure
 
 
 def check_alpha(alpha):
     """Validate the power exponent: a finite float with |alpha| <= 1."""
-    try:
-        a = float(alpha)
-    except (TypeError, ValueError):
-        raise ValidationError(f"alpha must be a number, got {alpha!r}") from None
+    a = _check_real("alpha", alpha)
     if not math.isfinite(a):
         raise ValidationError("alpha must be finite")
     if abs(a) > 1.0:

@@ -6,7 +6,8 @@ adds round exactly like numpy's row-wise sums, so every check here is
 `np.array_equal` against the row-major formula.  The kernel family's
 query blocks must not change any bit, must still name the first
 degenerate query row, and tuning stays byte-identical across thread
-counts.
+counts.  Within a block, the row tiles that hold the distances and the
+kernel weights must not change any bit either.
 """
 
 import time
@@ -17,7 +18,7 @@ import pytest
 from simplexreg import DegenerateWeightsError, build_index, closure, fit_alpha_knn
 from simplexreg import regressors
 from simplexreg.frechet import _power, _unpower
-from simplexreg.neighbors import _distances_to
+from simplexreg.neighbors import _distances_to, _row_blocks
 from simplexreg.regressors import iter_kernel_grid_predictions, iter_knn_grid_predictions
 from simplexreg.selection import TuningGrid, tune
 
@@ -120,13 +121,13 @@ def test_kernel_degenerate_row_in_later_block(monkeypatch):
     Q = rng.normal(size=(20, 1))
     Q[[6, 13]] = 1e3  # every weight underflows at h = 1 in rows 6 and 13
     calls = []
-    gaussian = regressors.KERNELS["gaussian"]
+    fill_weights = regressors._fill_weights
 
-    def counted(d, h):
+    def counted(W, base, h, kernel, tiles):
         calls.append(h)
-        return gaussian(d, h)
+        return fill_weights(W, base, h, kernel, tiles)
 
-    monkeypatch.setitem(regressors.KERNELS, "gaussian", counted)
+    monkeypatch.setattr(regressors, "_fill_weights", counted)
     chunk = 4 * 8 * len(X) * 4  # four query rows per block: rows 6 and 13 in blocks 2 and 4
     cells = _kernel_cells(monkeypatch, chunk, X, U, Q, (0.5, 1.0), (1.0, 1e4), "gaussian")
     dead = [pred for _, hi, pred in cells if hi == 0]
@@ -138,6 +139,48 @@ def test_kernel_degenerate_row_in_later_block(monkeypatch):
     # the dead bandwidth is not evaluated again after its second block
     assert calls.count(1.0) == 2
     assert calls.count(1e4) == 5
+
+
+def _tiled_chunk(n, m):
+    # The smallest budget whose block holds all m query rows, so the GEMM
+    # keeps the one-block shape while the tiles shrink to m // 16 rows.
+    chunk = 4 * 8 * n * m
+    assert len(_row_blocks(m, 8 * n, chunk // 4)) == 1
+    assert len(_row_blocks(m, 8 * n, chunk // 64)) > 1
+    return chunk
+
+
+@pytest.mark.parametrize("kernel", sorted(regressors.KERNELS))
+def test_kernel_tiles_equal_one_tile(monkeypatch, kernel):
+    rng = np.random.default_rng(11)
+    n, m = 70, 40
+    X = rng.normal(size=(n, 2))
+    U = closure(rng.random((n, 4)) + 0.02)
+    Q = rng.normal(size=(m, 2))
+    args = (X, U, Q, (-1.0, 0.0, 0.5, 1.0), (0.2, 1.0, 5.0), kernel)
+    one = _kernel_cells(monkeypatch, 2**40, *args)
+    tiled = _kernel_cells(monkeypatch, _tiled_chunk(n, m), *args)
+    assert [c[:2] for c in tiled] == [c[:2] for c in one]
+    for (_, _, want), (_, _, got) in zip(one, tiled):
+        assert np.array_equal(got, want)
+
+
+def test_kernel_degenerate_row_in_later_tile(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, m = 40, 32
+    X = rng.normal(size=(n, 1))
+    U = closure(rng.random((n, 3)) + 0.05)
+    Q = rng.normal(size=(m, 1))
+    Q[[3, 9]] = 1e3  # every weight underflows at h = 1 in rows 3 and 9
+    chunk = _tiled_chunk(n, m)
+    assert _row_blocks(m, 8 * n, chunk // 64)[1] == slice(2, 4)  # row 3: the second tile
+    for budget in (2**40, chunk):
+        cells = _kernel_cells(monkeypatch, budget, X, U, Q, (0.5, 1.0), (1.0, 1e4), "gaussian")
+        dead = [pred for _, hi, pred in cells if hi == 0]
+        assert len(dead) == 2
+        assert all(isinstance(e, DegenerateWeightsError) and e.query_index == 3 for e in dead)
+        assert "query row 3" in str(dead[0])
+        assert all(isinstance(pred, np.ndarray) for _, hi, pred in cells if hi == 1)
 
 
 @pytest.mark.parametrize("family", ["alpha-knn", "alpha-kernel"])

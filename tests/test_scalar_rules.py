@@ -1,10 +1,10 @@
-"""The package's scalar rules: one for counts, one for seeds, one for grid axes.
+"""The package's scalar rules: one each for counts, real numbers, seeds and grid axes.
 
-`simplex._check_count`, `simplex._check_seed` and `simplex._grid_axis` are
-the only integer, seed and grid-axis checks; every constructor and public
-entry point that takes a count, a seed or a grid goes through them, so
-the same value is accepted or rejected, with the parameter named, at
-every call site.
+`simplex._check_count`, `simplex._check_real`, `simplex._check_seed` and
+`simplex._grid_axis` are the only integer, real-number, seed and grid-axis
+checks; every constructor and public entry point that takes a count, an
+alpha, a bandwidth, a seed or a grid goes through them, so the same value
+is accepted or rejected, with the parameter named, at every call site.
 """
 
 import math
@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from simplexreg import closure, fit_alpha_knn, fit_kld, frechet_path
+from simplexreg import closure, fit_alpha_kernel, fit_alpha_knn, fit_kld, frechet_path
 from simplexreg.bench import BenchScenario
 from simplexreg.datagen import SimSpec, generate
 from simplexreg.errors import ValidationError
 from simplexreg.selection import TuningGrid, default_h_grid, make_folds, tune
-from simplexreg.simplex import _check_count, _check_seed, _grid_axis
+from simplexreg.simplex import _check_count, _check_real, _check_seed, _grid_axis
 from simplexreg.transforms import check_alpha, helmert_submatrix
 
 
@@ -59,6 +59,18 @@ class TestCheckCount:
     def test_minimum_is_inclusive(self):
         assert _check_count("folds", 2, 2) == 2
         assert _check_count("seed", 0, 0) == 0
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.5, np.float32(0.5), 1, np.int64(-3), "2.5", math.nan])
+    def test_numbers_become_plain_floats(self, value):
+        out = _check_real("x", value)
+        assert type(out) is float and (out == float(value) or math.isnan(out))
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), None, "abc", [1.0], 1 + 0j])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(ValidationError, match="^x must be a number, got "):
+            _check_real("x", value)
 
 
 class TestCheckSeed:
@@ -119,6 +131,22 @@ class TestCallSitesRejectWhatTheyUsedToMisread:
         grid = TuningGrid(alphas=(1.0,), ks=(3,))
         with pytest.raises(ValidationError, match="threads must be an integer"):
             tune(X, U, "alpha-knn", grid, threads=threads)
+
+    @pytest.mark.parametrize("h", ["abc", None, [1.0], True, np.bool_(True)])
+    def test_bandwidth_must_be_a_number(self, h):
+        X, U = data()
+        with pytest.raises(ValidationError, match="^bandwidth h must be a number, got "):
+            fit_alpha_kernel(X, U, 0.5, h)
+        with pytest.raises(ValidationError, match="^bandwidth h must be a number, got "):
+            TuningGrid(alphas=(0.5,), hs=(1.0, h))
+
+    @pytest.mark.parametrize("alpha", [True, np.bool_(False)])
+    def test_bool_alpha_rejected(self, alpha):
+        X, U = data()
+        with pytest.raises(ValidationError, match="^alpha must be a number, got "):
+            fit_alpha_knn(X, U, alpha, 2)
+        with pytest.raises(ValidationError, match="^alpha must be a number, got "):
+            TuningGrid(alphas=(0.5, alpha), ks=(3,))
 
     @pytest.mark.parametrize("alpha, match", [(5.0, r"alpha must lie in \[-1, 1\]"),
                                               (math.nan, "alpha must be finite")])
