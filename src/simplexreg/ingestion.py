@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
+from .neighbors import _CHUNK_BYTES, _row_blocks
 from .simplex import SUM_TOL, as_composition_matrix, as_predictor_matrix
 
 
@@ -207,10 +208,12 @@ def write_csv(path_or_file, columns, names, delimiter=","):
         raise ValidationError("columns must be 1-D and equal length")
 
     def emit(fh):
+        # csv.writer writes a float as its repr.  Blocks bound the Python
+        # copy: a float object and its list slot, 32 bytes, per value.
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(names)
-        for i in range(n):
-            writer.writerow([repr(float(a[i])) for a in arrays])
+        for b in _row_blocks(n, 32 * len(arrays), _CHUNK_BYTES // 64):
+            writer.writerows(np.column_stack([a[b] for a in arrays]).tolist())
 
     if hasattr(path_or_file, "write"):
         emit(path_or_file)

@@ -4,13 +4,14 @@ Two interchangeable strategies produce identical output: a vectorized
 brute-force scan and a kd-tree accelerated path.  "auto" uses the kd-tree
 for every training set above AUTO_KDTREE_THRESHOLD rows; brute force is
 kept as the reference oracle and for tiny n.  The tree (scipy's cKDTree)
-is built on the first kd-tree query, and scipy is imported only then, so
-a command that never searches pays for neither.  Neighbors are ordered by
-(distance, row index), so exact distance ties always resolve to the lower
-training row.  The kd-tree path re-evaluates candidate distances with the
-same floating point kernel the brute path uses, then widens the candidate
-set whenever a tie could straddle the cut, which keeps the two strategies
-bit-identical.
+is built on the first kd-tree query, and scipy is loaded only then, so a
+command that never searches pays for neither.  Only the tree's compiled
+extension is loaded, not the `scipy.spatial` package around it (see
+`_ckdtree`).  Neighbors are ordered by (distance, row index), so exact
+distance ties always resolve to the lower training row.  The kd-tree path
+re-evaluates candidate distances with the same floating point kernel the
+brute path uses, then widens the candidate set whenever a tie could
+straddle the cut, which keeps the two strategies bit-identical.
 
 That kernel, `_distances_to`, is predictor-major: it sums the p squared
 coordinate differences as p whole-array adds, not as a short reduction
@@ -24,6 +25,12 @@ and `_search_kdtree` each answer one block, and the kd-tree's rare full
 scan is `_search_brute` on one row.  `_row_blocks` is the package's only
 block-size rule; every blocked loop passes it its own byte budget.
 """
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -43,6 +50,48 @@ _CHUNK_BYTES = 64 * 2**20
 # Distances within this relative window of the k-th neighbor distance are
 # treated as potential ties and re-resolved exactly.
 _TIE_RTOL = 1e-9
+
+# scipy's kd-tree extension, loaded once per process under the lock.
+_CKDTREE_MODULE = "scipy.spatial._ckdtree"
+_ckdtree_lock = threading.Lock()
+_ckdtree_class = None
+
+
+def _load_ckdtree():
+    # The extension file alone costs about half of `import scipy.spatial`.
+    # It is registered under its real name before it runs, so a later
+    # `import scipy.spatial` reuses it and the two share one cKDTree class.
+    module = sys.modules.get(_CKDTREE_MODULE)
+    if module is not None:
+        return module.cKDTree
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "spatial")
+    paths = [os.path.join(folder, "_ckdtree" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    try:
+        path = next(filter(os.path.isfile, paths))
+        spec = importlib.util.spec_from_file_location(_CKDTREE_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_CKDTREE_MODULE] = module
+        spec.loader.exec_module(module)
+        return module.cKDTree
+    except Exception:
+        # The file is private to scipy; if it is not where it was, or does
+        # not load, drop any partial entry and take the public import.
+        if module is not None and sys.modules.get(_CKDTREE_MODULE) is module:
+            del sys.modules[_CKDTREE_MODULE]
+        from scipy.spatial import cKDTree
+
+        return cKDTree
+
+
+def _ckdtree():
+    global _ckdtree_class
+    with _ckdtree_lock:
+        if _ckdtree_class is None:
+            _ckdtree_class = _load_ckdtree()
+    return _ckdtree_class
 
 
 def _distances_to(X, q, out=None):
@@ -146,17 +195,22 @@ class NeighborIndex:
         idx, dist = self.query_batch(q[None, :], k)
         return idx[0], dist[0]
 
-    def query_batch(self, Q, k):
-        """Nearest neighbors of each row of Q.
-
-        Returns (indices, distances) arrays of shape (m, min(k, n)).
-        """
+    def _check_queries(self, Q):
+        # The one gate on query matrices; a caller that searches block by
+        # block runs it on the whole matrix first, so errors name its rows.
         Q = as_predictor_matrix(Q)
         if Q.shape[1] != self.p:
             raise ValidationError(
                 f"query width {Q.shape[1]} does not match index width {self.p}"
             )
-        _check_magnitude(Q, "query")
+        return _check_magnitude(Q, "query")
+
+    def query_batch(self, Q, k):
+        """Nearest neighbors of each row of Q.
+
+        Returns (indices, distances) arrays of shape (m, min(k, n)).
+        """
+        Q = self._check_queries(Q)
         kk = min(_check_k(k), self.n)
         if self.strategy == "brute":
             search, row_bytes, budget = self._search_brute, self._X.size * 8, _CHUNK_BYTES
@@ -173,11 +227,10 @@ class NeighborIndex:
 
     def _kdtree(self):
         # Two threads making the first query at once each build an
-        # identical tree, and either one is kept: harmless.
+        # identical tree, and either one is kept: harmless.  The class
+        # itself is loaded once per process (`_ckdtree`).
         if self._tree is None:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self._X)
+            self._tree = _ckdtree()(self._X)
         return self._tree
 
     def _search_brute(self, Qb, kk):

@@ -155,11 +155,23 @@ def fit_alpha_knn(X, U, alpha, k, strategy="auto"):
 
 
 def predict_alpha_knn(model, Xnew):
-    """Power mean of the k nearest training responses for each query row."""
-    cells = iter_knn_grid_predictions(
-        model.index, model.responses, Xnew, (model.alpha,), (model.k,)
-    )
-    return next(cells)[2]
+    """Power mean of the k nearest training responses for each query row.
+
+    The whole query matrix is validated first, so an error names its row.
+    The grid iterator then runs once per equal block of queries, sized so
+    that a block's k neighbor indices and distances and its (D, k)
+    gathered and running-sum arrays per row stay within the kd-tree
+    search's budget, `_CHUNK_BYTES // 64`.  Memory therefore grows with
+    the queries and predictions only, not by k * D floats per query row.
+    A row's prediction does not depend on the other rows of the call, so
+    the blocks do not move a bit.
+    """
+    index, U, k = model.index, model.responses, model.k
+    Q = index._check_queries(Xnew)
+    pred = np.empty((Q.shape[0], U.shape[1]))
+    for b in _row_blocks(Q.shape[0], 16 * k * (1 + U.shape[1]), _CHUNK_BYTES // 64):
+        pred[b] = next(iter_knn_grid_predictions(index, U, Q[b], (model.alpha,), (k,)))[2]
+    return pred
 
 
 def iter_knn_grid_predictions(index, U, Q, alphas, ks):

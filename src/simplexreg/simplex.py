@@ -38,8 +38,9 @@ def _check_count(name, value, minimum=None):
 
 def _check_real(name, value):
     """The package's one real-number rule: anything `float` takes, never a
-    bool; returns a plain float, which may still be nan or infinite."""
-    if not isinstance(value, (bool, np.bool_)):
+    bool or a string; returns a plain float, which may still be nan or
+    infinite."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
         try:
             return float(value)
         except (TypeError, ValueError):

@@ -1028,16 +1028,46 @@ print(json.dumps(loaded))
 """
 
 
+# Runs in a fresh interpreter: predict aknn loads scipy's kd-tree extension
+# but not the scipy.spatial package, and that package, imported later,
+# hands out the same cKDTree class.
+_KDTREE_EXTENSION_PROBE = """
+import json, sys
+from simplexreg import cli, neighbors
+
+io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
+for argv in (["simulate", "--n", "200", "--D", "3", "--seed", "2", "--output", "train.csv"],
+             ["fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "5",
+              "--output", "aknn.json"],
+             ["predict", "--input", "train.csv", "--model-file", "aknn.json",
+              "--output", "p.csv"]):
+    assert cli.main(argv) == 0, argv
+loaded = {name: name in sys.modules for name in ("scipy", "scipy.spatial")}
+tree_class = neighbors._ckdtree()
+import scipy.spatial
+loaded["same class"] = scipy.spatial.cKDTree is tree_class
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_probe(script, cwd):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simplexreg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestScipyLoadedOnlyForKdtreeSearch:
     def test_commands_without_a_neighbor_search_skip_scipy(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(simplexreg.__file__)))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.splitlines()[-1])
+        loaded = _fresh_probe(_SCIPY_PROBE, tmp_path)
         # 200 training rows: "auto" answers predict aknn with the kd-tree.
         assert loaded.pop("predict aknn") is True
         assert loaded == dict.fromkeys(loaded, False)
         assert set(loaded) == {"import", "simulate", "fit aknn", "fit akernel",
                                "predict akernel", "validate"}
+
+    def test_kdtree_search_loads_only_the_extension(self, tmp_path):
+        loaded = _fresh_probe(_KDTREE_EXTENSION_PROBE, tmp_path)
+        assert loaded == {"scipy": True, "scipy.spatial": False, "same class": True}

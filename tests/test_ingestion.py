@@ -5,6 +5,7 @@ load cycle must be value-exact thanks to shortest round-trip float
 formatting.
 """
 
+import csv
 import io
 import math
 
@@ -359,6 +360,26 @@ class TestWriteCsv:
         buf = io.StringIO()
         write_csv(buf, [np.array([1.5]), np.array([2.5])], ["a", "b"])
         assert buf.getvalue().splitlines() == ["a,b", "1.5,2.5"]
+
+    @pytest.mark.parametrize("budget", [None, 64 * 3 * 32 * 2])
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "."])
+    def test_bytes_equal_per_value_repr_rows(self, monkeypatch, delimiter, budget):
+        # csv.writer formats a float field as its repr, so whole blocks of
+        # floats write what one repr per value wrote, quoting included;
+        # the patched budget makes blocks of two rows.
+        if budget is not None:
+            monkeypatch.setattr(ingestion, "_CHUNK_BYTES", budget)
+        values = [0.1, -0.0, 1e-300, 5e-324, math.inf, 1 / 3, -2.5e17]
+        columns = [np.array(values), np.array(values[::-1]), np.arange(7.0)]
+        names = ["a", "b", "c.d"]
+        got = io.StringIO()
+        write_csv(got, columns, names, delimiter=delimiter)
+        expected = io.StringIO()
+        writer = csv.writer(expected, delimiter=delimiter)
+        writer.writerow(names)
+        for i in range(len(values)):
+            writer.writerow([repr(float(c[i])) for c in columns])
+        assert got.getvalue() == expected.getvalue()
 
     def test_name_count_mismatch(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -5,6 +5,9 @@ bit-identical indices and distances on every problem, including exact
 ties, which both backends break toward the lower training index.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -13,6 +16,42 @@ import pytest
 
 from simplexreg import NeighborIndex, ValidationError, build_index, neighbors
 from simplexreg.neighbors import AUTO_KDTREE_THRESHOLD, pairwise_distances
+
+
+# Runs in a fresh interpreter: four threads, more than most CI cores, make
+# the process's first kd-tree queries at once, each on its own index, with
+# a short switch interval; each must match the brute oracle.
+_RACE_PROBE = """
+import sys, threading
+import numpy as np
+from simplexreg import build_index
+
+rng = np.random.default_rng(7)
+X = np.round(rng.normal(size=(3000, 3)), 1)
+Q = np.round(rng.normal(size=(400, 3)), 1)
+expected = build_index(X, strategy="brute").query_batch(Q, 7)
+if "scipy" in sys.modules:
+    sys.exit("scipy loaded before the first kd-tree query")
+indexes = [build_index(X, strategy="kdtree") for _ in range(4)]
+barrier = threading.Barrier(len(indexes))
+results = [None] * len(indexes)
+
+def first_query(slot):
+    barrier.wait()
+    results[slot] = indexes[slot].query_batch(Q, 7)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_query, args=(i,)) for i in range(len(indexes))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+    if t.is_alive():
+        sys.exit("a query thread did not finish")
+for got in results:
+    ok = np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    print("ok" if ok else "differs")
+"""
 
 
 @pytest.fixture
@@ -323,6 +362,52 @@ class TestKdtreeEdgeCases:
             for got in results:
                 assert np.array_equal(got[0], expected[0])
                 assert np.array_equal(got[1], expected[1])
+
+    def test_loader_raced_by_the_first_query_of_a_process(self):
+        # A fresh interpreter, so the two threads race the kd-tree loader
+        # itself, not only the tree build.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(neighbors.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", _RACE_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"] * 4
+
+    @pytest.mark.parametrize("fault", ["missing file", "failing module"])
+    def test_public_import_when_the_extension_does_not_load(self, monkeypatch, rng, fault):
+        import importlib.machinery
+        import importlib.util
+
+        import scipy.spatial
+
+        class PublicTree(scipy.spatial.cKDTree):
+            pass
+
+        class FailingLoader:
+            def create_module(self, spec):
+                return None
+
+            def exec_module(self, module):
+                assert sys.modules[neighbors._CKDTREE_MODULE] is module
+                raise ImportError("extension failed to load")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", PublicTree)
+        monkeypatch.setattr(neighbors, "_ckdtree_class", None)
+        monkeypatch.delitem(sys.modules, neighbors._CKDTREE_MODULE)
+        if fault == "missing file":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            monkeypatch.setattr(importlib.util, "spec_from_file_location", lambda name, path:
+                                importlib.machinery.ModuleSpec(name, FailingLoader()))
+        X = np.round(rng.normal(size=(500, 2)), 1)
+        Q = np.round(rng.normal(size=(60, 2)), 1)
+        idx = build_index(X, strategy="kdtree")
+        got = idx.query_batch(Q, 6)
+        assert type(idx._tree) is PublicTree
+        assert neighbors._CKDTREE_MODULE not in sys.modules  # no partial entry left
+        expected = build_index(X, strategy="brute").query_batch(Q, 6)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
 
     def test_duplicated_query_rows(self, rng):
         X = np.round(rng.normal(size=(300, 3)), 1)

@@ -32,6 +32,7 @@ from simplexreg import (
     predict_kld,
     predict_logratio_ols,
 )
+from simplexreg import regressors
 from simplexreg.regressors import (
     _STACK_MULADDS,
     KERNELS,
@@ -195,6 +196,90 @@ class TestKnnRowIndependence:
             assert resolved  # the tie path ran
         elif strategy == "kdtree":
             assert not resolved
+
+
+class TestKnnPredictBlocks:
+    """`predict_alpha_knn` runs the grid iterator once per query block of
+    `_row_blocks(m, row_bytes, _CHUNK_BYTES // 64)`, after validating the
+    whole query matrix once."""
+
+    @staticmethod
+    def small_blocks(monkeypatch, rows, k, D):
+        # A budget of `rows` query rows of k indices and distances plus
+        # (D, k) gathered and running-sum arrays; returns the call count.
+        monkeypatch.setattr(regressors, "_CHUNK_BYTES", 64 * rows * 16 * k * (1 + D))
+        calls = []
+        grid = regressors.iter_knn_grid_predictions
+
+        def counted(index, U, Q, alphas, ks):
+            calls.append(len(Q))
+            return grid(index, U, Q, alphas, ks)
+
+        monkeypatch.setattr(regressors, "iter_knn_grid_predictions", counted)
+        return calls
+
+    @pytest.mark.parametrize("rounded", [True, False])
+    @pytest.mark.parametrize("strategy", ["kdtree", "brute"])
+    def test_blocks_equal_one_block(self, monkeypatch, strategy, rounded):
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(300, 2))
+        Q = rng.normal(size=(61, 2))
+        if rounded:
+            X, Q = np.round(X, 1), np.round(Q, 1)
+        U = closure(rng.random((300, 4)) + 0.05)
+        cells = [(a, k) for a in (0.0, 0.5, 1.0) for k in (1, 10, 45)]
+        whole = [fit_alpha_knn(X, U, a, k, strategy=strategy).predict(Q) for a, k in cells]
+        for (a, k), expected in zip(cells, whole):
+            calls = self.small_blocks(monkeypatch, 7, k, 4)
+            got = fit_alpha_knn(X, U, a, k, strategy=strategy).predict(Q)
+            assert len(calls) == 9 and sum(calls) == 61, calls
+            assert got.shape == (61, 4) and np.array_equal(got, expected), (a, k)
+
+    @pytest.mark.parametrize("row, value, message", [
+        (37, np.nan, "^row 37: non-finite predictor value$"),
+        (41, 1e200, "^query row 41 exceeds magnitude"),
+    ])
+    def test_errors_name_the_global_row(self, monkeypatch, rng, row, value, message):
+        X, U = make_data(rng, n=50, p=2)
+        Q = rng.normal(size=(60, 2))
+        Q[row, 1] = value
+        model = fit_alpha_knn(X, U, 0.5, 5)
+        calls = self.small_blocks(monkeypatch, 7, 5, 4)
+        with pytest.raises(ValidationError, match=message):
+            model.predict(Q)
+        assert calls == []  # rejected before the first block is searched
+
+    def test_width_checked_once(self, monkeypatch, rng):
+        X, U = make_data(rng, n=50, p=2)
+        calls = self.small_blocks(monkeypatch, 7, 5, 4)
+        with pytest.raises(ValidationError, match="^query width 3 does not match index width 2$"):
+            fit_alpha_knn(X, U, 0.5, 5).predict(rng.normal(size=(60, 3)))
+        assert calls == []
+
+    def test_peak_memory_grows_by_inputs_outputs_and_one_block(self, monkeypatch):
+        # Four times the query rows raise the traced peak by at most the
+        # larger queries and predictions plus one block's budget; holding
+        # every row's (D, k) neighbour arrays at once would add ~4 KB a row.
+        import tracemalloc
+
+        rng = np.random.default_rng(44)
+        n, k, D, budget_rows = 2000, 50, 4, 40
+        X = rng.normal(size=(n, 1))
+        model = fit_alpha_knn(X, closure(rng.random((n, D)) + 0.05), 0.5, k, "kdtree")
+        self.small_blocks(monkeypatch, budget_rows, k, D)
+        model.predict(X[:3])  # builds the tree outside the measurement
+        peaks = {}
+        for m in (1000, 4000):
+            Q = rng.normal(size=(m, 1))
+            tracemalloc.start()
+            try:
+                model.predict(Q)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        growth = peaks[4000] - peaks[1000]
+        allowed = 3000 * (1 + D) * 8 + regressors._CHUNK_BYTES // 64
+        assert growth <= allowed, (peaks, allowed)
 
 
 class TestKernelGridIterator:

@@ -62,15 +62,30 @@ class TestCheckCount:
 
 
 class TestCheckReal:
-    @pytest.mark.parametrize("value", [0.5, np.float32(0.5), 1, np.int64(-3), "2.5", math.nan])
+    @pytest.mark.parametrize("value", [0.5, np.float32(0.5), 1, np.int64(-3), math.nan])
     def test_numbers_become_plain_floats(self, value):
         out = _check_real("x", value)
         assert type(out) is float and (out == float(value) or math.isnan(out))
 
-    @pytest.mark.parametrize("value", [True, np.bool_(False), None, "abc", [1.0], 1 + 0j])
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(False), None, "abc", [1.0], 1 + 0j,
+        pytest.param("2.5", id="str"), pytest.param(np.str_("2.5"), id="numpy-str"),
+        pytest.param(b"2.5", id="bytes"),
+    ])
     def test_non_numbers_rejected(self, value):
         with pytest.raises(ValidationError, match="^x must be a number, got "):
             _check_real("x", value)
+
+    def test_numeric_strings_rejected_at_the_api(self):
+        # As _check_count rejects "3" for k, the real-number rule rejects
+        # "0.5" for alpha and "2" for h.
+        X, U = data()
+        with pytest.raises(ValidationError, match="^alpha must be a number, got '0.5'$"):
+            check_alpha("0.5")
+        with pytest.raises(ValidationError, match="^bandwidth h must be a number, got '2'$"):
+            fit_alpha_kernel(X, U, 0.5, "2")
+        with pytest.raises(ValidationError, match="^k must be an integer >= 1, got '3'$"):
+            fit_alpha_knn(X, U, 0.5, "3")
 
 
 class TestCheckSeed:
