@@ -181,7 +181,6 @@ def cmd_tune(args):
     knn = args.model == "aknn"
     _reject_flags(args, ("h-grid", "kernel") if knn else ("k-grid",))
     _resolve_metric_args(args)
-    _fill_defaults(args, kernel="gaussian")
     schema = _schema_from_args(args)
     X, U = load_csv(args.input, schema)
     X, _prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,

@@ -151,9 +151,12 @@ def inject_zeros(U, fraction, seed):
     preserved bit for bit.  With D = 2 the component count floors to
     zero and the input is returned unchanged.
 
-    `seed` may be an integer or a numpy Generator to draw from.
+    `seed` is a seed under the package's seed rule, or a numpy Generator
+    to draw from.
     """
     U = as_composition_matrix(U)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(_check_seed(seed)))
     fraction = float(fraction)
     if not 0.0 <= fraction < 1.0:
         raise ValidationError(f"fraction must lie in [0, 1), got {fraction!r}")
@@ -162,7 +165,6 @@ def inject_zeros(U, fraction, seed):
     n_comps = D // 3
     if n_rows == 0 or n_comps == 0:
         return U
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     rows = rng.choice(n, size=n_rows, replace=False)
     out = U.copy()
     for r in rows:

@@ -5,7 +5,7 @@ The mean of compositions u_1..u_n under exponent alpha is the closure of
 (sum_j u_j^alpha)^(1/alpha); its alpha -> 0 limit is the closed geometric
 mean, which is what alpha = 0 computes directly.  alpha = 1 recovers the
 arithmetic mean.  Weighted variants accept nonnegative weights with a
-positive sum; weights are normalized internally, which the closure makes
+positive sum; `closure` normalizes them, which the outer closure makes
 equivalent to leaving them raw.
 
 All power paths average the powered parts instead of summing them (the
@@ -18,7 +18,7 @@ only these two helpers know that alpha = 0 is the geometric limit.
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, ZeroNotAllowedError
+from .errors import ValidationError, ZeroNotAllowedError
 from .simplex import _grid_axis, as_composition_matrix, closure
 from .transforms import check_alpha
 
@@ -72,15 +72,9 @@ def weighted_frechet_mean(U, weights, alpha):
         raise ValidationError(
             f"weights shape {w.shape} does not match {arr.shape[0]} rows"
         )
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights contain non-finite values")
-    if np.any(w < 0):
-        raise ValidationError("weights contain negative values")
-    total = w.sum()
-    if total <= 0:
-        raise DegenerateInputError("weights sum to zero")
+    w = closure(w)
     _check_zero_alpha(arr, a, "weighted_frechet_mean")
-    return _unpower((w / total) @ _power(arr, a), a)
+    return _unpower(w @ _power(arr, a), a)
 
 
 def frechet_path(U, alphas):

@@ -3,13 +3,16 @@
 Files are plain RFC-4180 CSV.  `csv.reader` reads the header; numpy's
 `loadtxt` then parses the data lines in one pass from the open file.
 When any line defeats that pass (a quote character, a field that is not
-a finite number, a short row, a failed composition check), the file is
-read again by a `csv.reader` loop one field at a time, which returns the
-same arrays or raises with the physical line and column.  Response
-columns must already be compositions row by row (sums within the simplex
-tolerance of 1); out-of-tolerance rows are rejected with their location
-rather than silently closed.  Floats are written with shortest
-round-trip formatting so a load / export / load cycle is value-exact.
+a finite number, a short row, a row that fails the composition rule), the
+file is read again by a `csv.reader` loop one field at a time, which
+returns the same arrays or raises with the physical line and column.
+Response rows must pass `simplex._composition_fault` (finite, nonnegative,
+sums within `SUM_TOL` of 1); a failing row is rejected with its location
+rather than silently closed, and the rest are re-closed row by row.  A
+column named twice (as response and predictor, or by two spellings of one
+index) is rejected once the names are resolved to file positions.  Floats
+are written with shortest round-trip formatting so a load / export / load
+cycle is value-exact.
 """
 
 import csv
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
 from .neighbors import _CHUNK_BYTES, _row_blocks
-from .simplex import SUM_TOL, as_composition_matrix, as_predictor_matrix
+from .simplex import _composition_fault, as_composition_matrix, as_predictor_matrix
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,8 @@ class DatasetSchema:
     """Which CSV columns hold responses and predictors.
 
     Names are header labels when has_header is true, otherwise 0-based
-    column indices given as strings.
+    column indices given as strings.  A column named twice is rejected by
+    `load_csv`, once the names are resolved to file positions.
     """
 
     response_cols: tuple
@@ -44,13 +48,6 @@ class DatasetSchema:
             raise ValidationError("schema names no columns")
         if resp and len(resp) < 2:
             raise ValidationError("need at least 2 response columns")
-        overlap = set(resp) & set(pred)
-        if overlap:
-            raise ValidationError(
-                f"columns listed as both response and predictor: {sorted(overlap)}"
-            )
-        if len(set(resp)) != len(resp) or len(set(pred)) != len(pred):
-            raise ValidationError("duplicate column in schema")
         if len(self.delimiter) != 1:
             raise ValidationError(f"delimiter must be one character, got {self.delimiter!r}")
         object.__setattr__(self, "response_cols", resp)
@@ -107,19 +104,6 @@ def _parse_numbers(fh, delimiter, positions):
     return A if len(A) and np.isfinite(A).all() else None
 
 
-def _composition_fault(U):
-    # (row, message) of the first row with a negative part, else of the
-    # first whose sum is outside SUM_TOL; None when every row passes.
-    bad = np.flatnonzero(np.any(U < 0, axis=1))
-    if bad.size:
-        return bad[0], "negative response component"
-    sums = U.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
-    if bad.size:
-        return bad[0], f"response columns sum to {sums[bad[0]]!r}, outside tolerance {SUM_TOL}"
-    return None
-
-
 def _parse_rows(reader, path, schema, positions, n_resp):
     # One field at a time, naming the physical line of the first fault.
     rows, line_nums = [], []
@@ -155,7 +139,7 @@ def _parse_rows(reader, path, schema, positions, n_resp):
     A = np.asarray(rows, dtype=float)
     fault = _composition_fault(A[:, :n_resp]) if n_resp else None
     if fault:
-        raise ValidationError(f"{path}: line {line_nums[fault[0]]}: {fault[1]}")
+        raise ValidationError(f"{path}: line {line_nums[fault[0]]}: response columns: {fault[1]}")
     return A
 
 
@@ -164,8 +148,8 @@ def load_csv(path, schema):
 
     Returns predictors (n, p) and validated compositions (n, D); either
     is None when the schema names no columns of that kind.  Malformed
-    fields, short rows, negative parts, and out-of-tolerance row sums
-    are all rejected with the physical line number.
+    fields, short rows and response rows that are not compositions are
+    rejected with the physical line number.
     """
     path = str(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -51,47 +51,41 @@ _CHUNK_BYTES = 64 * 2**20
 # treated as potential ties and re-resolved exactly.
 _TIE_RTOL = 1e-9
 
-# scipy's kd-tree extension, loaded once per process under the lock.
+# scipy's kd-tree extension, loaded once per process under the lock;
+# sys.modules is its only cache.
 _CKDTREE_MODULE = "scipy.spatial._ckdtree"
 _ckdtree_lock = threading.Lock()
-_ckdtree_class = None
-
-
-def _load_ckdtree():
-    # The extension file alone costs about half of `import scipy.spatial`.
-    # It is registered under its real name before it runs, so a later
-    # `import scipy.spatial` reuses it and the two share one cKDTree class.
-    module = sys.modules.get(_CKDTREE_MODULE)
-    if module is not None:
-        return module.cKDTree
-    import scipy
-
-    folder = os.path.join(os.path.dirname(scipy.__file__), "spatial")
-    paths = [os.path.join(folder, "_ckdtree" + suffix)
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    try:
-        path = next(filter(os.path.isfile, paths))
-        spec = importlib.util.spec_from_file_location(_CKDTREE_MODULE, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_CKDTREE_MODULE] = module
-        spec.loader.exec_module(module)
-        return module.cKDTree
-    except Exception:
-        # The file is private to scipy; if it is not where it was, or does
-        # not load, drop any partial entry and take the public import.
-        if module is not None and sys.modules.get(_CKDTREE_MODULE) is module:
-            del sys.modules[_CKDTREE_MODULE]
-        from scipy.spatial import cKDTree
-
-        return cKDTree
 
 
 def _ckdtree():
-    global _ckdtree_class
+    # The extension file alone costs about half of `import scipy.spatial`.
+    # It is registered under its real name before it runs, so a later
+    # `import scipy.spatial` reuses it and the two share one cKDTree class.
     with _ckdtree_lock:
-        if _ckdtree_class is None:
-            _ckdtree_class = _load_ckdtree()
-    return _ckdtree_class
+        module = sys.modules.get(_CKDTREE_MODULE)
+        if module is not None:
+            return module.cKDTree
+        import scipy
+
+        folder = os.path.join(os.path.dirname(scipy.__file__), "spatial")
+        paths = [os.path.join(folder, "_ckdtree" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        try:
+            path = next(filter(os.path.isfile, paths))
+            spec = importlib.util.spec_from_file_location(_CKDTREE_MODULE, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_CKDTREE_MODULE] = module
+            spec.loader.exec_module(module)
+            return module.cKDTree
+        except Exception:
+            # The file is private to scipy; if it is not where it was, or
+            # does not load, drop any partial entry and take the public
+            # import, which registers the extension itself.
+            if module is not None and sys.modules.get(_CKDTREE_MODULE) is module:
+                del sys.modules[_CKDTREE_MODULE]
+            from scipy.spatial import cKDTree
+
+            return cKDTree
 
 
 def _distances_to(X, q, out=None):

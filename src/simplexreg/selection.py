@@ -151,7 +151,7 @@ def default_k_grid():
     return tuple(range(2, 11)) + (15,) + tuple(range(20, 51, 5))
 
 
-def default_h_grid(X, seed=0, size=10):
+def default_h_grid(X, seed=0):
     """Ten log-spaced bandwidths spanning the 1st to 50th percentile of
     the pairwise distance distribution, estimated from 1000 sampled
     pairs."""
@@ -170,7 +170,7 @@ def default_h_grid(X, seed=0, size=10):
         raise ValidationError("sampled pairwise distances are all zero")
     if lo <= 0:
         lo = float(d[d > 0].min())
-    return tuple(float(v) for v in np.geomspace(lo, hi, size))
+    return tuple(float(v) for v in np.geomspace(lo, hi, 10))
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ class TuningReport:
 
 
 def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
-         kernel="gaussian", threads=1):
+         kernel=None, threads=1):
     """Cross-validated grid search for one model family.
 
     Parameters
@@ -232,8 +232,9 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     clamp : float
         Floor applied to predicted components inside the kl metric; in
         [0, 1/D) for D parts.
-    kernel : str
-        Kernel name, used by the kernel family only.
+    kernel : str or None
+        Kernel name of the kernel family (None means "gaussian"); the
+        k-NN family takes none.
     threads : int
         Worker threads across folds.  Results are byte-identical for any
         thread count.
@@ -262,11 +263,13 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     if model_family == "alpha-knn":
         if grid.ks is None:
             raise ValidationError("alpha-knn tuning needs grid.ks")
+        if kernel is not None:
+            raise ValidationError(f"alpha-knn tuning takes no kernel, got {kernel!r}")
         axis2 = grid.ks
     else:
         if grid.hs is None:
             raise ValidationError("alpha-kernel tuning needs grid.hs")
-        _check_kernel(kernel)
+        kernel = _check_kernel("gaussian" if kernel is None else kernel)
         axis2 = grid.hs
 
     n = X.shape[0]
@@ -341,7 +344,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         alphas=grid.alphas,
         ks=grid.ks,
         hs=grid.hs,
-        kernel=kernel if model_family == "alpha-kernel" else None,
+        kernel=kernel,
         mean_divergence=cells,
         selected_alpha=float(best_alpha),
         selected_k=int(best_b) if model_family == "alpha-knn" else None,

@@ -3,10 +3,11 @@
 A composition is a vector of D >= 2 nonnegative parts summing to 1.  The
 functions here are the single entry point for turning raw arrays into
 validated compositions; downstream modules assume their inputs already
-passed these gates.  The package's scalar rules live here too: one for
-counts (`_check_count`), one for real numbers (`_check_real`), one for
-seeds (`_check_seed`) and one for the axes of a parameter grid
-(`_grid_axis`).
+passed these gates.  The package's rules live here: one for compositions
+(`_composition_fault` names a row that is not one, `closure` decides row
+by row which rows are already closed), one for counts (`_check_count`),
+one for real numbers (`_check_real`), one for seeds (`_check_seed`) and
+one for the axes of a parameter grid (`_grid_axis`).
 """
 
 from dataclasses import dataclass
@@ -17,10 +18,6 @@ from .errors import DegenerateInputError, ValidationError
 
 # Row sums may deviate from 1 by at most this much before rejection.
 SUM_TOL = 1e-9
-
-# Deviations below this are pure float noise; skip the rescale so already
-# closed data passes through by reference.
-_EXACT_TOL = 1e-15
 
 
 def _check_count(name, value, minimum=None):
@@ -101,37 +98,39 @@ def closure(values, axis=-1):
     return np.where(closed, x, x / total)
 
 
-def as_composition(values):
-    """Validate a single composition vector.
+def _composition_fault(U):
+    """(row, reason) for the first row of the 2-D array U with a non-finite
+    part, else the first with a negative part, else the first whose sum is
+    more than `SUM_TOL` from 1; None when every row is a composition."""
+    for bad, reason in ((~np.isfinite(U), "non-finite value"), (U < 0, "negative component")):
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            return int(rows[0]), reason
+    sums = U.sum(axis=1)
+    rows = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
+    if rows.size:
+        return int(rows[0]), f"sum {float(sums[rows[0]])!r} outside tolerance {SUM_TOL}"
+    return None
 
-    Accepts a 1-D vector with D >= 2 nonnegative finite parts whose sum is
-    within `SUM_TOL` of 1, re-closes it, and returns a float64 array.
-    """
+
+def as_composition(values):
+    """Validate a single composition vector: the one-row case of
+    `as_composition_matrix`.  An already closed float64 vector is returned
+    as itself."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValidationError(f"composition must be 1-D, got ndim={x.ndim}")
-    if x.shape[0] < 2:
-        raise ValidationError("composition needs at least 2 parts")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("composition contains non-finite values")
-    if np.any(x < 0):
-        raise ValidationError("composition contains negative values")
-    total = x.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValidationError(
-            f"composition sums to {total!r}, outside tolerance {SUM_TOL}"
-        )
-    if abs(total - 1.0) < _EXACT_TOL:
-        return x
-    return x / total
+    as_composition_matrix(x[None, :])
+    return closure(x)
 
 
 def as_composition_matrix(data):
     """Validate a matrix of row compositions.
 
-    Rows whose sums differ from 1 by more than `SUM_TOL` are rejected with
-    the offending row index; rows within tolerance are silently re-closed.
-    Already closed float64 input is returned by reference, not copied.
+    Rows failing `_composition_fault` are rejected with the offending row
+    index; the rest are re-closed row by row under `closure`'s rule, so a
+    row's bits never depend on the other rows.  Already closed float64
+    input is returned by reference, not copied.
     """
     arr = np.ascontiguousarray(np.asarray(data, dtype=float))
     if arr.ndim != 2:
@@ -141,24 +140,10 @@ def as_composition_matrix(data):
         raise ValidationError("composition matrix has no rows")
     if width < 2:
         raise ValidationError("composition matrix needs at least 2 columns")
-    finite_rows = np.isfinite(arr).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise ValidationError(f"row {bad}: non-finite value")
-    neg_rows = (arr < 0).any(axis=1)
-    if neg_rows.any():
-        bad = int(np.flatnonzero(neg_rows)[0])
-        raise ValidationError(f"row {bad}: negative component")
-    sums = arr.sum(axis=1)
-    dev = np.abs(sums - 1.0)
-    if np.any(dev > SUM_TOL):
-        bad = int(np.flatnonzero(dev > SUM_TOL)[0])
-        raise ValidationError(
-            f"row {bad}: sum {sums[bad]!r} outside tolerance {SUM_TOL}"
-        )
-    if dev.max() < _EXACT_TOL:
-        return arr
-    return arr / sums[:, None]
+    fault = _composition_fault(arr)
+    if fault:
+        raise ValidationError(f"row {fault[0]}: {fault[1]}")
+    return closure(arr)
 
 
 def as_predictor_matrix(data):

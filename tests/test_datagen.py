@@ -235,6 +235,15 @@ class TestInjectZeros:
         c = inject_zeros(U, 0.25, seed=7)
         assert np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "x"])
+    def test_seed_follows_the_seed_rule(self, seed):
+        U = np.tile([0.2, 0.3, 0.5], (10, 1))
+        with pytest.raises(ValidationError, match="seed"):
+            inject_zeros(U, 0.5, seed)
+        assert np.array_equal(inject_zeros(U, 0.5, 7.0), inject_zeros(U, 0.5, 7))
+        sequence = np.random.SeedSequence(7)
+        assert np.array_equal(inject_zeros(U, 0.5, sequence), inject_zeros(U, 0.5, 7))
+
     def test_fraction_bounds(self):
         U = np.tile([0.2, 0.3, 0.5], (10, 1))
         with pytest.raises(ValidationError):

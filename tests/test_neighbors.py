@@ -392,7 +392,6 @@ class TestKdtreeEdgeCases:
                 raise ImportError("extension failed to load")
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", PublicTree)
-        monkeypatch.setattr(neighbors, "_ckdtree_class", None)
         monkeypatch.delitem(sys.modules, neighbors._CKDTREE_MODULE)
         if fault == "missing file":
             monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])

@@ -401,6 +401,21 @@ class TestTuneKernel:
         assert report.mean_divergence[0][0] is None
         assert report.selected_h == 50.0
 
+    def test_kernel_only_for_the_kernel_family(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(40, 1))
+        U = closure(rng.random((40, 3)) + 0.05)
+        kgrid = TuningGrid(alphas=(1.0,), ks=(3,), folds=5, seed=0)
+        for kernel in ("bogus", "gaussian"):
+            with pytest.raises(ValidationError, match="takes no kernel"):
+                tune(X, U, "alpha-knn", kgrid, kernel=kernel)
+        assert tune(X, U, "alpha-knn", kgrid).kernel is None
+        hgrid = TuningGrid(alphas=(1.0,), hs=(0.5, 1.0), folds=5, seed=0)
+        default = tune(X, U, "alpha-kernel", hgrid)
+        assert default.kernel == "gaussian"
+        assert default.to_json() == tune(X, U, "alpha-kernel", hgrid,
+                                         kernel="gaussian").to_json()
+
     def test_laplacian_kernel_runs(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(60, 1))

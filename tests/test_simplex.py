@@ -18,6 +18,7 @@ from simplexreg import (
     closure,
     validate_composition_matrix,
 )
+from simplexreg.simplex import _composition_fault
 
 
 class TestClosure:
@@ -148,6 +149,33 @@ class TestAsCompositionMatrix:
         out = as_composition_matrix(U)
         assert np.array_equal(out[0], [0.25, 0.75])
         assert abs(out[1].sum() - 1.0) <= 1e-12
+
+
+class TestCompositionRule:
+    """One row rule and one closed-row rule for every composition gate."""
+
+    # r0 sums to 1 + 4.4e-16 and is already closed; r1 is 5e-10 off.
+    R0 = [0.1, 0.2, 0.3, 0.4 + 4.4e-16]
+    R1 = [0.1, 0.2, 0.3, 0.4 + 5e-10]
+
+    def test_row_bits_independent_of_other_rows(self):
+        together = as_composition_matrix([self.R0, self.R1])
+        assert np.array_equal(together[0], as_composition_matrix([self.R0])[0])
+        assert np.array_equal(together[0], self.R0)
+        assert np.array_equal(together[1], closure(self.R1))
+        assert np.array_equal(together, closure([self.R0, self.R1]))
+
+    @pytest.mark.parametrize("U, expected", [
+        ([[0.5, 0.5], [0.3, 0.7]], None),
+        ([[0.5, 0.5], [0.3, 0.7 + SUM_TOL / 2]], None),
+        ([[0.5, 0.6], [np.nan, 1.0], [-0.1, 1.1]], (1, "non-finite value")),
+        ([[0.5, 0.6], [0.5, 0.5], [-0.1, 1.1]], (2, "negative component")),
+        ([[0.5, 0.5], [0.5, 0.6]], (1, f"sum 1.1 outside tolerance {SUM_TOL}")),
+        ([[0.5, 0.5 + 2 * SUM_TOL]],
+         (0, f"sum {0.5 + (0.5 + 2 * SUM_TOL)!r} outside tolerance {SUM_TOL}")),
+    ])
+    def test_fault_names_first_row_of_first_kind(self, U, expected):
+        assert _composition_fault(np.array(U)) == expected
 
 
 class TestAsPredictorMatrix:
