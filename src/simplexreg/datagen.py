@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .simplex import _check_count, _check_seed, as_composition_matrix
+from .simplex import _as_floats, _check_count, _check_real, _check_seed, as_composition_matrix
 from .transforms import alr_inverse
 
 _LINKS = ("polynomial", "segmented")
@@ -44,6 +44,8 @@ class SimSpec:
     def __post_init__(self):
         for name, minimum in (("n", 2), ("D", 2), ("degree", 1), ("predictors", 1)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
+        for name in ("noise_scale", "zero_fraction"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.link not in _LINKS:
             raise ValidationError(f"link must be one of {_LINKS}, got {self.link!r}")
         if self.degree not in (1, 2, 3):
@@ -52,10 +54,8 @@ class SimSpec:
             raise ValidationError("segmented link uses exactly one predictor")
         if self.link == "segmented" and self.degree != 1:
             raise ValidationError("segmented link has no degree; leave degree at 1")
-        if not 0.0 <= float(self.zero_fraction) < 1.0:
-            raise ValidationError(
-                f"zero_fraction must lie in [0, 1), got {self.zero_fraction!r}"
-            )
+        if not 0.0 <= self.zero_fraction < 1.0:
+            raise ValidationError(f"zero_fraction must lie in [0, 1), got {self.zero_fraction!r}")
         if 0 < self.zero_fraction * self.n < 1:
             raise ValidationError(
                 f"zero_fraction {self.zero_fraction!r} zeroes no row of n = {self.n}: "
@@ -79,7 +79,7 @@ def simplex_link(F):
     The all-zero row maps to the uniform composition; a coordinate much
     larger than the rest saturates its component toward 1.
     """
-    F = np.asarray(F, dtype=float)
+    F = _as_floats(F, "latent matrix")
     if F.ndim != 2:
         raise ValidationError(f"latent matrix must be 2-D, got ndim={F.ndim}")
     return alr_inverse(F)
@@ -157,7 +157,7 @@ def inject_zeros(U, fraction, seed):
     U = as_composition_matrix(U)
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(_check_seed(seed)))
-    fraction = float(fraction)
+    fraction = _check_real("fraction", fraction)
     if not 0.0 <= fraction < 1.0:
         raise ValidationError(f"fraction must lie in [0, 1), got {fraction!r}")
     n, D = U.shape

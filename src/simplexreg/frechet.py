@@ -19,7 +19,7 @@ only these two helpers know that alpha = 0 is the geometric limit.
 import numpy as np
 
 from .errors import ValidationError, ZeroNotAllowedError
-from .simplex import _grid_axis, as_composition_matrix, closure
+from .simplex import _as_floats, _grid_axis, as_composition_matrix, closure
 from .transforms import check_alpha
 
 
@@ -67,7 +67,7 @@ def weighted_frechet_mean(U, weights, alpha):
     """
     a = check_alpha(alpha)
     arr = as_composition_matrix(U)
-    w = np.asarray(weights, dtype=float)
+    w = _as_floats(weights, "weights")
     if w.ndim != 1 or w.shape[0] != arr.shape[0]:
         raise ValidationError(
             f"weights shape {w.shape} does not match {arr.shape[0]} rows"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
 from .neighbors import _CHUNK_BYTES, _row_blocks
-from .simplex import _composition_fault, as_composition_matrix, as_predictor_matrix
+from .simplex import _as_floats, _composition_fault, as_composition_matrix, as_predictor_matrix
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def write_csv(path_or_file, columns, names, delimiter=","):
 
     Accepts a path or an open text stream (for piping to stdout).
     """
-    arrays = [np.asarray(c, dtype=float) for c in columns]
+    arrays = [_as_floats(c, "column") for c in columns]
     if len(arrays) != len(names):
         raise ValidationError("one name per column required")
     n = arrays[0].shape[0]
@@ -232,8 +232,8 @@ def latlon_to_euclidean(lat, lon):
     last axis, so distances between nearby sites approximate great-circle
     distances without a dateline seam.
     """
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
+    lat = _as_floats(lat, "latitude")
+    lon = _as_floats(lon, "longitude")
     if lat.shape != lon.shape:
         raise ValidationError(f"shape mismatch: {lat.shape} vs {lon.shape}")
     if not (np.all(np.isfinite(lat)) and np.all(np.isfinite(lon))):
@@ -270,8 +270,8 @@ def standardize(X):
 def apply_standardization(X, center, scale):
     """Apply a previously fitted centering and scaling."""
     X = as_predictor_matrix(X)
-    center = np.asarray(center, dtype=float)
-    scale = np.asarray(scale, dtype=float)
+    center = _as_floats(center, "center")
+    scale = _as_floats(scale, "scale")
     if center.shape != (X.shape[1],) or scale.shape != (X.shape[1],):
         raise ValidationError(
             f"center/scale of shapes {center.shape}/{scale.shape} do not "

@@ -23,7 +23,8 @@ path shares the kernel, so the strategies still agree bitwise.
 `query_batch` runs the one block loop of both strategies: `_search_brute`
 and `_search_kdtree` each answer one block, and the kd-tree's rare full
 scan is `_search_brute` on one row.  `_row_blocks` is the package's only
-block-size rule; every blocked loop passes it its own byte budget.
+block-size rule; every blocked loop passes it its own byte budget.  Rows
+pass `simplex._predictor_gate`, whose bound keeps squared distances finite.
 """
 
 import importlib.machinery
@@ -35,7 +36,7 @@ import threading
 import numpy as np
 
 from .errors import ValidationError
-from .simplex import _check_count, as_predictor_matrix
+from .simplex import _as_floats, _check_count, _predictor_gate
 
 # Above this row count "auto" uses the kd-tree, below it brute force.  The
 # measured crossover grows with k: n ~ 32-192 at k <= 10, n ~ 192-384 at
@@ -112,31 +113,10 @@ def _check_k(k):
     return _check_count("k", k, 1)
 
 
-def _check_magnitude(A, what):
-    # p squared differences of at most (2 * limit)^2 sum to half the float
-    # maximum, so squared distances within the bound stay finite.
-    limit = np.sqrt(np.finfo(float).max / (8 * A.shape[1]))
-    big = np.flatnonzero(np.abs(A).max(axis=1) > limit)
-    if big.size:
-        raise ValidationError(
-            f"{what} row {int(big[0])} exceeds magnitude {limit:.4g}, "
-            "beyond which squared distances overflow"
-        )
-    return A
-
-
-def _check_widths(A, B):
-    if A.shape[1] != B.shape[1]:
-        raise ValidationError(
-            f"predictor widths differ: {A.shape[1]} vs {B.shape[1]}"
-        )
-
-
 def pairwise_distances(A, B):
     """Dense (m, n) Euclidean distance matrix, computed in chunks."""
-    A = as_predictor_matrix(A)
-    B = as_predictor_matrix(B)
-    _check_widths(A, B)
+    B = _predictor_gate(B, "training")
+    A = _predictor_gate(A, "query", B.shape[1])
     out = np.empty((A.shape[0], B.shape[0]))
     for b in _row_blocks(A.shape[0], B.size * 8, _CHUNK_BYTES):
         out[b] = _distances_to(B[None, :, :], A[b, None, :])
@@ -159,7 +139,7 @@ class NeighborIndex:
             raise ValidationError(
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
             )
-        self._X = _check_magnitude(as_predictor_matrix(X), "training")
+        self._X = _predictor_gate(X, "training")
         if strategy == "auto":
             strategy = "kdtree" if self._X.shape[0] > AUTO_KDTREE_THRESHOLD else "brute"
         self.strategy = strategy
@@ -183,28 +163,18 @@ class NeighborIndex:
         Returns (indices, distances), each of length min(k, n), ordered by
         (distance, row index).
         """
-        q = np.asarray(q, dtype=float)
+        q = _as_floats(q, "query point")
         if q.ndim != 1:
             raise ValidationError(f"query point must be 1-D, got ndim={q.ndim}")
         idx, dist = self.query_batch(q[None, :], k)
         return idx[0], dist[0]
-
-    def _check_queries(self, Q):
-        # The one gate on query matrices; a caller that searches block by
-        # block runs it on the whole matrix first, so errors name its rows.
-        Q = as_predictor_matrix(Q)
-        if Q.shape[1] != self.p:
-            raise ValidationError(
-                f"query width {Q.shape[1]} does not match index width {self.p}"
-            )
-        return _check_magnitude(Q, "query")
 
     def query_batch(self, Q, k):
         """Nearest neighbors of each row of Q.
 
         Returns (indices, distances) arrays of shape (m, min(k, n)).
         """
-        Q = self._check_queries(Q)
+        Q = _predictor_gate(Q, "query", self.p)
         kk = min(_check_k(k), self.n)
         if self.strategy == "brute":
             search, row_bytes, budget = self._search_brute, self._X.size * 8, _CHUNK_BYTES

@@ -32,12 +32,12 @@ from .errors import (
     ZeroNotAllowedError,
 )
 from .frechet import _check_zero_alpha, _power, _unpower
-from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _check_widths,
-                        _distances_to, _row_blocks, build_index)
+from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _row_blocks,
+                        build_index)
 # pairwise_distances and closure stay bound for benchmark/tracing.py, which
 # rebinds them by module.
 from .neighbors import pairwise_distances  # noqa: F401
-from .simplex import _check_count, _check_real, as_composition_matrix, as_predictor_matrix
+from .simplex import _as_floats, _check_count, _check_real, _predictor_gate, as_composition_matrix
 from .simplex import closure  # noqa: F401
 from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
@@ -87,7 +87,7 @@ def _check_kernel(kernel):
 
 
 def _fit_arrays(X, U):
-    X = as_predictor_matrix(X)
+    X = _predictor_gate(X, "training")
     U = as_composition_matrix(U)
     if X.shape[0] != U.shape[0]:
         raise ValidationError(
@@ -106,13 +106,7 @@ def _design_matrix(X):
 
 def _linear_predictor(coef, Xnew):
     """[1 | Xnew] @ coef for a (p + 1, D - 1) coefficient matrix."""
-    Q = as_predictor_matrix(Xnew)
-    if Q.shape[1] != coef.shape[0] - 1:
-        raise ValidationError(
-            f"query width {Q.shape[1]} does not match model's "
-            f"{coef.shape[0] - 1} predictors"
-        )
-    return coef[0] + Q @ coef[1:]
+    return coef[0] + _predictor_gate(Xnew, "query", coef.shape[0] - 1) @ coef[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +161,7 @@ def predict_alpha_knn(model, Xnew):
     the blocks do not move a bit.
     """
     index, U, k = model.index, model.responses, model.k
-    Q = index._check_queries(Xnew)
+    Q = _predictor_gate(Xnew, "query", index.p)
     pred = np.empty((Q.shape[0], U.shape[1]))
     for b in _row_blocks(Q.shape[0], 16 * k * (1 + U.shape[1]), _CHUNK_BYTES // 64):
         pred[b] = next(iter_knn_grid_predictions(index, U, Q[b], (model.alpha,), (k,)))[2]
@@ -302,8 +296,7 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     each cell has the bits of its one-alpha GEMM, and at A = 1 the two
     routes are the same call, so predict and tune agree bitwise.
     """
-    Q = as_predictor_matrix(Q)
-    _check_widths(Q, P)
+    Q = _predictor_gate(Q, "query", P.shape[1])
     m, (n, D), A = Q.shape[0], U.shape, len(alphas)
     blocks = _row_blocks(m, 8 * n, _CHUNK_BYTES // 4)
     # Equal blocks keep each GEMM at least half the budget.  OpenBLAS runs
@@ -422,7 +415,7 @@ def fit_kld(X, U, tol=1e-7, max_iter=100):
     else:
         X, U = _fit_arrays(X, U)
     X1 = _design_matrix(X)
-    tol = float(tol)
+    tol = _check_real("tol", tol)
     if not np.isfinite(tol) or tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     max_iter = _check_count("max_iter", max_iter, 1)
@@ -486,7 +479,7 @@ def predict_kld(model, Xnew):
     """Fitted compositions: softmax of [1 | X] @ coef with leading zero."""
     if model.coef.shape[0] == 1:
         # Intercept-only model: only the number of query rows matters.
-        arr = np.asarray(Xnew, dtype=float)
+        arr = _as_floats(Xnew, "predictor matrix")
         if arr.ndim == 0 or arr.shape[0] < 1:
             raise ValidationError("predict needs at least one query row")
         return np.tile(alr_inverse(model.coef[0]), (arr.shape[0], 1))

@@ -26,7 +26,8 @@ from .errors import TuningError, ValidationError
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
-from .simplex import _check_count, _check_seed, _grid_axis, as_predictor_matrix
+from .simplex import (_as_floats, _check_count, _check_real, _check_seed, _grid_axis,
+                      _predictor_gate)
 from .simplex import closure  # noqa: F401
 from .transforms import check_alpha
 
@@ -38,8 +39,7 @@ DEFAULT_CLAMP = 1e-12
 
 
 def _check_pair(y, yhat):
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
+    y, yhat = _as_floats(y, "y"), _as_floats(yhat, "yhat")
     if y.shape != yhat.shape:
         raise ValidationError(f"shape mismatch: {y.shape} vs {yhat.shape}")
     if y.ndim == 1:
@@ -52,7 +52,7 @@ def _check_pair(y, yhat):
 def _check_clamp(clamp, D):
     # A clamp >= 1/D floors a uniform prediction in all D parts, so that
     # different predictions score alike.
-    clamp = float(clamp)
+    clamp = _check_real("clamp", clamp)
     if not (np.isfinite(clamp) and 0 <= clamp < 1.0 / D):
         raise ValidationError(
             f"clamp must be finite and nonnegative and below 1/D for D = {D} parts, "
@@ -155,7 +155,7 @@ def default_h_grid(X, seed=0):
     """Ten log-spaced bandwidths spanning the 1st to 50th percentile of
     the pairwise distance distribution, estimated from 1000 sampled
     pairs."""
-    X = as_predictor_matrix(X)
+    X = _predictor_gate(X, "training")
     n = X.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 rows to estimate bandwidths")

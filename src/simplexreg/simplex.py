@@ -5,9 +5,12 @@ functions here are the single entry point for turning raw arrays into
 validated compositions; downstream modules assume their inputs already
 passed these gates.  The package's rules live here: one for compositions
 (`_composition_fault` names a row that is not one, `closure` decides row
-by row which rows are already closed), one for counts (`_check_count`),
-one for real numbers (`_check_real`), one for seeds (`_check_seed`) and
-one for the axes of a parameter grid (`_grid_axis`).
+by row which rows are already closed), one for predictor rows
+(`_predictor_gate`: finite, of the model's width, and small enough that
+squared distances stay finite), one for counts (`_check_count`), one for
+real numbers (`_check_real`), one for seeds (`_check_seed`) and one for
+the axes of a parameter grid (`_grid_axis`).  Caller arrays become
+float arrays through `_as_floats`, which names the input it rejects.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,19 @@ from .errors import DegenerateInputError, ValidationError
 SUM_TOL = 1e-9
 
 
+def _plain(value):
+    # A numpy scalar prints as the value it holds: 2.5, not np.float64(2.5).
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _as_floats(data, what):
+    """Caller data as a float array: the one conversion, naming `what` on failure."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numeric: {exc}") from None
+
+
 def _check_count(name, value, minimum=None):
     """The package's one integer rule: an int, numpy integer or integral
     float, never a bool, and at least `minimum`; returns a plain int."""
@@ -29,7 +45,7 @@ def _check_count(name, value, minimum=None):
             or (minimum is not None and value < minimum)):
         rule = ("an integer" if minimum is None else
                 "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}")
-        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+        raise ValidationError(f"{name} must be {rule}, got {_plain(value)!r}")
     return int(value)
 
 
@@ -42,7 +58,7 @@ def _check_real(name, value):
             return float(value)
         except (TypeError, ValueError):
             pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
+    raise ValidationError(f"{name} must be a number, got {_plain(value)!r}")
 
 
 def _check_seed(seed, what="seed"):
@@ -77,7 +93,7 @@ def closure(values, axis=-1):
     ndarray
         Same shape as `values`, slices summing to 1.
     """
-    x = np.asarray(values, dtype=float)
+    x = _as_floats(values, "closure input")
     if x.size == 0:
         raise ValidationError("closure: input is empty")
     if not np.all(np.isfinite(x)):
@@ -117,7 +133,7 @@ def as_composition(values):
     """Validate a single composition vector: the one-row case of
     `as_composition_matrix`.  An already closed float64 vector is returned
     as itself."""
-    x = np.asarray(values, dtype=float)
+    x = _as_floats(values, "composition")
     if x.ndim != 1:
         raise ValidationError(f"composition must be 1-D, got ndim={x.ndim}")
     as_composition_matrix(x[None, :])
@@ -132,7 +148,7 @@ def as_composition_matrix(data):
     row's bits never depend on the other rows.  Already closed float64
     input is returned by reference, not copied.
     """
-    arr = np.ascontiguousarray(np.asarray(data, dtype=float))
+    arr = np.ascontiguousarray(_as_floats(data, "composition matrix"))
     if arr.ndim != 2:
         raise ValidationError(f"composition matrix must be 2-D, got ndim={arr.ndim}")
     n, width = arr.shape
@@ -151,7 +167,7 @@ def as_predictor_matrix(data):
 
     A 1-D vector is treated as a single predictor column.
     """
-    arr = np.ascontiguousarray(np.asarray(data, dtype=float))
+    arr = np.ascontiguousarray(_as_floats(data, "predictor matrix"))
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -161,6 +177,25 @@ def as_predictor_matrix(data):
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
         raise ValidationError(f"row {bad}: non-finite predictor value")
+    return arr
+
+
+def _predictor_gate(data, what, width=None):
+    """The package's one predictor rule: `as_predictor_matrix`, then, if
+    given, the model's `width`, then a bound on every entry.  `what`
+    ("training" or "query") names the rows; callers run it on the whole
+    matrix they were handed, so an error names a row of it."""
+    arr = as_predictor_matrix(data)
+    if width is not None and arr.shape[1] != width:
+        raise ValidationError(
+            f"{what} width {arr.shape[1]} does not match the model's {width} predictors")
+    # p squared differences of at most (2 * limit)^2 sum to half the float
+    # maximum, so squared distances within the bound stay finite.
+    limit = np.sqrt(np.finfo(float).max / (8 * arr.shape[1]))
+    big = np.flatnonzero(np.abs(arr).max(axis=1) > limit)
+    if big.size:
+        raise ValidationError(f"{what} row {int(big[0])} exceeds magnitude {limit:.4g}, "
+                              "beyond which squared distances overflow")
     return arr
 
 

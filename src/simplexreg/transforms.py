@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, ZeroNotAllowedError
-from .simplex import _check_count, _check_real, closure
+from .simplex import _as_floats, _check_count, _check_real, closure
 
 
 def check_alpha(alpha):
@@ -47,7 +47,7 @@ def helmert_submatrix(D):
 
 
 def _as_rows(u, op, min_cols=2, what="composition"):
-    arr = np.asarray(u, dtype=float)
+    arr = _as_floats(u, what)
     if arr.ndim == 1:
         arr = arr[None, :]
         squeeze = True

@@ -253,6 +253,23 @@ class TestTune:
         assert out == ""
         assert "error: ValidationError: threads must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("model", ["aknn", "akernel"])
+    def test_oversized_predictor_names_the_file_row(self, tmp_path, capsys, model):
+        # The row is checked before the fold split, and for akernel before
+        # the default bandwidths are drawn from distances.
+        data = tmp_path / "big.csv"
+        run(capsys, "simulate", "--n", "40", "--D", "3", "--seed", "2", "--output", str(data))
+        lines = data.read_text().splitlines()
+        lines[1 + 17] = "1e200," + lines[1 + 17].split(",", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys,
+            "tune", "--input", str(data), "--response-cols", "y1,y2,y3",
+            "--predictor-cols", "x1", "--model", model, "--folds", "4",
+        )
+        assert code == 2
+        assert err.startswith("error: ValidationError: training row 17 exceeds magnitude")
+
     def test_input_not_mutated(self, train_csv, capsys):
         before = train_csv.read_bytes()
         run(
@@ -1028,6 +1045,24 @@ print(json.dumps(loaded))
 """
 
 
+# Runs in a fresh interpreter, like _SCIPY_PROBE, for a kernel-family tune.
+_SCIPY_KERNEL_TUNE_PROBE = """
+import json, sys
+from simplexreg import cli
+
+loaded = {}
+for name, argv in (
+        ("simulate", ["simulate", "--n", "200", "--D", "3", "--seed", "2",
+                      "--output", "train.csv"]),
+        ("tune akernel", ["tune", "--input", "train.csv", "--response-cols", "y1,y2,y3",
+                          "--predictor-cols", "x1", "--model", "akernel", "--folds", "4",
+                          "--output", "report.json"])):
+    assert cli.main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
 # Runs in a fresh interpreter: predict aknn loads scipy's kd-tree extension
 # but not the scipy.spatial package, and that package, imported later,
 # hands out the same cKDTree class.
@@ -1067,6 +1102,12 @@ class TestScipyLoadedOnlyForKdtreeSearch:
         assert loaded == dict.fromkeys(loaded, False)
         assert set(loaded) == {"import", "simulate", "fit aknn", "fit akernel",
                                "predict akernel", "validate"}
+
+    def test_kernel_tune_skips_scipy(self, tmp_path):
+        # The kernel family's gate lives next to the kd-tree loader, in the
+        # modules tune imports; neither the gate nor tune may load scipy.
+        loaded = _fresh_probe(_SCIPY_KERNEL_TUNE_PROBE, tmp_path)
+        assert loaded == {"simulate": False, "tune akernel": False}
 
     def test_kdtree_search_loads_only_the_extension(self, tmp_path):
         loaded = _fresh_probe(_KDTREE_EXTENSION_PROBE, tmp_path)

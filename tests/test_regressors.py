@@ -5,6 +5,8 @@ memorization, exact recovery on noiseless data), its validation gates,
 and the agreements that tie the families together.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,8 @@ class TestKnnPredictBlocks:
     def test_width_checked_once(self, monkeypatch, rng):
         X, U = make_data(rng, n=50, p=2)
         calls = self.small_blocks(monkeypatch, 7, 5, 4)
-        with pytest.raises(ValidationError, match="^query width 3 does not match index width 2$"):
+        with pytest.raises(ValidationError,
+                           match="^query width 3 does not match the model's 2 predictors$"):
             fit_alpha_knn(X, U, 0.5, 5).predict(rng.normal(size=(60, 3)))
         assert calls == []
 
@@ -280,6 +283,41 @@ class TestKnnPredictBlocks:
         growth = peaks[4000] - peaks[1000]
         allowed = 3000 * (1 + D) * 8 + regressors._CHUNK_BYTES // 64
         assert growth <= allowed, (peaks, allowed)
+
+
+class TestPredictorGate:
+    """Every family checks its predictor rows by one rule, with one width
+    message and one magnitude bound."""
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, U: fit_alpha_knn(X, U, 0.5, 5),
+        lambda X, U: fit_alpha_kernel(X, U, 0.5, 1.0),
+        lambda X, U: fit_kld(X, U),
+        lambda X, U: fit_logratio_ols(X, U),
+    ], ids=["knn", "kernel", "kld", "ols"])
+    def test_one_width_message(self, rng, fit):
+        model = fit(*make_data(rng, n=50, p=2))
+        with pytest.raises(ValidationError,
+                           match="^query width 3 does not match the model's 2 predictors$"):
+            model.predict(rng.normal(size=(6, 3)))
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, U: fit_alpha_kernel(X, U, 1.0, 1.0),
+        lambda X, U: fit_kld(X, U),
+        lambda X, U: fit_logratio_ols(X, U),
+    ], ids=["kernel", "kld", "ols"])
+    def test_oversized_training_row(self, rng, fit):
+        X, U = make_data(rng, n=30, p=1)
+        X[4, 0] = 1e200
+        with pytest.raises(ValidationError, match="^training row 4 exceeds magnitude"):
+            fit(X, U)
+
+    def test_kernel_oversized_query_row(self, rng):
+        model = fit_alpha_kernel(*make_data(rng, n=30, p=1), 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^query row 1 exceeds magnitude"):
+                model.predict([[0.0], [1e200]])
 
 
 class TestKernelGridIterator:

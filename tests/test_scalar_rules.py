@@ -14,9 +14,9 @@ import pytest
 
 from simplexreg import closure, fit_alpha_kernel, fit_alpha_knn, fit_kld, frechet_path
 from simplexreg.bench import BenchScenario
-from simplexreg.datagen import SimSpec, generate
+from simplexreg.datagen import SimSpec, generate, inject_zeros
 from simplexreg.errors import ValidationError
-from simplexreg.selection import TuningGrid, default_h_grid, make_folds, tune
+from simplexreg.selection import TuningGrid, default_h_grid, kl_divergence, make_folds, tune
 from simplexreg.simplex import _check_count, _check_real, _check_seed, _grid_axis
 from simplexreg.transforms import check_alpha, helmert_submatrix
 
@@ -56,6 +56,12 @@ class TestCheckCount:
         else:
             assert _check_count("n", -1) == -1
 
+    @pytest.mark.parametrize("value, shown", [(np.float64(2.5), "2.5"), (np.bool_(True), "True"),
+                                              (np.int64(0), "0")])
+    def test_numpy_values_print_as_plain_values(self, value, shown):
+        with pytest.raises(ValidationError, match=f"^k must be an integer >= 1, got {shown}$"):
+            _check_count("k", value, 1)
+
     def test_minimum_is_inclusive(self):
         assert _check_count("folds", 2, 2) == 2
         assert _check_count("seed", 0, 0) == 0
@@ -86,6 +92,39 @@ class TestCheckReal:
             fit_alpha_kernel(X, U, 0.5, "2")
         with pytest.raises(ValidationError, match="^k must be an integer >= 1, got '3'$"):
             fit_alpha_knn(X, U, 0.5, "3")
+
+
+    def test_numpy_values_print_as_plain_values(self):
+        with pytest.raises(ValidationError, match="^x must be a number, got '2.5'$"):
+            _check_real("x", np.str_("2.5"))
+
+
+class TestRemainingRealParameters:
+    """tol, clamp, the simulation's noise scale and zero fractions take the
+    real-number rule, then keep their own range checks."""
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("name, call", [
+        ("tol", lambda v: fit_kld(*data(), tol=v)),
+        ("clamp", lambda v: kl_divergence([0.5, 0.5], [0.5, 0.5], clamp=v)),
+        ("clamp", lambda v: tune(*data(), "alpha-knn", TuningGrid(alphas=(1.0,), ks=(3,)),
+                                 clamp=v)),
+        ("noise_scale", lambda v: SimSpec(n=10, D=3, noise_scale=v)),
+        ("zero_fraction", lambda v: SimSpec(n=10, D=3, zero_fraction=v)),
+        ("fraction", lambda v: inject_zeros(data()[1], v, 0)),
+    ], ids=["tol", "kl-clamp", "tune-clamp", "noise_scale", "zero_fraction", "inject_zeros"])
+    def test_non_numbers_rejected(self, name, call, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be a number, got {value!r}$"):
+            call(value)
+
+    def test_sim_spec_stores_plain_floats(self):
+        spec = SimSpec(n=10, D=3, noise_scale=np.float32(0.5), zero_fraction=0)
+        assert (spec.noise_scale, spec.zero_fraction) == (0.5, 0.0)
+        assert type(spec.noise_scale) is float and type(spec.zero_fraction) is float
+        with pytest.raises(ValidationError, match="^noise_scale must be nonnegative"):
+            SimSpec(n=10, D=3, noise_scale=-1)
+        with pytest.raises(ValidationError, match=r"^fraction must lie in \[0, 1\)"):
+            inject_zeros(data()[1], math.nan, 0)
 
 
 class TestCheckSeed:

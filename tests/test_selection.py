@@ -425,6 +425,32 @@ class TestTuneKernel:
         assert report.kernel == "laplacian"
 
 
+class TestPredictorGateBeforeFolds:
+    """tune, cross_validated_score and default_h_grid check the whole
+    predictor matrix before any fold split, so an error names its row."""
+
+    @staticmethod
+    def oversized(row=17):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(40, 1))
+        X[row, 0] = 1e200
+        return X, closure(rng.random((40, 3)) + 0.05)
+
+    @pytest.mark.parametrize("family, axis", [("alpha-knn", {"ks": (3,)}),
+                                              ("alpha-kernel", {"hs": (0.5,)})])
+    def test_tune_names_the_row_of_the_matrix(self, family, axis):
+        grid = TuningGrid(alphas=(1.0,), folds=4, seed=0, **axis)
+        with pytest.raises(ValidationError, match="^training row 17 exceeds magnitude"):
+            tune(*self.oversized(), family, grid)
+
+    def test_cross_validated_score_and_h_grid(self):
+        X, U = self.oversized()
+        with pytest.raises(ValidationError, match="^training row 17 exceeds magnitude"):
+            cross_validated_score(X, U, AlphaKnnSpec(alpha=1.0, k=3), folds=4)
+        with pytest.raises(ValidationError, match="^training row 17 exceeds magnitude"):
+            default_h_grid(X)
+
+
 class TestCrossValidatedScore:
     def test_memorization_is_exact(self):
         X, U = quadruplet_data()

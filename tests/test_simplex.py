@@ -16,9 +16,17 @@ from simplexreg import (
     as_composition_matrix,
     as_predictor_matrix,
     closure,
+    clr,
+    fit_alpha_knn,
+    fit_kld,
+    js_divergence,
+    kl_divergence,
     validate_composition_matrix,
+    weighted_frechet_mean,
 )
 from simplexreg.simplex import _composition_fault
+
+U20 = closure(np.random.default_rng(3).random((20, 3)) + 0.05)
 
 
 class TestClosure:
@@ -194,6 +202,29 @@ class TestAsPredictorMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             as_predictor_matrix(np.empty((0, 2)))
+
+
+class TestNonNumericInput:
+    """Caller data that numpy cannot read as numbers raises a ValidationError
+    naming the input, not numpy's bare ValueError or TypeError."""
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: as_predictor_matrix("abc"), "predictor matrix"),
+        (lambda: as_predictor_matrix([[1.0], [1.0, 2.0]]), "predictor matrix"),
+        (lambda: fit_alpha_knn([["a"]] * 20, U20, 1, 2), "predictor matrix"),
+        (lambda: as_composition_matrix([["a", "b"]]), "composition matrix"),
+        (lambda: as_composition(["a", "b"]), "composition"),
+        (lambda: closure({"a": 1}), "closure input"),
+        (lambda: clr([["a", "b"]]), "composition"),
+        (lambda: weighted_frechet_mean(U20, ["a"] * 20, 1), "weights"),
+        (lambda: kl_divergence(["a", "b"], [0.5, 0.5]), "y"),
+        (lambda: js_divergence([0.5, 0.5], ["a", "b"]), "yhat"),
+        (lambda: fit_kld(None, U20).predict("abc"), "predictor matrix"),
+    ], ids=["predictors-str", "predictors-ragged", "fit-knn", "composition-matrix",
+            "composition", "closure", "clr", "weights", "kl", "js", "kld-intercept-only"])
+    def test_typed_error_names_the_input(self, call, what):
+        with pytest.raises(ValidationError, match=f"^{what} must be numeric: "):
+            call()
 
 
 class TestZeroReport:
