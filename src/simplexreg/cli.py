@@ -42,6 +42,7 @@ from .regressors import (
     KERNELS,
     KldModel,
     LogRatioOlsModel,
+    _check_transform,
     fit_alpha_kernel,
     fit_alpha_knn,
     fit_kld,
@@ -58,7 +59,7 @@ from .selection import (
     kl_divergence,
     tune,
 )
-from .simplex import validate_composition_matrix
+from .simplex import _as_floats, validate_composition_matrix
 
 MODEL_SCHEMA_VERSION = 2
 
@@ -127,6 +128,8 @@ def _resolve_metric_args(args):
 def _geo_convert(X, predictor_cols, geo_cols):
     if len(geo_cols) != 2:
         raise ValidationError("--geo-cols needs exactly two columns: lat,lon")
+    if geo_cols[0] == geo_cols[1]:
+        raise ValidationError(f"--geo-cols names {geo_cols[0]!r} as both lat and lon")
     positions = []
     for name in geo_cols:
         if name not in predictor_cols:
@@ -271,6 +274,8 @@ def cmd_fit(args):
 
 def _rebuild_model(payload, path):
     kind = payload["model"]
+    if not isinstance(payload["preprocessing"], dict):
+        raise _model_error(path, "preprocessing must be a JSON object")
     if kind in _FAMILIES:
         X, U = (_decode_array(payload[key], path) for key in ("predictors", "responses"))
         if kind == "aknn":
@@ -278,10 +283,16 @@ def _rebuild_model(payload, path):
         return fit_alpha_kernel(X, U, payload["alpha"], payload["h"], kernel=payload["kernel"])
     if kind not in ("kld", "ols"):
         raise _model_error(path, f"unknown model kind {kind!r}")
-    coef = np.asarray(payload["coefficients"], dtype=float)
-    coef.flags.writeable = False
-    if kind == "ols":
-        return LogRatioOlsModel(coef=coef, transform=payload["transform"])
+    try:
+        coef = _as_floats(payload["coefficients"], "coefficients")
+        if coef.ndim != 2 or 0 in coef.shape or not np.isfinite(coef).all():
+            raise ValidationError("coefficients must be a non-empty 2-D array of finite "
+                                  f"numbers, got shape {list(coef.shape)}")
+        coef.flags.writeable = False
+        if kind == "ols":
+            return LogRatioOlsModel(coef=coef, transform=_check_transform(payload["transform"]))
+    except ValidationError as err:
+        raise _model_error(path, str(err)) from None
     return KldModel(coef=coef, iterations=payload["iterations"], objective=payload["objective"],
                     objective_path=(), hessian_damped=payload["hessian_damped"])
 
@@ -567,6 +578,9 @@ def main(argv=None):
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # an allocation the OS refused
+        print(f"error: MemoryError: {err}", file=sys.stderr)
         return 2
 
 

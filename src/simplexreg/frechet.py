@@ -46,11 +46,8 @@ def _unpower(S, a):
 
 
 def frechet_mean(U, alpha):
-    """Mean composition of the rows of U under exponent alpha."""
-    a = check_alpha(alpha)
-    arr = as_composition_matrix(U)
-    _check_zero_alpha(arr, a, "frechet_mean")
-    return _unpower(_power(arr, a).mean(axis=0), a)
+    """Mean composition of the rows of U under exponent alpha: the one-point path."""
+    return frechet_path(U, (check_alpha(alpha),))[0][1]
 
 
 def weighted_frechet_mean(U, weights, alpha):
@@ -81,7 +78,11 @@ def frechet_path(U, alphas):
     """Mean composition evaluated along a grid of exponents.
 
     Returns a list of (alpha, mean) pairs in grid order, one mean per
-    requested exponent.
+    requested exponent.  U passes the composition gate once for the grid.
     """
     arr = as_composition_matrix(U)
-    return [(a, frechet_mean(arr, a)) for a in _grid_axis("alphas", alphas, check_alpha)]
+    path = []
+    for a in _grid_axis("alphas", alphas, check_alpha):
+        _check_zero_alpha(arr, a, "frechet_mean")
+        path.append((a, _unpower(_power(arr, a).mean(axis=0), a)))
+    return path

@@ -1,22 +1,24 @@
 """CSV ingestion, geographic coordinate conversion, standardization.
 
-Files are plain RFC-4180 CSV.  `csv.reader` reads the header; numpy's
-`loadtxt` then parses the data lines in one pass from the open file.
-When any line defeats that pass (a quote character, a field that is not
-a finite number, a short row, a row that fails the composition rule), the
-file is read again by a `csv.reader` loop one field at a time, which
-returns the same arrays or raises with the physical line and column.
-Response rows must pass `simplex._composition_fault` (finite, nonnegative,
-sums within `SUM_TOL` of 1); a failing row is rejected with its location
-rather than silently closed, and the rest are re-closed row by row.  A
-column named twice (as response and predictor, or by two spellings of one
-index) is rejected once the names are resolved to file positions.  Floats
-are written with shortest round-trip formatting so a load / export / load
-cycle is value-exact.
+Files are plain RFC-4180 CSV in UTF-8.  `csv.reader` reads the header;
+numpy's `loadtxt` then parses the data lines in one pass from the open
+file, and the response columns go once through the composition gate
+`simplex.as_composition_matrix` (finite, nonnegative, sums within
+`SUM_TOL` of 1, then re-closed row by row).  When any line defeats that
+pass (a quote character, a field that is not a finite number, a short
+row, a byte that is not UTF-8, a row that fails the gate), the file is
+read again by a `csv.reader` loop one field at a time, which returns the
+same arrays or raises with the physical line and column; a response row
+that is not a composition is rejected with its line rather than silently
+closed.  A column named twice (as response and predictor, or by two
+spellings of one index) is rejected once the names are resolved to file
+positions.  Floats are written with shortest round-trip formatting so a
+load / export / load cycle is value-exact.
 """
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -92,16 +94,19 @@ def _unquoted(lines):
         yield line
 
 
-def _parse_numbers(fh, delimiter, positions):
-    # The rest of fh in one numpy pass; None unless every row parses finite.
+def _parse_numbers(fh, delimiter, positions, n_resp):
+    # (A, U) from one numpy pass over the rest of fh and one gate; None if either fails.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
             A = np.loadtxt(_unquoted(fh), delimiter=delimiter, usecols=positions,
                            comments=None, ndmin=2, dtype=float)
-    except (TypeError, ValueError):  # TypeError: a newline delimiter
+        U = as_composition_matrix(A[:, :n_resp]) if n_resp else None
+    # TypeError: a newline delimiter.  ValueError: an unparsable field, a
+    # byte that is not UTF-8, or the gate's ValidationError.
+    except (TypeError, ValueError):
         return None
-    return A if len(A) and np.isfinite(A).all() else None
+    return (A, U) if len(A) and np.isfinite(A[:, n_resp:]).all() else None
 
 
 def _parse_rows(reader, path, schema, positions, n_resp):
@@ -137,10 +142,49 @@ def _parse_rows(reader, path, schema, positions, n_resp):
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     A = np.asarray(rows, dtype=float)
-    fault = _composition_fault(A[:, :n_resp]) if n_resp else None
-    if fault:
-        raise ValidationError(f"{path}: line {line_nums[fault[0]]}: response columns: {fault[1]}")
-    return A
+    try:
+        return A, as_composition_matrix(A[:, :n_resp]) if n_resp else None
+    except ValidationError:
+        row, reason = _composition_fault(A[:, :n_resp])
+        raise ValidationError(
+            f"{path}: line {line_nums[row]}: response columns: {reason}") from None
+
+
+def _read(fh, path, schema):
+    # (A, U): every named column, and the responses through the gate.
+    reader = csv.reader(fh, delimiter=schema.delimiter)
+    header = None
+    if schema.has_header:
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValidationError(f"{path}: file is empty") from None
+        except csv.Error as err:  # e.g. a field over csv.field_size_limit()
+            raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
+    resp_pos, pred_pos = _column_positions(schema, header, path)
+    positions, n_resp = resp_pos + pred_pos, len(resp_pos)
+    parsed = _parse_numbers(fh, schema.delimiter, positions, n_resp)
+    if parsed is not None:
+        return parsed
+    fh.seek(0)
+    reader = csv.reader(fh, delimiter=schema.delimiter)
+    if schema.has_header:
+        next(reader)
+    try:
+        return _parse_rows(reader, path, schema, positions, n_resp)
+    except csv.Error as err:
+        raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
+
+
+def _undecodable_byte(path):
+    # (physical line, byte) of the file's first byte that is not UTF-8.
+    # Lines split as csv.reader splits them; surrogateescape decodes such
+    # a byte b to the lone surrogate U+DC00 + b.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for num, line in enumerate(fh, 1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                return num, ord(bad.group()) - 0xDC00
 
 
 def load_csv(path, schema):
@@ -148,34 +192,17 @@ def load_csv(path, schema):
 
     Returns predictors (n, p) and validated compositions (n, D); either
     is None when the schema names no columns of that kind.  Malformed
-    fields, short rows and response rows that are not compositions are
-    rejected with the physical line number.
+    fields, short rows, bytes that are not UTF-8 and response rows that
+    are not compositions are rejected with the physical line number.
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        header = None
-        if schema.has_header:
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise ValidationError(f"{path}: file is empty") from None
-            except csv.Error as err:  # e.g. a field over csv.field_size_limit()
-                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
-        resp_pos, pred_pos = _column_positions(schema, header, path)
-        positions, n_resp = resp_pos + pred_pos, len(resp_pos)
-        A = _parse_numbers(fh, schema.delimiter, positions)
-        if A is None or (n_resp and _composition_fault(A[:, :n_resp])):
-            fh.seek(0)
-            reader = csv.reader(fh, delimiter=schema.delimiter)
-            if schema.has_header:
-                next(reader)
-            try:
-                A = _parse_rows(reader, path, schema, positions, n_resp)
-            except csv.Error as err:
-                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
-    U = as_composition_matrix(A[:, :n_resp]) if n_resp else None
-    X = as_predictor_matrix(A[:, n_resp:]) if pred_pos else None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            A, U = _read(fh, path, schema)
+    except UnicodeDecodeError:
+        num, byte = _undecodable_byte(path)
+        raise ValidationError(f"{path}: line {num}: not UTF-8 text (byte {byte:#04x})") from None
+    X = as_predictor_matrix(A[:, len(schema.response_cols):]) if schema.predictor_cols else None
     return X, U
 
 

@@ -236,6 +236,13 @@ def predict_alpha_kernel(model, Xnew):
 
     Raises DegenerateWeightsError, naming the first offending query row,
     when every kernel weight underflows to zero for some query.
+
+    A row's last ulp can depend on the other rows of the call: numpy sends
+    a one-row `W @ U^alpha` to BLAS gemv, and OpenBLAS sends GEMMs under
+    about 1e6 multiply-adds to a small-matrix kernel, each rounding
+    differently from the blocked GEMM.  `tune` and `predict` still agree
+    because they pass the same query rows; predicting a file in pieces
+    can change the last ulp.
     """
     cells = iter_kernel_grid_predictions(
         model.predictors, model.responses, Xnew, (model.alpha,), (model.h,), model.kernel
@@ -499,6 +506,12 @@ class LogRatioOlsModel:
         return predict_logratio_ols(self, X)
 
 
+def _check_transform(transform):
+    if transform not in ("alr", "ilr"):
+        raise ValidationError(f"transform must be 'alr' or 'ilr', got {transform!r}")
+    return transform
+
+
 def fit_logratio_ols(X, U, transform="alr"):
     """Least squares on log-ratio coordinates of the responses.
 
@@ -507,10 +520,7 @@ def fit_logratio_ols(X, U, transform="alr"):
     and a full-rank design.
     """
     X, U = _fit_arrays(X, U)
-    if transform not in ("alr", "ilr"):
-        raise ValidationError(
-            f"transform must be 'alr' or 'ilr', got {transform!r}"
-        )
+    _check_transform(transform)
     if np.any(U == 0):
         raise ZeroNotAllowedError(
             "fit_logratio_ols: responses contain zeros; log-ratio "

@@ -4,8 +4,10 @@ A composition is a vector of D >= 2 nonnegative parts summing to 1.  The
 functions here are the single entry point for turning raw arrays into
 validated compositions; downstream modules assume their inputs already
 passed these gates.  The package's rules live here: one for compositions
-(`_composition_fault` names a row that is not one, `closure` decides row
-by row which rows are already closed), one for predictor rows
+(`_composition_fault` names a row that is not one; `_close`, the closing
+step of `closure`, decides row by row which rows are already closed), run
+once per matrix by `as_composition_matrix`, which closes what it checked
+without repeating `closure`'s checks for caller input; one for predictor rows
 (`_predictor_gate`: finite, of the model's width, and small enough that
 squared distances stay finite), one for counts (`_check_count`), one for
 real numbers (`_check_real`), one for seeds (`_check_seed`) and one for
@@ -103,6 +105,11 @@ def closure(values, axis=-1):
     total = x.sum(axis=axis, keepdims=True)
     if np.any(total <= 0):
         raise DegenerateInputError("closure: a slice sums to zero")
+    return _close(x, total)
+
+
+def _close(x, total):
+    """`closure`'s closing step, for checked x whose slices sum to `total` > 0."""
     # A slice whose sum is within float noise of 1 is already closed;
     # leaving it undivided makes closure exactly idempotent.  The rule is
     # per slice, so no slice's bits depend on the others in the call.
@@ -137,7 +144,7 @@ def as_composition(values):
     if x.ndim != 1:
         raise ValidationError(f"composition must be 1-D, got ndim={x.ndim}")
     as_composition_matrix(x[None, :])
-    return closure(x)
+    return _close(x, x.sum(keepdims=True))
 
 
 def as_composition_matrix(data):
@@ -159,7 +166,7 @@ def as_composition_matrix(data):
     fault = _composition_fault(arr)
     if fault:
         raise ValidationError(f"row {fault[0]}: {fault[1]}")
-    return closure(arr)
+    return _close(arr, arr.sum(axis=1, keepdims=True))
 
 
 def as_predictor_matrix(data):

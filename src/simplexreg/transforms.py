@@ -149,9 +149,6 @@ def power_transform(u, alpha):
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(u, "power_transform")
     _check_parts(arr, "power_transform", positive=a <= 0)
-    if a == 0.0:
-        out = np.full_like(arr, 1.0 / arr.shape[1])
-        return _maybe_squeeze(out, squeeze)
     return _maybe_squeeze(closure(arr**a), squeeze)
 
 

@@ -1112,3 +1112,83 @@ class TestScipyLoadedOnlyForKdtreeSearch:
     def test_kdtree_search_loads_only_the_extension(self, tmp_path):
         loaded = _fresh_probe(_KDTREE_EXTENSION_PROBE, tmp_path)
         assert loaded == {"scipy": True, "scipy.spatial": False, "same class": True}
+
+
+class TestNotUtf8Input:
+    """A byte that is not UTF-8 exits 2 naming the file and its line."""
+
+    @pytest.mark.parametrize("command", ["validate", "tune", "fit", "predict"])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_exits_2_naming_the_line(self, train_csv, tmp_path, capsys, command, line):
+        lines = train_csv.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].replace(b"1", b"\xe91", 1)
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"".join(lines))
+        model_file = tmp_path / "m.json"
+        run(capsys, "fit", *_io(train_csv), "--model", "kld", "--output", str(model_file))
+        argv = {
+            "validate": ["validate", "--input", str(bad), "--response-cols", "y1,y2,y3"],
+            "tune": ["tune", *_io(bad), "--model", "aknn", "--k-grid", "3"],
+            "fit": ["fit", *_io(bad), "--model", "kld"],
+            "predict": ["predict", "--input", str(bad), "--model-file", str(model_file)],
+        }[command]
+        _exits_2_naming(capsys, argv, f"{bad}: line {line}: not UTF-8 text")
+
+
+def _kld_or_ols_payload(capsys, train_csv, tmp_path, model):
+    model_file = tmp_path / "m.json"
+    code, _, err = run(capsys, "fit", *_io(train_csv), "--model", model,
+                       "--output", str(model_file))
+    assert code == 0, err
+    return model_file, json.loads(model_file.read_text())
+
+
+class TestHandEditedModelFields:
+    """A sealed kld or ols file with a malformed field exits 2 naming it."""
+
+    @pytest.mark.parametrize("model,edit,needle", [
+        ("kld", {"coefficients": [[0.1, 0.2], [0.3]]}, "coefficients must be numeric"),
+        ("ols", {"coefficients": [0.1, 0.2]}, "coefficients must be a non-empty 2-D"),
+        ("kld", {"coefficients": [[]]}, "coefficients must be a non-empty 2-D"),
+        ("kld", {"coefficients": [[float("nan"), 0.1], [0.2, 0.3]]}, "of finite numbers"),
+        ("ols", {"transform": "foo"}, "transform must be 'alr' or 'ilr', got 'foo'"),
+        ("kld", {"preprocessing": [1]}, "preprocessing must be a JSON object"),
+        ("ols", {"preprocessing": "none"}, "preprocessing must be a JSON object"),
+    ])
+    def test_exits_2(self, train_csv, tmp_path, capsys, model, edit, needle):
+        model_file, payload = _kld_or_ols_payload(capsys, train_csv, tmp_path, model)
+        model_file.write_text(sealed({**payload, **edit}))
+        _exits_2_naming(
+            capsys, ["predict", "--input", str(train_csv), "--model-file", str(model_file)],
+            f"model file {str(model_file)!r}: ", needle)
+
+
+class TestRefusedAllocation:
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        from simplexreg import cli
+
+        def refuse(spec):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array with shape "
+                              "(1000000000, 3) and data type float64")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        code, out, err = run(capsys, "simulate", "--n", "1000000000", "--D", "3",
+                             "--output", str(tmp_path / "big.csv"))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: MemoryError: Unable to allocate 22.4 GiB for an array with "
+                       "shape (1000000000, 3) and data type float64\n")
+
+
+class TestRepeatedGeoColumn:
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--model", "kld"),
+        ("tune", "--model", "aknn", "--k-grid", "3"),
+    ])
+    def test_rejected(self, tmp_path, capsys, argv):
+        path = TestGeoAndStandardize().make_geo_csv(tmp_path)
+        _exits_2_naming(
+            capsys,
+            [*argv, "--input", str(path), "--response-cols", "y1,y2,y3",
+             "--predictor-cols", "lat,lon,depth", "--geo-cols", "lat,lat"],
+            "--geo-cols names 'lat' as both lat and lon")

@@ -484,3 +484,17 @@ class TestStandardize:
             apply_standardization(np.ones((3, 2)), np.zeros(3), np.ones(3))
         with pytest.raises(ValidationError):
             apply_standardization(np.ones((3, 2)), np.zeros(2), np.array([1.0, 0.0]))
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("line", [1, 2, 4])
+    def test_names_the_physical_line_and_byte(self, tmp_path, eol, line):
+        lines = ["x1,y1,y2", "1.5,0.25,0.75", "", '"2.5",0.5,0.5']
+        raw = [text.encode("utf-8") for text in lines]
+        raw[line - 1] += b"\xe9"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + eol.encode().join(raw) + eol.encode())
+        with pytest.raises(ValidationError,
+                           match=rf"latin1\.csv: line {line}: not UTF-8 text \(byte 0xe9\)$"):
+            load_csv(path, DatasetSchema(response_cols=("y1", "y2"), predictor_cols=("x1",)))
