@@ -12,7 +12,9 @@ model without a kernel or `--clamp` with `--metric js`.
 A model file from `fit` is one self-contained JSON document holding the
 coefficients (kld, ols) or the preprocessed training arrays (aknn,
 akernel; base64 little-endian float64) and the sha256 of its canonical
-content; `predict` verifies it and parses only the query CSV.
+content; `predict` verifies it and parses only the query CSV.  Its keys,
+and the rule each value must pass, are one table (`_MODEL_FIELDS`) that
+`fit` checks its payload against before sealing and `predict` reads through.
 """
 
 import argparse
@@ -38,10 +40,13 @@ from .ingestion import (
     write_csv,
     write_dataset_csv,
 )
+from .neighbors import _check_k
 from .regressors import (
     KERNELS,
     KldModel,
     LogRatioOlsModel,
+    _check_bandwidth,
+    _check_kernel,
     _check_transform,
     fit_alpha_kernel,
     fit_alpha_knn,
@@ -59,7 +64,8 @@ from .selection import (
     kl_divergence,
     tune,
 )
-from .simplex import _as_floats, validate_composition_matrix
+from .simplex import _as_floats, _check_count, _check_real, validate_composition_matrix
+from .transforms import check_alpha
 
 MODEL_SCHEMA_VERSION = 2
 
@@ -147,7 +153,7 @@ def _build_preprocess(X, predictor_cols, geo_cols, do_standardize):
             "center": None, "scale": None}
     if geo_cols:
         geo = _split_list(geo_cols)
-        X = _geo_convert(X, list(predictor_cols), geo)
+        X = _geo_convert(X, predictor_cols, geo)
         prep["geo_cols"] = geo
     if do_standardize:
         X, center, scale = standardize(X)
@@ -157,9 +163,9 @@ def _build_preprocess(X, predictor_cols, geo_cols, do_standardize):
 
 
 def _apply_preprocess(X, predictor_cols, prep):
-    if prep.get("geo_cols"):
-        X = _geo_convert(X, list(predictor_cols), list(prep["geo_cols"]))
-    if prep.get("standardize"):
+    if prep["geo_cols"]:
+        X = _geo_convert(X, predictor_cols, prep["geo_cols"])
+    if prep["standardize"]:
         X = apply_standardization(X, prep["center"], prep["scale"])
     return X
 
@@ -202,7 +208,7 @@ def cmd_tune(args):
         threads=_threads(args.threads),
     )
     _write_text(args, report.to_json())
-    chosen = f"k={report.selected_k}" if knn else f"h={report.selected_h:.6g}"
+    chosen = f"k={report.selected_k}" if knn else f"h={report.selected_h!r}"
     _note(
         f"tune: selected alpha={report.selected_alpha} {chosen} "
         f"with mean {args.metric} divergence {report.selected_score:.6g}"
@@ -219,14 +225,14 @@ def _encode_array(a):
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj, path):
+def _decode_array(obj):
     try:
-        n, c = (int(v) for v in obj["shape"])
+        n, c = (_check_count("shape", v, 0) for v in obj["shape"])
         raw = base64.b64decode(obj["data"], validate=True)
-        if min(n, c) < 0 or len(raw) != 8 * n * c:
+        if len(raw) != 8 * n * c:
             raise ValueError(f"{len(raw)} bytes do not make shape [{n}, {c}]")
     except (KeyError, TypeError, ValueError) as err:
-        raise _model_error(path, f"bad embedded array ({err})") from None
+        raise ValidationError(f"bad embedded array ({err})") from None
     return np.frombuffer(raw, dtype="<f8").reshape(n, c)
 
 
@@ -234,11 +240,98 @@ def _digest(payload):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _must(ok, what):
+    """A field rule: the value itself where ok(value) holds, else a
+    ValidationError saying what the value must be."""
+    def rule(value):
+        if not ok(value):
+            raise ValidationError(f"must be {what}, got {value!r}")
+        return value
+    return rule
+
+
+def _check_kind(kind):
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise ValidationError(f"must be one of {tuple(_MODEL_FIELDS)}, got {kind!r}")
+    return kind
+
+
+def _check_coefficients(values):
+    coef = _as_floats(values, "coefficients")
+    if coef.ndim != 2 or 0 in coef.shape or not np.isfinite(coef).all():
+        raise ValidationError("coefficients must be a non-empty 2-D array of finite "
+                              f"numbers, got shape {list(coef.shape)}")
+    coef.flags.writeable = False
+    return coef
+
+
+def _check_preprocessing(prep):
+    if not isinstance(prep, dict):
+        raise ValidationError("preprocessing must be a JSON object")
+    prep = _check_fields(prep, _PREPROCESSING)
+    for key in ("center", "scale"):
+        if (prep[key] is None) == prep["standardize"]:
+            raise ValidationError(f"{key}: must be set exactly when standardize is true")
+    return prep
+
+
+_FLAG = _must(lambda v: isinstance(v, bool), "true or false")
+_NAMES = _must(lambda v: isinstance(v, list) and v and all(isinstance(n, str) for n in v)
+               and len(set(v)) == len(v), "a non-empty list of distinct names")
+_FLOATS = _must(lambda v: v is None or (isinstance(v, list) and v and all(
+    isinstance(x, float) and np.isfinite(x) for x in v)),
+    "null or a non-empty list of finite floats")
+# The model-file format: each kind's keys, each with the rule its value must
+# pass.  fit writes exactly these keys, plus the sha256 seal, and checks its
+# payload by them before sealing it; predict reads a file only through them.
+_PREPROCESSING = {"geo_cols": lambda v: v if v is None else _NAMES(v), "standardize": _FLAG,
+                  "center": _FLOATS, "scale": _FLOATS}
+_COMMON = {"schema_version": lambda v: v,  # checked before the digest
+           "model": _check_kind, "response_cols": _NAMES, "predictor_cols": _NAMES,
+           "preprocessing": _check_preprocessing}
+_MODEL_FIELDS = {
+    "aknn": {**_COMMON, "alpha": check_alpha, "k": _check_k,
+             "predictors": _decode_array, "responses": _decode_array},
+    "akernel": {**_COMMON, "alpha": check_alpha, "h": _check_bandwidth, "kernel": _check_kernel,
+                "predictors": _decode_array, "responses": _decode_array},
+    "kld": {**_COMMON, "iterations": lambda n: _check_count("iterations", n, 0),
+            "objective": lambda v: _check_real("objective", v), "hessian_damped": _FLAG,
+            "coefficients": _check_coefficients},
+    "ols": {**_COMMON, "transform": _check_transform, "coefficients": _check_coefficients},
+}
+# The fit flags that set the model-file key of the same name, for the kinds that have it.
+_FIT_FLAGS = ("alpha", "k", "h", "kernel", "transform")
+
+
+def _check_fields(obj, table):
+    """obj's values through the rules of `table`, whose keys obj must have
+    exactly; a missing key is reported before an unknown one."""
+    missing = [key for key in table if key not in obj]
+    unknown = sorted(set(obj) - set(table))
+    if missing or unknown:
+        raise ValidationError(f"missing key {missing[0]!r}" if missing
+                              else f"unknown key {unknown[0]!r}")
+    checked = {}
+    for key, rule in table.items():
+        try:
+            checked[key] = rule(obj[key])
+        except ValidationError as err:
+            raise ValidationError(f"{key}: {err}") from None
+    return checked
+
+
+def _check_model(payload):
+    """A model payload's values, each through its kind's rule; the kind is
+    checked first, as it decides the other keys."""
+    if "model" in payload:
+        _check_fields({"model": payload["model"]}, {"model": _check_kind})
+    return _check_fields(payload, _MODEL_FIELDS.get(payload.get("model"), _COMMON))
+
+
 def cmd_fit(args):
-    takes = {"aknn": ("alpha", "k"), "akernel": ("alpha", "h", "kernel"),
-             "ols": ("transform",)}.get(args.model, ())
-    _reject_flags(args, [f for f in ("alpha", "k", "h", "kernel", "transform") if f not in takes])
-    params = [name for name in takes if name in ("alpha", "k", "h")]
+    fields = _MODEL_FIELDS[args.model]
+    _reject_flags(args, [flag for flag in _FIT_FLAGS if flag not in fields])
+    params = [name for name in ("alpha", "k", "h") if name in fields]
     if any(getattr(args, name) is None for name in params):
         raise ValidationError(f"fit {args.model} needs --{params[0]} and --{params[1]}")
     _fill_defaults(args, kernel="gaussian", transform="alr")
@@ -246,55 +339,40 @@ def cmd_fit(args):
     X, U = load_csv(args.input, schema)
     X, prep = _build_preprocess(X, schema.predictor_cols, args.geo_cols,
                                 args.standardize)
-    payload = {
+    values = {
+        **vars(args),  # the model kind and the _FIT_FLAGS
         "schema_version": MODEL_SCHEMA_VERSION,
-        "model": args.model,
         "response_cols": list(schema.response_cols),
         "predictor_cols": list(schema.predictor_cols),
         "preprocessing": prep,
     }
     if args.model in _FAMILIES:
-        payload.update({name: getattr(args, name) for name in params},
-                       predictors=_encode_array(X), responses=_encode_array(U))
-        if args.model == "akernel":
-            payload["kernel"] = args.kernel
-        _rebuild_model(payload, args.output)  # validates now, as predict will rebuild it
+        values.update(predictors=_encode_array(X), responses=_encode_array(U))
     elif args.model == "kld":
         model = fit_kld(X, U)
-        payload.update(iterations=model.iterations, objective=model.objective,
-                       hessian_damped=model.hessian_damped, coefficients=model.coef.tolist())
+        values.update(iterations=model.iterations, objective=model.objective,
+                      hessian_damped=model.hessian_damped, coefficients=model.coef.tolist())
     else:  # ols
-        model = fit_logratio_ols(X, U, transform=args.transform)
-        payload.update(transform=model.transform, coefficients=model.coef.tolist())
+        values.update(coefficients=fit_logratio_ols(X, U, args.transform).coef.tolist())
+    payload = {key: values[key] for key in fields}
+    _rebuild_model(_check_model(payload))  # what predict will check and rebuild
     payload["sha256"] = _digest(payload)
     _write_text(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _note(f"fit: {args.model} model written")
     return 0
 
 
-def _rebuild_model(payload, path):
-    kind = payload["model"]
-    if not isinstance(payload["preprocessing"], dict):
-        raise _model_error(path, "preprocessing must be a JSON object")
-    if kind in _FAMILIES:
-        X, U = (_decode_array(payload[key], path) for key in ("predictors", "responses"))
-        if kind == "aknn":
-            return fit_alpha_knn(X, U, payload["alpha"], payload["k"])
-        return fit_alpha_kernel(X, U, payload["alpha"], payload["h"], kernel=payload["kernel"])
-    if kind not in ("kld", "ols"):
-        raise _model_error(path, f"unknown model kind {kind!r}")
-    try:
-        coef = _as_floats(payload["coefficients"], "coefficients")
-        if coef.ndim != 2 or 0 in coef.shape or not np.isfinite(coef).all():
-            raise ValidationError("coefficients must be a non-empty 2-D array of finite "
-                                  f"numbers, got shape {list(coef.shape)}")
-        coef.flags.writeable = False
-        if kind == "ols":
-            return LogRatioOlsModel(coef=coef, transform=_check_transform(payload["transform"]))
-    except ValidationError as err:
-        raise _model_error(path, str(err)) from None
-    return KldModel(coef=coef, iterations=payload["iterations"], objective=payload["objective"],
-                    objective_path=(), hessian_damped=payload["hessian_damped"])
+def _rebuild_model(m):
+    if m["model"] == "aknn":
+        return fit_alpha_knn(m["predictors"], m["responses"], m["alpha"], m["k"])
+    if m["model"] == "akernel":
+        return fit_alpha_kernel(m["predictors"], m["responses"], m["alpha"], m["h"],
+                                kernel=m["kernel"])
+    if m["model"] == "ols":
+        return LogRatioOlsModel(coef=m["coefficients"], transform=m["transform"])
+    return KldModel(coef=m["coefficients"], iterations=m["iterations"],
+                    objective=m["objective"], objective_path=(),
+                    hessian_damped=m["hessian_damped"])
 
 
 def _load_model(path):
@@ -304,20 +382,21 @@ def _load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as err:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON or nested too deep
             raise _model_error(path, f"not JSON ({err})") from None
-    if not isinstance(payload, dict):
-        raise _model_error(path, "not a JSON object")
-    version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise _model_error(path, f"schema_version {version!r} is unsupported; re-run fit")
-    if payload.pop("sha256", None) != _digest(payload):
-        raise _model_error(path, "sha256 does not match the content")
     try:
-        return (_rebuild_model(payload, path), payload["predictor_cols"],
-                payload["response_cols"], payload["preprocessing"])
-    except KeyError as err:
-        raise _model_error(path, f"missing key {err}") from None
+        if not isinstance(payload, dict):
+            raise ValidationError("not a JSON object")
+        version = payload.get("schema_version")
+        if version != MODEL_SCHEMA_VERSION:
+            raise ValidationError(f"schema_version {version!r} is unsupported; re-run fit")
+        if payload.pop("sha256", None) != _digest(payload):
+            raise ValidationError("sha256 does not match the content")
+        fields = _check_model(payload)
+    except ValidationError as err:
+        raise _model_error(path, err) from None
+    return (_rebuild_model(fields), fields["predictor_cols"], fields["response_cols"],
+            fields["preprocessing"])
 
 
 def cmd_predict(args):

@@ -81,7 +81,7 @@ def _check_bandwidth(h):
 
 
 def _check_kernel(kernel):
-    if kernel not in KERNELS:
+    if not isinstance(kernel, str) or kernel not in KERNELS:
         raise ValidationError(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
     return kernel
 

@@ -58,7 +58,7 @@ def _check_real(name, value):
     if not isinstance(value, (bool, np.bool_, str, bytes)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
             pass
     raise ValidationError(f"{name} must be a number, got {_plain(value)!r}")
 

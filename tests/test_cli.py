@@ -183,6 +183,22 @@ class TestTune:
         assert payload["selected"]["k"] in (2, 5, 10)
         assert "tune: selected" in err
 
+    def test_note_h_refits_the_reported_model(self, train_csv, tmp_path, capsys):
+        # A user refits from the stderr note; its h must be the report's, to the bit.
+        code, out, err = run(capsys, "tune", *_io(train_csv), "--model", "akernel",
+                             "--alpha-grid", "0.5,1", "--folds", "3", "--threads", "1")
+        assert code == 0
+        selected = json.loads(out)["selected"]
+        noted = dict(word.split("=") for word in err.split() if word.startswith(("alpha=", "h=")))
+        models = []
+        for alpha, h in ((noted["alpha"], noted["h"]),
+                         (repr(selected["alpha"]), repr(selected["h"]))):
+            model_file = tmp_path / f"m{len(models)}.json"
+            assert run(capsys, "fit", *_io(train_csv), "--model", "akernel", "--alpha", alpha,
+                       "--h", h, "--output", str(model_file))[0] == 0
+            models.append(model_file.read_bytes())
+        assert models[0] == models[1]
+
     def test_byte_identical_across_runs_and_threads(self, train_csv, tmp_path, capsys):
         outputs = []
         for name, threads in (("r1.json", "1"), ("r2.json", "1"), ("r4.json", "4")):
@@ -585,11 +601,15 @@ BAD_MODEL_FILES = {
         {k: v for k, v in p.items() if k != "sha256"}), "sha256"),
     "wrong-shape": (lambda p, train: sealed(_edit_array(p, "predictors", shape=[7, 1])),
                     "bad embedded array"),
+    "fractional-shape": (lambda p, train: sealed(_edit_array(
+        p, "predictors", shape=[p["predictors"]["shape"][0] + 0.5, 1])),
+        "bad embedded array (shape must be a non-negative integer"),
     "wrong-byte-length": (lambda p, train: sealed(
         _edit_array(p, "responses", data=p["responses"]["data"][:-8])), "bad embedded array"),
     "bad-base64": (lambda p, train: sealed(
         _edit_array(p, "responses", data="!" + p["responses"]["data"][1:])),
         "bad embedded array"),
+    "nested-too-deep": (lambda p, train: "[" * 100_000, "not JSON"),
 }
 
 
@@ -1161,6 +1181,138 @@ class TestHandEditedModelFields:
         _exits_2_naming(
             capsys, ["predict", "--input", str(train_csv), "--model-file", str(model_file)],
             f"model file {str(model_file)!r}: ", needle)
+
+
+FUZZ_VALUES = (None, 5, "x", [], {}, True, -1, 1e308, [[1]], ["x1", "x1"])
+STANDARDIZED_VALID = {"geo_cols": {"None"}, "standardize": {"True"}}
+KLD_VALID = {"iterations": {"5", "1e+308"}, "objective": {"5", "-1", "1e+308"},
+             "hessian_damped": {"True"}, "coefficients": {"[[1]]"}}
+# model -> (fit arguments, the reprs of the FUZZ_VALUES each field's rule
+# accepts).  An accepted value may still fail later, as k = 1e308 > n does.
+FUZZ_MODELS = {
+    "aknn": (("--model", "aknn", "--alpha", "0.5", "--k", "4", "--standardize"),
+             {**STANDARDIZED_VALID, "alpha": {"-1"}, "k": {"5", "1e+308"}}),
+    "akernel": (("--model", "akernel", "--alpha", "0.5", "--h", "0.5", "--standardize"),
+                {**STANDARDIZED_VALID, "alpha": {"-1"}, "h": {"5", "1e+308"}}),
+    "kld": (("--model", "kld", "--standardize"), {**STANDARDIZED_VALID, **KLD_VALID}),
+    "ols": (("--model", "ols", "--standardize"),
+            {**STANDARDIZED_VALID, "coefficients": {"[[1]]"}}),
+    "kld-geo": (("--model", "kld", "--geo-cols", "lat,lon"),
+                {"geo_cols": {"None"}, "center": {"None"}, "scale": {"None"}, **KLD_VALID}),
+}
+
+
+class TestModelFileFuzz:
+    """Every field of a sealed model file, set to a value fit would not have
+    written and resealed, makes predict exit 2 with one line naming the file
+    and the key; never a traceback, never a silent accept."""
+
+    def fit(self, capsys, tmp_path, model):
+        if model == "kld-geo":
+            data = TestGeoAndStandardize().make_geo_csv(tmp_path)
+            cols = ("--response-cols", "y1,y2,y3", "--predictor-cols", "lat,lon,depth")
+        else:
+            data = tmp_path / "train.csv"
+            assert run(capsys, "simulate", "--n", "80", "--D", "3", "--predictors", "2",
+                       "--seed", "3", "--output", str(data))[0] == 0
+            cols = ("--response-cols", "y1,y2,y3", "--predictor-cols", "x1,x2")
+        model_file = tmp_path / "m.json"
+        code, _, err = run(capsys, "fit", "--input", str(data), *cols, *FUZZ_MODELS[model][0],
+                           "--output", str(model_file))
+        assert code == 0, err
+        payload = json.loads(model_file.read_text())
+        del payload["sha256"]
+        return data, model_file, payload
+
+    def predict(self, capsys, data, model_file, payload):
+        model_file.write_text(sealed(payload))
+        return run(capsys, "predict", "--input", str(data), "--model-file", str(model_file))
+
+    def assert_names_the_file(self, model_file, code, err, needle):
+        prefix = f"error: ValidationError: model file {str(model_file)!r}: "
+        assert code == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(prefix) and needle in err[len(prefix):], err
+
+    @pytest.mark.parametrize("model", sorted(FUZZ_MODELS))
+    def test_every_field_and_value(self, tmp_path, capsys, model):
+        data, model_file, payload = self.fit(capsys, tmp_path, model)
+        valid = FUZZ_MODELS[model][1]
+        fields = [(key, None) for key in payload] + [("preprocessing", key)
+                                                     for key in payload["preprocessing"]]
+        for key, sub in fields:
+            for value in FUZZ_VALUES:
+                edited = json.loads(json.dumps(payload))
+                if sub is None:
+                    edited[key] = value
+                else:
+                    edited[key][sub] = value
+                code, _, err = self.predict(capsys, data, model_file, edited)
+                case = f"{key}.{sub} = {value!r}: {err}"
+                if repr(value) in valid.get(sub or key, ()):
+                    assert code == 0 or (code == 2 and len(err.splitlines()) == 1
+                                         and err.startswith("error: ")), case
+                else:
+                    self.assert_names_the_file(model_file, code, err, sub or key)
+
+    @pytest.mark.parametrize("model,drop", [
+        ("aknn", "k"), ("akernel", "kernel"), ("kld", "iterations"), ("ols", "transform"),
+    ])
+    def test_missing_and_unknown_key(self, tmp_path, capsys, model, drop):
+        data, model_file, payload = self.fit(capsys, tmp_path, model)
+        missing = {k: v for k, v in payload.items() if k != drop}
+        for edited, needle in ((missing, f"missing key {drop!r}"),
+                               ({**payload, "extra": 1}, "unknown key 'extra'"),
+                               ({**missing, "extra": 1}, f"missing key {drop!r}")):
+            code, _, err = self.predict(capsys, data, model_file, edited)
+            self.assert_names_the_file(model_file, code, err, needle)
+
+    @pytest.mark.parametrize("model,edit,refit", [
+        ("aknn", {"predictor_cols": ["x2", "x1"]}, None),
+        ("aknn", {"alpha": -1}, ("--alpha", "-1", "--k", "4")),
+        ("aknn", {"k": 7}, ("--alpha", "0.5", "--k", "7")),
+        ("akernel", {"h": 0.9}, ("--alpha", "0.5", "--h", "0.9")),
+    ])
+    def test_valid_edits_still_predict(self, tmp_path, capsys, model, edit, refit):
+        data, model_file, payload = self.fit(capsys, tmp_path, model)
+        code, out, err = self.predict(capsys, data, model_file, {**payload, **edit})
+        assert code == 0, err
+        if refit:
+            cols = ("--response-cols", "y1,y2,y3", "--predictor-cols", "x1,x2")
+            assert run(capsys, "fit", "--input", str(data), *cols, "--model", model, *refit,
+                       "--standardize", "--output", str(model_file))[0] == 0
+            assert run(capsys, "predict", "--input", str(data),
+                       "--model-file", str(model_file))[1] == out
+
+
+class TestCsvByteFuzz:
+    """A CSV with one to three bytes changed exits 0 or 2, never a traceback."""
+
+    def test_seeded_mutations(self, tmp_path, capsys):
+        clean = tmp_path / "clean.csv"
+        model_file = tmp_path / "m.json"
+        assert run(capsys, "simulate", "--n", "30", "--D", "3", "--seed", "4",
+                   "--output", str(clean))[0] == 0
+        assert run(capsys, "fit", *_io(clean), "--model", "kld",
+                   "--output", str(model_file))[0] == 0
+        original = clean.read_bytes()
+        rng = np.random.default_rng(20)
+        bad = tmp_path / "bad.csv"
+        exits = []
+        for _ in range(60):
+            data = bytearray(original)
+            for pos in rng.choice(len(data), size=rng.integers(1, 4), replace=False):
+                data[pos] = rng.integers(256)
+            bad.write_bytes(bytes(data))
+            for argv in (["validate", "--input", str(bad), "--response-cols", "y1,y2,y3"],
+                         ["fit", *_io(bad), "--model", "kld"],
+                         ["predict", "--input", str(bad), "--model-file", str(model_file)]):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 2)
+                if code == 2:
+                    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+                exits.append(code)
+        assert 0 in exits and 2 in exits
 
 
 class TestRefusedAllocation:

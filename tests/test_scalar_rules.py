@@ -76,7 +76,7 @@ class TestCheckReal:
     @pytest.mark.parametrize("value", [
         True, np.bool_(False), None, "abc", [1.0], 1 + 0j,
         pytest.param("2.5", id="str"), pytest.param(np.str_("2.5"), id="numpy-str"),
-        pytest.param(b"2.5", id="bytes"),
+        pytest.param(b"2.5", id="bytes"), pytest.param(10**400, id="int-past-float"),
     ])
     def test_non_numbers_rejected(self, value):
         with pytest.raises(ValidationError, match="^x must be a number, got "):

@@ -524,11 +524,12 @@ class TestSharedParameterRules:
 
         X, U = quadruplet_data()
         grid = TuningGrid(alphas=(1.0,), hs=(1.0,), folds=10, seed=0)
-        with pytest.raises(ValidationError) as from_tune:
-            tune(X, U, "alpha-kernel", grid, kernel="box")
-        with pytest.raises(ValidationError) as from_fit:
-            fit_alpha_kernel(X, U, 1.0, 1.0, kernel="box")
-        assert str(from_tune.value) == str(from_fit.value)
+        for kernel in ("box", []):
+            with pytest.raises(ValidationError) as from_tune:
+                tune(X, U, "alpha-kernel", grid, kernel=kernel)
+            with pytest.raises(ValidationError) as from_fit:
+                fit_alpha_kernel(X, U, 1.0, 1.0, kernel=kernel)
+            assert str(from_tune.value) == str(from_fit.value)
 
 
 class TestClampBound:
