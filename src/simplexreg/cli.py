@@ -14,7 +14,8 @@ coefficients (kld, ols) or the preprocessed training arrays (aknn,
 akernel; base64 little-endian float64) and the sha256 of its canonical
 content; `predict` verifies it and parses only the query CSV.  Its keys,
 and the rule each value must pass, are one table (`_MODEL_FIELDS`) that
-`fit` checks its payload against before sealing and `predict` reads through.
+`fit` checks its payload against before sealing and `predict` reads through;
+`_check_model` adds the rules between fields (widths against column names).
 """
 
 import argparse
@@ -216,10 +217,6 @@ def cmd_tune(args):
     return 0
 
 
-def _model_error(path, why):
-    return ValidationError(f"model file {path!r}: {why}")
-
-
 def _encode_array(a):
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
@@ -322,10 +319,33 @@ def _check_fields(obj, table):
 
 def _check_model(payload):
     """A model payload's values, each through its kind's rule; the kind is
-    checked first, as it decides the other keys."""
+    checked first, as it decides the other keys.  Then the rules between
+    fields: the stored arrays, the coefficients and the standardization
+    have the widths the column names give."""
     if "model" in payload:
         _check_fields({"model": payload["model"]}, {"model": _check_kind})
-    return _check_fields(payload, _MODEL_FIELDS.get(payload.get("model"), _COMMON))
+    m = _check_fields(payload, _MODEL_FIELDS.get(payload.get("model"), _COMMON))
+    cols, prep, D = m["predictor_cols"], m["preprocessing"], len(m["response_cols"])
+    p = len(cols)
+    if prep["geo_cols"] is not None:  # lat, lon become three coordinates
+        try:
+            p = _geo_convert(np.empty((0, p)), cols, prep["geo_cols"]).shape[1]
+        except ValidationError as err:
+            raise ValidationError(f"preprocessing: geo_cols: {err}") from None
+    for key, width in (("predictors", p), ("responses", D)):
+        if key in m and m[key].shape[1] != width:
+            raise ValidationError(f"{key}: {m[key].shape[1]} columns, but the "
+                                  f"column names give {width}")
+    if "coefficients" in m and m["coefficients"].shape != (p + 1, D - 1):
+        raise ValidationError(f"coefficients: shape {list(m['coefficients'].shape)}, but "
+                              f"{p} predictors and {D} responses need {[p + 1, D - 1]}")
+    for key in ("center", "scale"):
+        if prep[key] is not None and len(prep[key]) != p:
+            raise ValidationError(f"preprocessing: {key}: {len(prep[key])} values for "
+                                  f"{p} predictor columns")
+    if prep["scale"] is not None and min(prep["scale"]) <= 0:
+        raise ValidationError(f"preprocessing: scale: must be positive, got {prep['scale']!r}")
+    return m
 
 
 def cmd_fit(args):
@@ -383,7 +403,7 @@ def _load_model(path):
         try:
             payload = json.load(fh)
         except (ValueError, RecursionError) as err:  # not UTF-8, not JSON or nested too deep
-            raise _model_error(path, f"not JSON ({err})") from None
+            raise ValidationError(f"model file {path!r}: not JSON ({err})") from None
     try:
         if not isinstance(payload, dict):
             raise ValidationError("not a JSON object")
@@ -393,10 +413,10 @@ def _load_model(path):
         if payload.pop("sha256", None) != _digest(payload):
             raise ValidationError("sha256 does not match the content")
         fields = _check_model(payload)
-    except ValidationError as err:
-        raise _model_error(path, err) from None
-    return (_rebuild_model(fields), fields["predictor_cols"], fields["response_cols"],
-            fields["preprocessing"])
+        model = _rebuild_model(fields)
+    except ValidationError as err:  # keeps its kind, e.g. ZeroNotAllowedError
+        raise type(err)(f"model file {path!r}: {err}") from None
+    return model, fields["predictor_cols"], fields["response_cols"], fields["preprocessing"]
 
 
 def cmd_predict(args):

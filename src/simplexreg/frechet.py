@@ -14,12 +14,18 @@ overflows for tiny exponents, where sum^(1/alpha) is roughly n^(1/alpha).
 
 Every power mean in the package is `_unpower(<average of> _power(U, a), a)`;
 only these two helpers know that alpha = 0 is the geometric limit.
+`_unpower` closes its result with `simplex._close` after one check, that
+every sum is positive.  Its input is built from compositions that already
+passed the gate, so `closure`'s checks for caller input are not repeated;
+a sum that is zero (every part of the mean is 0, as when each part's
+power overflowed) or NaN (a zero kernel weight times an infinite power)
+raises DegenerateInputError.
 """
 
 import numpy as np
 
-from .errors import ValidationError, ZeroNotAllowedError
-from .simplex import _as_floats, _grid_axis, as_composition_matrix, closure
+from .errors import DegenerateInputError, ValidationError, ZeroNotAllowedError
+from .simplex import _as_floats, _close, _grid_axis, as_composition_matrix, closure
 from .transforms import check_alpha
 
 
@@ -40,9 +46,13 @@ def _power(U, a, out=None):
 
 def _unpower(S, a):
     # Inverse of _power applied to an average S of powered rows, closed.
-    if a == 0.0:
-        return closure(np.exp(S))
-    return closure(S ** (1.0 / a))
+    # S averages powers of gated compositions, so x has no negative part;
+    # a sum that is not positive is a degenerate mean (see the docstring).
+    x = np.exp(S) if a == 0.0 else S ** (1.0 / a)
+    total = x.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0):
+        raise DegenerateInputError("closure: a slice sums to zero")
+    return _close(x, total)
 
 
 def frechet_mean(U, alpha):

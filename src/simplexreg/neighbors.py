@@ -11,7 +11,10 @@ extension is loaded, not the `scipy.spatial` package around it (see
 distance ties always resolve to the lower training row.  The kd-tree path
 re-evaluates candidate distances with the same floating point kernel the
 brute path uses, then widens the candidate set whenever a tie could
-straddle the cut, which keeps the two strategies bit-identical.
+straddle the cut, which keeps the two strategies bit-identical.  It sorts
+its candidates by distance alone and sorts again by (distance, row index)
+only the rows whose sorted distances hold an equal pair: a row without
+one has a single order.
 
 That kernel, `_distances_to`, is predictor-major: it sums the p squared
 coordinate differences as p whole-array adds, not as a short reduction
@@ -209,9 +212,13 @@ class NeighborIndex:
         # Re-derive candidate distances with the shared kernel; the
         # tree's own values may differ in the last ulp.
         d = _distances_to(self._X[ii], Qb[:, None, :])
-        order = np.lexsort((ii, d))
-        ii = np.take_along_axis(ii, order, axis=1)
-        d = np.take_along_axis(d, order, axis=1)
+        order = np.argsort(d, axis=1, kind="stable")
+        d_sorted = np.take_along_axis(d, order, axis=1)
+        # Only rows holding equal distances need the row index as second
+        # key; reordering their ties leaves the sorted distances as they are.
+        equal = np.flatnonzero((d_sorted[:, 1:] == d_sorted[:, :-1]).any(axis=1))
+        order[equal] = np.lexsort((ii[equal], d[equal]))
+        ii, d = np.take_along_axis(ii, order, axis=1), d_sorted
         idx, dist = ii[:, :kk], d[:, :kk]
         # Rows whose probe neighbor may tie the k-th are re-resolved.
         tied = d[:, kk] <= d[:, kk - 1] * (1.0 + _TIE_RTOL) if k_probe > kk else []

@@ -185,16 +185,33 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     exactly like the row-major reductions they replace; for D >= 8 the
     summation order differs from a row-major sum, but predict and tune
     share this one path.
+
+    The power runs on the smaller of two sets: the n training responses,
+    which are then gathered (a tune fold, where n < m * k_max), or the
+    m * k_max gathered neighbors (predict's blocks against a larger
+    model, so one query row never powers all n rows).  The power is
+    elementwise and both operands are contiguous, so the orders agree
+    bitwise.
     """
     ks = [int(k) for k in ks]
     k_max = min(max(ks), index.n)
-    idx = index.query_batch(Q, k_max)[0]
-    nbr = np.take(U.T, idx.T, axis=1)  # (D, k_max, m)
-    del idx  # only the gathered responses outlive the search
-    cum = np.empty_like(nbr)  # reused by every alpha
+    idx = np.ascontiguousarray(index.query_batch(Q, k_max)[0].T)  # (k_max, m)
+    train_first = index.n < idx.size
+    if train_first:
+        Ut = np.ascontiguousarray(U.T)  # (D, n)
+        powered = np.empty_like(Ut)  # reused by every alpha
+    else:
+        nbr = np.take(U.T, idx, axis=1)  # (D, k_max, m)
+    cum = np.empty((U.shape[1],) + idx.shape)  # reused by every alpha
     for ai, a in enumerate(alphas):
         a = float(a)
-        _power(nbr, a, out=cum)
+        if train_first:
+            _power(Ut, a, out=powered)
+            # The indices come from query_batch, so all lie in [0, n);
+            # "clip" only spares numpy the buffered copy "raise" makes.
+            np.take(powered, idx, axis=1, out=cum, mode="clip")
+        else:
+            _power(nbr, a, out=cum)
         for i in range(1, k_max):
             np.add(cum[:, i - 1], cum[:, i], out=cum[:, i])
         for ki, k in enumerate(ks):

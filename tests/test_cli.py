@@ -1267,6 +1267,34 @@ class TestModelFileFuzz:
             code, _, err = self.predict(capsys, data, model_file, edited)
             self.assert_names_the_file(model_file, code, err, needle)
 
+    @pytest.mark.parametrize("model,edit,needle", [
+        ("aknn", {"k": 81}, "k must satisfy 1 <= k <= 80, got 81"),
+        ("aknn", {"predictor_cols": ["x1"]}, "predictors: 2 columns, but the column names give 1"),
+        ("akernel", {"response_cols": ["y1", "y2"]}, "responses: 3 columns"),
+        ("kld", {"coefficients": [[1.0]]}, "coefficients: shape [1, 1], but 2 predictors"),
+        ("ols", {"predictor_cols": ["x1", "x2", "x3"]}, "coefficients: shape [3, 2]"),
+        ("ols", {"response_cols": ["y1", "y2", "y3", "y4"]}, "coefficients: shape [3, 2]"),
+        ("kld-geo", {"preprocessing.geo_cols": None}, "need [4, 2]"),
+        ("kld-geo", {"preprocessing.geo_cols": ["lat", "depth2"]},
+         "geo_cols: geo column 'depth2' is not among the predictor columns"),
+        ("kld-geo", {"preprocessing.geo_cols": ["lat", "lon", "depth"]},
+         "geo_cols: --geo-cols needs exactly two columns"),
+        ("kld", {"preprocessing.center": [0.0]}, "center: 1 values for 2 predictor columns"),
+        ("aknn", {"preprocessing.scale": [1.0, 1.0, 1.0]}, "scale: 3 values"),
+        ("kld", {"preprocessing.scale": [1.0, 0.0]}, "scale: must be positive"),
+        ("ols", {"preprocessing.scale": [-1.0, 1.0]}, "scale: must be positive"),
+    ], ids=["k-above-rows", "predictor-width", "response-width", "kld-coefficients",
+            "ols-predictor-names", "ols-response-names", "geo-dropped", "geo-unknown-column",
+            "geo-three-columns", "center-width", "scale-width", "scale-zero", "scale-negative"])
+    def test_fields_that_disagree(self, tmp_path, capsys, model, edit, needle):
+        # Each value passes its own rule but not the rest of the file.
+        data, model_file, payload = self.fit(capsys, tmp_path, model)
+        for path, value in edit.items():
+            *outer, key = path.split(".")
+            (payload[outer[0]] if outer else payload)[key] = value
+        code, _, err = self.predict(capsys, data, model_file, payload)
+        self.assert_names_the_file(model_file, code, err, needle)
+
     @pytest.mark.parametrize("model,edit,refit", [
         ("aknn", {"predictor_cols": ["x2", "x1"]}, None),
         ("aknn", {"alpha": -1}, ("--alpha", "-1", "--k", "4")),

@@ -416,6 +416,16 @@ class TestKdtreeEdgeCases:
         assert np.array_equal(I[0::3], I[1::3])
         assert np.array_equal(I[0::3], I[2::3])
 
+    def test_rounded_predictors_tie_inside_k(self, rng):
+        # Predictors rounded to 0.1 repeat rows and distances, so equal
+        # distances fall inside the first k, not only at the cut, and the
+        # tree's own order among them is not always the row order.
+        X = np.round(rng.normal(size=(300, 2)), 1)
+        Q = np.round(rng.normal(size=(40, 2)), 1)
+        _assert_matches_brute(X, Q, 7)
+        _, D = build_index(X, strategy="kdtree").query_batch(Q, 7)
+        assert (D[:, :5] == D[:, 1:6]).any()
+
     def test_query_blocks(self, monkeypatch, rng):
         # Blocks of a few rows give the same answer as one block.
         X = np.round(rng.normal(size=(200, 2)), 1)

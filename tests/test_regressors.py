@@ -14,6 +14,7 @@ from simplexreg import (
     AlphaKernelSpec,
     AlphaKnnSpec,
     ConvergenceError,
+    DegenerateInputError,
     DegenerateWeightsError,
     KldSpec,
     LogRatioOlsSpec,
@@ -29,6 +30,7 @@ from simplexreg import (
     fit_alpha_knn,
     fit_kld,
     fit_logratio_ols,
+    frechet_mean,
     predict_alpha_kernel,
     predict_alpha_knn,
     predict_kld,
@@ -41,7 +43,7 @@ from simplexreg.regressors import (
     iter_kernel_grid_predictions,
     iter_knn_grid_predictions,
 )
-from simplexreg.selection import TuningGrid, tune
+from simplexreg.selection import TuningGrid, default_alpha_grid, tune
 
 
 @pytest.fixture
@@ -198,6 +200,75 @@ class TestKnnRowIndependence:
             assert resolved  # the tie path ran
         elif strategy == "kdtree":
             assert not resolved
+
+
+class TestKnnPowerOrder:
+    """The grid iterator powers the smaller set: the n training rows, then
+    gathers them (a tune fold, n < m * k_max), or the gathered neighbours
+    (a one-row predict).  The power is elementwise, so both orders give the
+    same bits."""
+
+    @pytest.mark.parametrize("rounded", [True, False])
+    @pytest.mark.parametrize("D", [2, 4, 7])
+    def test_batch_equals_rows_one_at_a_time(self, D, rounded):
+        rng = np.random.default_rng(46)
+        n, m, k = 90, 12, 9  # the batch asks m * k = 108 > n neighbours
+        X, Q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+        if rounded:
+            X, Q = np.round(X, 1), np.round(Q, 1)
+        # Parts over many magnitudes; the 21 default alphas include the
+        # +-0.5 and +-1 that numpy may power by its own scalar fast paths.
+        U = closure(rng.random((n, D)) ** 6 + 1e-12)
+        index = build_index(X)
+        alphas = default_alpha_grid()
+        for ai, _, batch in iter_knn_grid_predictions(index, U, Q, alphas, (k,)):
+            rows = [next(iter_knn_grid_predictions(index, U, Q[i:i + 1], (alphas[ai],), (k,)))[2]
+                    for i in range(m)]
+            assert np.array_equal(batch, np.vstack(rows)), alphas[ai]
+
+    def test_values_powered(self, monkeypatch):
+        sizes = []
+        power = regressors._power
+
+        def counted(values, a, out=None):
+            sizes.append(values.size)
+            return power(values, a, out=out)
+
+        monkeypatch.setattr(regressors, "_power", counted)
+        rng = np.random.default_rng(47)
+        n, D, alphas = 300, 4, (-0.5, 0.0, 1.0)
+        X, U = rng.normal(size=(n, 1)), closure(rng.random((n, D)) + 0.05)
+        tune(X, U, "alpha-knn", TuningGrid(alphas=alphas, ks=(5, 50), folds=3, seed=1))
+        # Each fold's 100 queries ask 50 neighbours among its 200 training rows.
+        assert sizes == [200 * D] * (3 * len(alphas))
+        sizes.clear()
+        fit_alpha_knn(X, U, 0.5, 7).predict(X[:1])
+        assert sizes == [7 * D]
+
+
+class TestDegenerateClosing:
+    """At alpha = -1 each row's subnormal part powers to inf, so the mean of
+    the two rows unpowers to (0, 0): every power-mean path raises."""
+
+    U = np.array([[1 - 5e-324, 5e-324], [5e-324, 1 - 5e-324]])
+    message = "^closure: a slice sums to zero$"
+
+    def test_every_path_raises(self):
+        X = np.array([[0.0], [1.0]])
+        # The overflow is the case under test; pytest would raise its warning.
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateInputError, match=self.message):
+                fit_alpha_knn(X, self.U, -1.0, 2).predict([[0.5]])
+            for Q in ([[0.5]], [[0.5], [0.2]]):  # neighbours first, training rows first
+                with pytest.raises(DegenerateInputError, match=self.message):
+                    list(iter_knn_grid_predictions(build_index(X), self.U, np.array(Q),
+                                                   (-1.0,), (2,)))
+            with pytest.raises(DegenerateInputError, match=self.message):
+                # Equal predictors: each fold's neighbours are its two lowest rows.
+                tune(np.zeros((6, 1)), np.tile(self.U, (3, 1)), "alpha-knn",
+                     TuningGrid(alphas=(-1.0,), ks=(2,), folds=2, seed=0))
+            with pytest.raises(DegenerateInputError, match=self.message):
+                frechet_mean(self.U, -1.0)
 
 
 class TestKnnPredictBlocks:
