@@ -25,9 +25,10 @@ path shares the kernel, so the strategies still agree bitwise.
 
 `query_batch` runs the one block loop of both strategies: `_search_brute`
 and `_search_kdtree` each answer one block, and the kd-tree's rare full
-scan is `_search_brute` on one row.  `_row_blocks` is the package's only
-block-size rule; every blocked loop passes it its own byte budget.  Rows
-pass `simplex._predictor_gate`, whose bound keeps squared distances finite.
+scan is `_search_brute` on one row.  `_row_blocks` is the package's
+byte-budget block rule; every such loop passes it its own budget (the
+kernel family's GEMM blocks are sized by rows instead).  Rows pass
+`simplex._predictor_gate`, whose bound keeps squared distances finite.
 """
 
 import importlib.machinery

@@ -21,6 +21,11 @@ parts-major, so every reduction over the D parts is D - 1 whole-vector
 adds; for D <= 7 the bits equal those of a row-major reduction.
 """
 
+import contextlib
+import ctypes
+import functools
+import importlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +227,60 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
 # kernel family
 
 
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's (get, set) thread-count pair, looked up once per process.
+
+    numpy's multiarray extension links the BLAS numpy was built with.
+    None without an OpenBLAS symbol (MKL, Accelerate, numpy < 2).
+    """
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy._core._multiarray_umath").__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        if get is not None:
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "caller": None}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with one BLAS thread, then restore the caller's count.
+
+    A GEMM's bits depend on how many threads OpenBLAS splits it across, so
+    the kernel grid's GEMMs, and all of `tune`, run pinned to keep their
+    outputs independent of the core count.  The count is process-wide:
+    nested or concurrent pins share it, and the last one out restores it.
+    Does nothing without an OpenBLAS symbol.
+    """
+    pair = _blas_threads()
+    if pair is None:
+        yield
+        return
+    get, set_ = pair
+    with _pin_lock:
+        if _pin["depth"] == 0:
+            _pin["caller"] = get()
+            set_(1)
+        _pin["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                set_(_pin["caller"])
+
+
 @dataclass(frozen=True)
 class AlphaKernelModel:
     predictors: np.ndarray
@@ -254,12 +313,14 @@ def predict_alpha_kernel(model, Xnew):
     Raises DegenerateWeightsError, naming the first offending query row,
     when every kernel weight underflows to zero for some query.
 
-    A row's last ulp can depend on the other rows of the call: numpy sends
-    a one-row `W @ U^alpha` to BLAS gemv, and OpenBLAS sends GEMMs under
-    about 1e6 multiply-adds to a small-matrix kernel, each rounding
-    differently from the blocked GEMM.  `tune` and `predict` still agree
-    because they pass the same query rows; predicting a file in pieces
-    can change the last ulp.
+    Runs at one BLAS thread, and in query blocks of at least
+    R = max(ceil(`_STACK_MULADDS` / (n * D)), 2) rows, so memory is
+    O(R * n) and a call of at least R rows gives each row the bits it
+    gets in any other such call.  Only a smaller call can move a row's
+    last ulp: numpy sends a one-row `W @ U^alpha` to BLAS gemv, and
+    OpenBLAS sends GEMMs under about 1e6 multiply-adds to a small-matrix
+    kernel, each rounding differently from the blocked GEMM.  `tune` and
+    `predict` agree because they pass the same query rows.
     """
     cells = iter_kernel_grid_predictions(
         model.predictors, model.responses, Xnew, (model.alpha,), (model.h,), model.kernel
@@ -299,13 +360,16 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     predictions.  Inputs are assumed validated (grid exponents in range,
     zeros only with positive alphas, positive bandwidths, a known kernel).
 
-    Queries are processed in equal blocks whose (rows, n) exponent-base
-    and weight matrices each stay under `_CHUNK_BYTES // 4` bytes; one
-    buffer of each serves every block and bandwidth.  Only the GEMM runs
-    on a whole block.  Everything else runs on row tiles of at most
-    `_CHUNK_BYTES // 64` bytes, which stay in cache between passes: the
-    distances and their kernel base once per block, and the divide, exp,
-    row sums and normalising once per bandwidth.  The weights are
+    Queries are processed in max(1, m // R) equal blocks, where R is the
+    larger of ceil(`_STACK_MULADDS` / (n * D)) and A * D + 1 (2 at A = 1),
+    so each block of a call with m >= R rows holds R to 2R - 1 rows.  One
+    (rows, n) exponent-base and one weight buffer serve every block and
+    bandwidth: memory is O(R * n) = O(n * A * D + `_STACK_MULADDS` / D),
+    never O(m * n).  Only the GEMM runs on a whole block.  Everything
+    else runs on row tiles of at most `_CHUNK_BYTES // 64` bytes, which
+    stay in cache between passes: the distances and their kernel base
+    once per block, and the divide, exp, row sums and normalising once
+    per bandwidth.  The weights are
     elementwise and summed row by row, so the tiling does not move a bit.
     Only the (H, m, A, D) weighted sums, which do not grow with n, outlive
     a block, and the cells are yielded once the last block is done.  A
@@ -313,23 +377,27 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     sum is closed Fortran-ordered, so the closure over the D parts is
     D - 1 whole-column adds (bitwise a row-major sum for D <= 7).
 
-    When every block's per-alpha GEMM has at least `_STACK_MULADDS`
+    When the blocks' per-alpha GEMM has at least `_STACK_MULADDS`
     multiply-adds (rows * n * D) and more rows than the A * D columns of
-    all alphas' powered responses side by side, each block runs one GEMM
-    over those columns; otherwise it runs one GEMM per alpha.  Either way
-    each cell has the bits of its one-alpha GEMM, and at A = 1 the two
-    routes are the same call, so predict and tune agree bitwise.
+    all alphas' powered responses side by side, which holds whenever
+    m >= R, each block runs one GEMM over those columns; otherwise it runs
+    one GEMM per alpha.  Either way each cell has the bits of its
+    one-alpha GEMM, and at A = 1 the two routes are the same call, so
+    predict and tune agree bitwise.  The blocks run at one BLAS thread,
+    so a call of m >= R rows gives each row the bits it has in any other
+    such call, whatever the core count; only a smaller call can move a
+    row's last ulp.
     """
     Q = _predictor_gate(Q, "query", P.shape[1])
     m, (n, D), A = Q.shape[0], U.shape, len(alphas)
-    blocks = _row_blocks(m, 8 * n, _CHUNK_BYTES // 4)
-    # Equal blocks keep each GEMM at least half the budget.  OpenBLAS runs
-    # GEMMs below ~1e6 multiply-adds through a small-matrix kernel, whose
-    # stacked columns round differently from the narrow GEMM.  Threaded, it
-    # also splits a GEMM with fewer rows than columns across its columns
-    # (seen at two threads), which moves the bits too.  The smallest block
-    # decides for all of them.
-    rows = m // len(blocks)
+    # OpenBLAS rounds a GEMM below ~1e6 multiply-adds (small-matrix kernel)
+    # or of one row (gemv) unlike the blocked GEMM, so each block holds at
+    # least R rows: enough for `_STACK_MULADDS` and, over several alphas,
+    # for the stacked route.  Fewer than R query rows run as one block.
+    R = max(-(-_STACK_MULADDS // (n * D)), A * D + 1 if A > 1 else 2)
+    count = max(1, m // R)
+    blocks = [slice(i * m // count, (i + 1) * m // count) for i in range(count)]
+    rows = m // count
     stack = rows * n * D >= _STACK_MULADDS and rows > A * D
     # (n, A, D) either way: alpha-minor so the stack is one (n, A * D)
     # matrix, or alpha-major so each narrow GEMM reads contiguous rows,
@@ -342,30 +410,31 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     base_of = _KERNEL_PARTS[kernel][0]
     base_rows = np.empty((-(-m // len(blocks)), n))
     weight_rows = np.empty_like(base_rows)
-    for block in blocks:
-        Qb = Q[block]
-        base, W = base_rows[:len(Qb)], weight_rows[:len(Qb)]
-        tiles = _row_blocks(len(Qb), 8 * n, _CHUNK_BYTES // 64)
-        for tile in tiles:
-            d = _distances_to(P[None, :, :], Qb[tile, None, :], out=base[tile])
-            base_of(d, out=d)
-        for hi, h in enumerate(hs):
-            if errors[hi] is not None:
-                continue
-            dead = _fill_weights(W, base, h, kernel, tiles)
-            if dead is not None:
-                row = block.start + dead
-                errors[hi] = DegenerateWeightsError(
-                    f"all kernel weights underflowed for query row {row} "
-                    f"(h={h!r}, kernel={kernel!r})",
-                    query_index=row,
-                )
-                continue
-            if stack:
-                np.matmul(W, powered.reshape(n, A * D), out=S[hi, block].reshape(-1, A * D))
-            else:
-                for ai in range(A):
-                    np.matmul(W, powered[:, ai], out=S[hi, block, ai])
+    with _one_blas_thread():
+        for block in blocks:
+            Qb = Q[block]
+            base, W = base_rows[:len(Qb)], weight_rows[:len(Qb)]
+            tiles = _row_blocks(len(Qb), 8 * n, _CHUNK_BYTES // 64)
+            for tile in tiles:
+                d = _distances_to(P[None, :, :], Qb[tile, None, :], out=base[tile])
+                base_of(d, out=d)
+            for hi, h in enumerate(hs):
+                if errors[hi] is not None:
+                    continue
+                dead = _fill_weights(W, base, h, kernel, tiles)
+                if dead is not None:
+                    row = block.start + dead
+                    errors[hi] = DegenerateWeightsError(
+                        f"all kernel weights underflowed for query row {row} "
+                        f"(h={h!r}, kernel={kernel!r})",
+                        query_index=row,
+                    )
+                    continue
+                if stack:
+                    np.matmul(W, powered.reshape(n, A * D), out=S[hi, block].reshape(-1, A * D))
+                else:
+                    for ai in range(A):
+                        np.matmul(W, powered[:, ai], out=S[hi, block, ai])
     for hi in range(len(hs)):
         for ai, a in enumerate(alphas):
             if errors[hi] is not None:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
-from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
+from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays, _one_blas_thread,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
 from .simplex import (_as_floats, _check_count, _check_real, _check_seed, _grid_axis,
                       _predictor_gate)
@@ -215,6 +215,7 @@ class TuningReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+@_one_blas_thread()
 def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
          kernel=None, threads=1):
     """Cross-validated grid search for one model family.

@@ -93,22 +93,27 @@ def _kernel_cells(monkeypatch, chunk_bytes, *args):
     return list(iter_kernel_grid_predictions(*args))
 
 
+def _blocked_cells(monkeypatch, muladds, *args):
+    # Kernel blocks hold at least R = max(ceil(muladds / (n * D)),
+    # A * D + 1) rows, so `_STACK_MULADDS` steers the block count.
+    monkeypatch.setattr(regressors, "_STACK_MULADDS", muladds)
+    return list(iter_kernel_grid_predictions(*args))
+
+
 @pytest.mark.parametrize("D", [4, 7])
 def test_kernel_blocks_equal_one_block(monkeypatch, D):
-    # A quarter of the default budget: 524 rows of n = 1000 per block.
-    # m = 2 * 524 + 10 would leave a 10-row tail, whose GEMM a BLAS may
-    # round with a different small-matrix kernel; equal blocks of 352-353
-    # rows keep every GEMM above 1e6 multiply-adds.
+    # R = m // 3 = 352 rows of n = 1000 per block: three blocks of 352-353
+    # rows, each GEMM above 1e6 multiply-adds, against one 1058-row block.
     rng = np.random.default_rng(D)
     n, m = 1000, 2 * 524 + 10
     X = rng.normal(size=(n, 2))
     U = closure(rng.random((n, D)) + 0.02)
     Q = rng.normal(size=(m, 2))
     args = (X, U, Q, (-1.0, 0.0, 0.5, 1.0), (0.2, 1.0), "gaussian")
-    chunk = 16 * 2**20
-    assert -(-m // (chunk // 4 // (8 * n))) >= 3
-    one = _kernel_cells(monkeypatch, 2**40, *args)
-    blocked = _kernel_cells(monkeypatch, chunk, *args)
+    muladds = n * D * (m // 3)
+    assert m // (muladds // (n * D)) >= 3
+    one = _blocked_cells(monkeypatch, n * D * (m + 1), *args)
+    blocked = _blocked_cells(monkeypatch, muladds, *args)
     assert [c[:2] for c in blocked] == [c[:2] for c in one]
     for (_, _, want), (_, _, got) in zip(one, blocked):
         assert np.array_equal(got, want)
@@ -118,8 +123,8 @@ def test_kernel_degenerate_row_in_later_block(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 1))
     U = closure(rng.random((40, 3)) + 0.05)
-    Q = rng.normal(size=(20, 1))
-    Q[[6, 13]] = 1e3  # every weight underflows at h = 1 in rows 6 and 13
+    Q = rng.normal(size=(28, 1))
+    Q[[8, 15]] = 1e3  # every weight underflows at h = 1 in rows 8 and 15
     calls = []
     fill_weights = regressors._fill_weights
 
@@ -128,24 +133,24 @@ def test_kernel_degenerate_row_in_later_block(monkeypatch):
         return fill_weights(W, base, h, kernel, tiles)
 
     monkeypatch.setattr(regressors, "_fill_weights", counted)
-    chunk = 4 * 8 * len(X) * 4  # four query rows per block: rows 6 and 13 in blocks 2 and 4
-    cells = _kernel_cells(monkeypatch, chunk, X, U, Q, (0.5, 1.0), (1.0, 1e4), "gaussian")
+    # R = A * D + 1 = 7: four blocks of seven rows, rows 8 and 15 in blocks 2 and 3
+    cells = _blocked_cells(monkeypatch, 1, X, U, Q, (0.5, 1.0), (1.0, 1e4), "gaussian")
     dead = [pred for _, hi, pred in cells if hi == 0]
     assert len(dead) == 2
     assert all(isinstance(e, DegenerateWeightsError) for e in dead)
-    assert all(e.query_index == 6 for e in dead)
-    assert "query row 6" in str(dead[0])
+    assert all(e.query_index == 8 for e in dead)
+    assert "query row 8" in str(dead[0])
     assert all(isinstance(pred, np.ndarray) for _, hi, pred in cells if hi == 1)
     # the dead bandwidth is not evaluated again after its second block
     assert calls.count(1.0) == 2
-    assert calls.count(1e4) == 5
+    assert calls.count(1e4) == 4
 
 
 def _tiled_chunk(n, m):
-    # The smallest budget whose block holds all m query rows, so the GEMM
-    # keeps the one-block shape while the tiles shrink to m // 16 rows.
+    # A budget whose row tiles hold m // 16 rows, while the block rule
+    # (R > m rows at this n) keeps the one-block GEMM.
     chunk = 4 * 8 * n * m
-    assert len(_row_blocks(m, 8 * n, chunk // 4)) == 1
+    assert -(-regressors._STACK_MULADDS // (n * 4)) > m
     assert len(_row_blocks(m, 8 * n, chunk // 64)) > 1
     return chunk
 

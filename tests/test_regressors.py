@@ -5,6 +5,10 @@ memorization, exact recovery on noiseless data), its validation gates,
 and the agreements that tie the families together.
 """
 
+import sys
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -487,6 +491,143 @@ class TestKernelRowIndependence:
                 model = fit_alpha_kernel(X, U, a, h, kernel)
                 halves = [model.predict(Q[:400]), model.predict(Q[400:])]
                 assert np.array_equal(model.predict(Q), np.vstack(halves)), (a, h)
+
+
+class TestKernelBlockRule:
+    """Kernel query blocks hold at least R = max(ceil(`_STACK_MULADDS` /
+    (n * D)), A * D + 1) rows, so a large-n call stacks its alphas and the
+    block buffers stay O(R * n) however many rows are queried."""
+
+    def test_large_n_takes_the_stacked_route(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        X, U = make_data(rng, n=30_000, p=2, D=4)
+        Q = rng.normal(size=(200, 2))
+        alphas = tuple(np.linspace(-1.0, 1.0, 21))
+        hs = (0.5, 2.0)
+        widths = []
+        matmul = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            widths.append(b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        cells = list(iter_kernel_grid_predictions(X, U, Q, alphas, hs, "gaussian"))
+        monkeypatch.undo()
+        # R = 85: two 100-row blocks, one width-84 GEMM per block and bandwidth
+        assert widths == [84] * 2 * len(hs)
+        for ai, hi, pred in cells:
+            if alphas[ai] in (-1.0, 0.0, 1.0):
+                model = fit_alpha_kernel(X, U, alphas[ai], hs[hi])
+                assert np.array_equal(pred, model.predict(Q)), (ai, hi)
+
+    def test_predict_memory_does_not_grow_with_queries(self):
+        rng = np.random.default_rng(31)
+        X, U = make_data(rng, n=3000, p=2, D=4)
+        Q = rng.normal(size=(5000, 2))
+        model = fit_alpha_kernel(X, U, 0.5, 0.7)
+        tracemalloc.start()
+        try:
+            model.predict(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # R = 167: 29 blocks of 172-173 rows, two 4.1 MB buffers
+        assert peak < 12 * 2**20
+
+
+@pytest.fixture
+def blas_threads():
+    """The (get, set) pair the pin uses; the caller's count is restored."""
+    pair = regressors._blas_threads()
+    if pair is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
+    caller = pair[0]()
+    yield pair
+    pair[1](caller)
+
+
+def _kernel_tune_case(n, m):
+    # n training and m held-out rows in every fold
+    rng = np.random.default_rng(n)
+    X, U = make_data(rng, n=n + m, p=2, D=4)
+    grid = TuningGrid(alphas=(-1.0, 0.0, 0.5, 1.0), hs=(0.3, 1.0), folds=(n + m) // m, seed=4)
+    return X, U, grid
+
+
+class TestOneBlasThread:
+    """Kernel reports and predictions do not depend on the caller's BLAS
+    thread count: `tune` and `predict_alpha_kernel` run at one thread and
+    hand the caller's count back."""
+
+    @pytest.mark.parametrize("n, m", [(3000, 300), (12_000, 1000)])
+    def test_forced_threads_give_the_one_thread_report(self, blas_threads, n, m):
+        get, set_ = blas_threads
+        X, U, grid = _kernel_tune_case(n, m)
+        set_(1)
+        want = tune(X, U, "alpha-kernel", grid).to_json()
+        train = np.arange(n + m) >= m  # a fold of m held-out rows
+        cells = list(iter_kernel_grid_predictions(
+            X[train], U[train], X[~train], grid.alphas, grid.hs, "gaussian"))
+        for threads in (2, 4, 8):
+            set_(threads)
+            # two fold workers share the pin, entered before the pool starts
+            assert tune(X, U, "alpha-kernel", grid, threads=2).to_json() == want, threads
+            assert get() == threads
+            for ai, hi, pred in cells[::3]:
+                model = fit_alpha_kernel(X[train], U[train], grid.alphas[ai], grid.hs[hi])
+                assert np.array_equal(model.predict(X[~train]), pred), (threads, ai, hi)
+            assert get() == threads
+
+    def test_caller_count_restored_after_exception(self, blas_threads):
+        get, set_ = blas_threads
+        set_(3)
+        with pytest.raises(RuntimeError):
+            with regressors._one_blas_thread():
+                assert get() == 1
+                with regressors._one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                raise RuntimeError
+        assert get() == 3
+        X, U, grid = _kernel_tune_case(80, 20)
+        with pytest.raises(ValidationError):
+            tune(X, U, "alpha-kernel", grid, metric="nope")
+        assert get() == 3
+
+    def test_concurrent_pins_share_one_count(self, blas_threads):
+        get, set_ = blas_threads
+        set_(3)
+        seen = []
+
+        def worker():
+            for _ in range(200):
+                with regressors._one_blas_thread():
+                    time.sleep(0)  # let another worker enter or leave its pin
+                    seen.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        # a pin that restored the count while another was open would show here
+        assert seen == [1] * 1600
+        assert get() == 3
+
+    def test_tune_runs_without_a_symbol(self, monkeypatch):
+        X, U, grid = _kernel_tune_case(80, 20)
+        want = tune(X, U, "alpha-kernel", grid).to_json()
+        monkeypatch.setattr(regressors, "_blas_threads", lambda: None)
+        assert tune(X, U, "alpha-kernel", grid).to_json() == want
+        model = fit_alpha_kernel(X, U, 0.5, 1.0)
+        assert model.predict(X).shape == U.shape
 
 
 class TestAlphaKernel:
