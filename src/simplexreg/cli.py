@@ -493,8 +493,6 @@ def cmd_frechet_path(args):
 
 
 def cmd_bench(args):
-    if args.threads != 1:
-        raise ValidationError("--threads does not apply to bench: the harness runs serially")
     scenario = BenchScenario(
         n_grid=tuple(_number_list(args.n, int)),
         d_grid=tuple(_number_list(args.D, int)),
@@ -651,8 +649,6 @@ def build_parser():
     sp.add_argument("--queries", type=int, default=1000)
     sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="only 1 is accepted: the harness runs serially")
     sp.add_argument("--output", default=None, help="report JSON path (default stdout)")
     sp.set_defaults(func=cmd_bench)
 

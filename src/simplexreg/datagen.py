@@ -99,18 +99,7 @@ def gen_polynomial(spec):
     """
     if spec.link != "polynomial":
         raise ValidationError(f"spec.link is {spec.link!r}, not 'polynomial'")
-    d = spec.D - 1
-    rng_coef = np.random.default_rng(spec.coef_seed)
-    rng_data = np.random.default_rng(spec.data_seed)
-    intercepts = rng_coef.normal(-3.0, 1.0, size=d)
-    slopes = rng_coef.normal(2.0, 0.5, size=(spec.predictors, d))
-    X = rng_data.standard_normal((spec.n, spec.predictors))
-    F = intercepts + (X**spec.degree) @ slopes
-    F += rng_data.normal(0.0, spec.noise_scale, size=(spec.n, d))
-    U = simplex_link(F)
-    if spec.zero_fraction > 0:
-        U = inject_zeros(U, spec.zero_fraction, rng_data)
-    return X, U, np.vstack([intercepts, slopes])
+    return generate(spec)
 
 
 def gen_segmented(spec):
@@ -122,25 +111,31 @@ def gen_segmented(spec):
     """
     if spec.link != "segmented":
         raise ValidationError(f"spec.link is {spec.link!r}, not 'segmented'")
+    return generate(spec)
+
+
+def generate(spec):
+    """The dataset of spec.link: (predictors, compositions, coefficients)."""
     d = spec.D - 1
     rng_coef = np.random.default_rng(spec.coef_seed)
     rng_data = np.random.default_rng(spec.data_seed)
-    b_pos = rng_coef.normal(-1.0, 0.3, size=d)
-    b_neg = rng_coef.normal(1.0, 0.2, size=d)
-    z = np.linspace(-1.0, 1.0, spec.n)[:, None]
-    F = np.where(z >= 0, z**2 * b_pos, z**3 * b_neg)
+    if spec.link == "polynomial":
+        intercepts = rng_coef.normal(-3.0, 1.0, size=d)
+        slopes = rng_coef.normal(2.0, 0.5, size=(spec.predictors, d))
+        X = rng_data.standard_normal((spec.n, spec.predictors))
+        F = intercepts + (X**spec.degree) @ slopes
+        coef = np.vstack([intercepts, slopes])
+    else:
+        b_pos = rng_coef.normal(-1.0, 0.3, size=d)
+        b_neg = rng_coef.normal(1.0, 0.2, size=d)
+        X = np.linspace(-1.0, 1.0, spec.n)[:, None]
+        F = np.where(X >= 0, X**2 * b_pos, X**3 * b_neg)
+        coef = np.vstack([b_pos, b_neg])
     F += rng_data.normal(0.0, spec.noise_scale, size=(spec.n, d))
     U = simplex_link(F)
     if spec.zero_fraction > 0:
         U = inject_zeros(U, spec.zero_fraction, rng_data)
-    return z, U, np.vstack([b_pos, b_neg])
-
-
-def generate(spec):
-    """Dispatch on spec.link."""
-    if spec.link == "polynomial":
-        return gen_polynomial(spec)
-    return gen_segmented(spec)
+    return X, U, coef
 
 
 def inject_zeros(U, fraction, seed):

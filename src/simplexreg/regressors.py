@@ -257,10 +257,10 @@ def _one_blas_thread():
     """Run the body with one BLAS thread, then restore the caller's count.
 
     A GEMM's bits depend on how many threads OpenBLAS splits it across, so
-    the kernel grid's GEMMs, and all of `tune`, run pinned to keep their
-    outputs independent of the core count.  The count is process-wide:
-    nested or concurrent pins share it, and the last one out restores it.
-    Does nothing without an OpenBLAS symbol.
+    the kernel grid's GEMMs run pinned to keep their outputs independent of
+    the core count.  The count is process-wide: nested or concurrent pins
+    share it, and the last one out restores it.  Does nothing without an
+    OpenBLAS symbol.
     """
     pair = _blas_threads()
     if pair is None:
@@ -313,13 +313,9 @@ def predict_alpha_kernel(model, Xnew):
     Raises DegenerateWeightsError, naming the first offending query row,
     when every kernel weight underflows to zero for some query.
 
-    Runs at one BLAS thread, and in query blocks of at least
-    R = max(ceil(`_STACK_MULADDS` / (n * D)), 2) rows, so memory is
-    O(R * n) and a call of at least R rows gives each row the bits it
-    gets in any other such call.  Only a smaller call can move a row's
-    last ulp: numpy sends a one-row `W @ U^alpha` to BLAS gemv, and
-    OpenBLAS sends GEMMs under about 1e6 multiply-adds to a small-matrix
-    kernel, each rounding differently from the blocked GEMM.  `tune` and
+    Runs through `iter_kernel_grid_predictions` as its one-cell grid: its
+    docstring gives the query block size R, the memory bound and when a
+    row's bits can depend on the other rows of the call.  `tune` and
     `predict` agree because they pass the same query rows.
     """
     cells = iter_kernel_grid_predictions(
@@ -377,32 +373,26 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     sum is closed Fortran-ordered, so the closure over the D parts is
     D - 1 whole-column adds (bitwise a row-major sum for D <= 7).
 
-    When the blocks' per-alpha GEMM has at least `_STACK_MULADDS`
-    multiply-adds (rows * n * D) and more rows than the A * D columns of
-    all alphas' powered responses side by side, which holds whenever
-    m >= R, each block runs one GEMM over those columns; otherwise it runs
-    one GEMM per alpha.  Either way each cell has the bits of its
-    one-alpha GEMM, and at A = 1 the two routes are the same call, so
-    predict and tune agree bitwise.  The blocks run at one BLAS thread,
-    so a call of m >= R rows gives each row the bits it has in any other
-    such call, whatever the core count; only a smaller call can move a
-    row's last ulp.
+    A call of m >= R rows stacks every alpha; a smaller call runs one GEMM
+    per alpha.  A stacked block's GEMM spans the A * D columns of all
+    alphas' powered responses side by side, with at least `_STACK_MULADDS`
+    multiply-adds per alpha (rows * n * D) and more rows than columns.
+    Either way each cell has the bits of its one-alpha GEMM, and at A = 1
+    the two routes are the same call, so predict and tune agree bitwise.
+    The blocks run at one BLAS thread, so a call of m >= R rows gives each
+    row the bits it has in any other such call, whatever the core count.
+    Only a smaller call can move a row's last ulp: numpy sends a one-row
+    GEMM to BLAS gemv, and OpenBLAS sends GEMMs under about 1e6
+    multiply-adds to a small-matrix kernel, each rounding unlike the
+    blocked GEMM.
     """
     Q = _predictor_gate(Q, "query", P.shape[1])
     m, (n, D), A = Q.shape[0], U.shape, len(alphas)
-    # OpenBLAS rounds a GEMM below ~1e6 multiply-adds (small-matrix kernel)
-    # or of one row (gemv) unlike the blocked GEMM, so each block holds at
-    # least R rows: enough for `_STACK_MULADDS` and, over several alphas,
-    # for the stacked route.  Fewer than R query rows run as one block.
     R = max(-(-_STACK_MULADDS // (n * D)), A * D + 1 if A > 1 else 2)
     count = max(1, m // R)
     blocks = [slice(i * m // count, (i + 1) * m // count) for i in range(count)]
-    rows = m // count
-    stack = rows * n * D >= _STACK_MULADDS and rows > A * D
-    # (n, A, D) either way: alpha-minor so the stack is one (n, A * D)
-    # matrix, or alpha-major so each narrow GEMM reads contiguous rows,
-    # which at large n is much faster than a strided column block.
-    powered = np.empty((n, A, D)) if stack else np.empty((A, n, D)).transpose(1, 0, 2)
+    stack = m >= R
+    powered = np.empty((n, A, D))
     for ai, a in enumerate(alphas):
         _power(U, a, out=powered[:, ai])
     S = np.empty((len(hs), m, A, D))

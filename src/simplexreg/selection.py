@@ -24,7 +24,7 @@ import numpy as np
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
-from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays, _one_blas_thread,
+from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
 from .simplex import (_as_floats, _check_count, _check_real, _check_seed, _grid_axis,
                       _predictor_gate)
@@ -215,7 +215,6 @@ class TuningReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-@_one_blas_thread()
 def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
          kernel=None, threads=1):
     """Cross-validated grid search for one model family.
@@ -254,9 +253,7 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     clamp = _check_clamp(clamp, U.shape[1])
-    threads = _check_count("threads", threads)
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    threads = _check_count("threads", threads, 1)
     if np.any(U == 0) and min(grid.alphas) <= 0:
         raise ValidationError(
             "responses contain zeros: every grid alpha must be strictly positive"

@@ -267,7 +267,7 @@ class TestTune:
         )
         assert code == 2
         assert out == ""
-        assert "error: ValidationError: threads must be >= 1, got 0" in err
+        assert "error: ValidationError: threads must be an integer >= 1, got 0" in err
 
     @pytest.mark.parametrize("model", ["aknn", "akernel"])
     def test_oversized_predictor_names_the_file_row(self, tmp_path, capsys, model):
@@ -760,8 +760,7 @@ class TestBench:
         code, _, err = run(
             capsys,
             "bench", "--n", "150,300", "--D", "3", "--queries", "10",
-            "--repeats", "1", "--seed", "0", "--threads", "1",
-            "--output", str(out_file),
+            "--repeats", "1", "--seed", "0", "--output", str(out_file),
         )
         assert code == 0
         payload = json.loads(out_file.read_text())
@@ -775,7 +774,7 @@ class TestBench:
         assert "timestamp" not in json.dumps(payload)
 
     def test_threads_default_is_serial(self, tmp_path, capsys):
-        # The harness runs serially, so an omitted --threads records 1.
+        # The harness runs serially and takes no --threads; the report records 1.
         out_file = tmp_path / "bench.json"
         code, _, _ = run(
             capsys,
@@ -884,10 +883,13 @@ class TestRejectedArguments:
 
     @pytest.mark.parametrize("threads", ["2", "0"])
     def test_bench_threads_other_than_one(self, tmp_path, capsys, threads):
+        # bench runs serially and takes no --threads; argparse rejects it
         out = tmp_path / "bench.json"
-        _exits_2_naming(capsys, ["bench", "--n", "150", "--D", "3", "--queries", "5",
-                                 "--repeats", "1", "--threads", threads, "--output", str(out)],
-                        "--threads does not apply to bench: the harness runs serially")
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--n", "150", "--D", "3", "--queries", "5",
+                  "--repeats", "1", "--threads", threads, "--output", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, needle", [

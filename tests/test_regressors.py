@@ -536,6 +536,40 @@ class TestKernelBlockRule:
         assert peak < 12 * 2**20
 
 
+class TestKernelRouteBoundary:
+    """The stacked route starts at exactly m = R query rows, whichever term
+    of R = max(ceil(`_STACK_MULADDS` / (n * D)), A * D + 1) is larger, and
+    the cells keep predict's bits on both sides."""
+
+    @pytest.mark.parametrize("n, D, n_alphas, R", [
+        (1500, 4, 5, 334),    # ceil(2e6 / 6000) = 334 > A * D + 1 = 21
+        (12_000, 4, 21, 85),  # A * D + 1 = 85 > ceil(2e6 / 48000) = 42
+        (20_000, 5, 11, 56),  # A * D + 1 = 56 > ceil(2e6 / 1e5) = 20
+    ])
+    def test_route_switches_at_R(self, monkeypatch, n, D, n_alphas, R):
+        rng = np.random.default_rng(n + D)
+        X, U = make_data(rng, n=n, p=2, D=D)
+        alphas = tuple(np.linspace(-1.0, 1.0, n_alphas))
+        hs = (0.5, 2.0)
+        matmul = np.matmul
+        for m, widths_want in ((R - 1, [D] * n_alphas * len(hs)),
+                               (R, [n_alphas * D] * len(hs))):
+            Q = rng.normal(size=(m, 2))
+            widths = []
+
+            def counting(a, b, *args, **kwargs):
+                widths.append(b.shape[-1])
+                return matmul(a, b, *args, **kwargs)
+
+            monkeypatch.setattr(np, "matmul", counting)
+            cells = list(iter_kernel_grid_predictions(X, U, Q, alphas, hs, "gaussian"))
+            monkeypatch.undo()
+            assert widths == widths_want, m
+            for ai, hi, pred in cells:
+                model = fit_alpha_kernel(X, U, alphas[ai], hs[hi])
+                assert np.array_equal(pred, model.predict(Q)), (m, ai, hi)
+
+
 @pytest.fixture
 def blas_threads():
     """The (get, set) pair the pin uses; the caller's count is restored."""
@@ -557,10 +591,14 @@ def _kernel_tune_case(n, m):
 
 class TestOneBlasThread:
     """Kernel reports and predictions do not depend on the caller's BLAS
-    thread count: `tune` and `predict_alpha_kernel` run at one thread and
-    hand the caller's count back."""
+    thread count: the kernel grid iterator, which `tune` and
+    `predict_alpha_kernel` run, holds one thread around its GEMMs and
+    hands the caller's count back."""
 
-    @pytest.mark.parametrize("n, m", [(3000, 300), (12_000, 1000)])
+    # Without the pin both reports differ at two threads on OpenBLAS 0.3.31
+    # (SkylakeX kernel): (3000, 300) runs one stacked block per fold,
+    # (1200, 300) one GEMM per alpha.
+    @pytest.mark.parametrize("n, m", [(3000, 300), (1200, 300)])
     def test_forced_threads_give_the_one_thread_report(self, blas_threads, n, m):
         get, set_ = blas_threads
         X, U, grid = _kernel_tune_case(n, m)
@@ -571,7 +609,7 @@ class TestOneBlasThread:
             X[train], U[train], X[~train], grid.alphas, grid.hs, "gaussian"))
         for threads in (2, 4, 8):
             set_(threads)
-            # two fold workers share the pin, entered before the pool starts
+            # two fold workers each enter the iterator's pin and share its count
             assert tune(X, U, "alpha-kernel", grid, threads=2).to_json() == want, threads
             assert get() == threads
             for ai, hi, pred in cells[::3]:

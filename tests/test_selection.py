@@ -309,7 +309,7 @@ class TestTuneKnn:
         U = closure(rng.random((40, 3)) + 0.05)
         grid = TuningGrid(alphas=(1.0,), ks=(3,), folds=10, seed=0)
         for bad in (0, -1):
-            with pytest.raises(ValidationError, match="threads must be >= 1"):
+            with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
                 tune(X, U, "alpha-knn", grid, threads=bad)
 
     @pytest.mark.parametrize("clamp", [math.nan, math.inf])
