@@ -7,14 +7,18 @@ kept as the reference oracle and for tiny n.  The tree (scipy's cKDTree)
 is built on the first kd-tree query, and scipy is loaded only then, so a
 command that never searches pays for neither.  Only the tree's compiled
 extension is loaded, not the `scipy.spatial` package around it (see
-`_ckdtree`).  Neighbors are ordered by (distance, row index), so exact
-distance ties always resolve to the lower training row.  The kd-tree path
-re-evaluates candidate distances with the same floating point kernel the
-brute path uses, then widens the candidate set whenever a tie could
-straddle the cut, which keeps the two strategies bit-identical.  It sorts
-its candidates by distance alone and sorts again by (distance, row index)
-only the rows whose sorted distances hold an equal pair: a row without
-one has a single order.
+`_ckdtree`).  With one predictor column a kd-tree reduces to the sorted
+column, so there the index is the column's stable argsort and its sorted
+values, and scipy is never loaded: a query's k nearest rows are a run of
+the sorted column around its insertion point (`_search_sorted`).
+Neighbors are ordered by (distance, row index), so exact distance ties
+always resolve to the lower training row.  Both kd-tree paths re-evaluate
+candidate distances with the same floating point kernel the brute path
+uses, then widen the candidate set whenever a tie could straddle the cut,
+which keeps the strategies bit-identical.  They sort candidates by
+distance alone and sort again by (distance, row index) only the rows
+whose sorted distances hold an equal pair: a row without one has a single
+order (`_by_distance`).
 
 That kernel, `_distances_to`, is predictor-major: it sums the p squared
 coordinate differences as p whole-array adds, not as a short reduction
@@ -105,6 +109,17 @@ def _distances_to(X, q, out=None):
     return np.sqrt(total, out=total)
 
 
+def _by_distance(ii, d):
+    # Candidates ii with distances d, each row ordered by (distance, row
+    # index).  Only rows holding equal distances need the row index as
+    # second key; reordering their ties leaves the sorted distances as they are.
+    order = np.argsort(d, axis=1, kind="stable")
+    d_sorted = np.take_along_axis(d, order, axis=1)
+    equal = np.flatnonzero((d_sorted[:, 1:] == d_sorted[:, :-1]).any(axis=1))
+    order[equal] = np.lexsort((ii[equal], d[equal]))
+    return np.take_along_axis(ii, order, axis=1), d_sorted
+
+
 def _row_blocks(m, row_bytes, budget):
     # Equal slices of at most budget // row_bytes rows (at least one); not
     # full blocks plus a short tail, so two or more are each >= half the budget.
@@ -186,7 +201,8 @@ class NeighborIndex:
             # A block keeps several (rows, k + 1, p) temporaries alive; small
             # blocks keep them out of the peak footprint at no cost in time.
             row_bytes = min(kk + 1, self.n) * self.p * 8
-            search, budget = self._search_kdtree, _CHUNK_BYTES // 64
+            search = self._search_sorted if self.p == 1 else self._search_kdtree
+            budget = _CHUNK_BYTES // 64
         out_idx = np.empty((Q.shape[0], kk), dtype=np.int64)
         out_dist = np.empty((Q.shape[0], kk))
         for b in _row_blocks(Q.shape[0], row_bytes, budget):
@@ -196,9 +212,14 @@ class NeighborIndex:
     def _kdtree(self):
         # Two threads making the first query at once each build an
         # identical tree, and either one is kept: harmless.  The class
-        # itself is loaded once per process (`_ckdtree`).
+        # itself is loaded once per process (`_ckdtree`).  At p = 1 the
+        # tree is the stable argsort of the column and its sorted values.
         if self._tree is None:
-            self._tree = _ckdtree()(self._X)
+            if self.p == 1:
+                perm = np.argsort(self._X[:, 0], kind="stable")
+                self._tree = perm, self._X[perm, 0]
+            else:
+                self._tree = _ckdtree()(self._X)
         return self._tree
 
     def _search_brute(self, Qb, kk):
@@ -212,19 +233,37 @@ class NeighborIndex:
         ii = self._kdtree().query(Qb, k=k_probe)[1].reshape(len(Qb), k_probe)
         # Re-derive candidate distances with the shared kernel; the
         # tree's own values may differ in the last ulp.
-        d = _distances_to(self._X[ii], Qb[:, None, :])
-        order = np.argsort(d, axis=1, kind="stable")
-        d_sorted = np.take_along_axis(d, order, axis=1)
-        # Only rows holding equal distances need the row index as second
-        # key; reordering their ties leaves the sorted distances as they are.
-        equal = np.flatnonzero((d_sorted[:, 1:] == d_sorted[:, :-1]).any(axis=1))
-        order[equal] = np.lexsort((ii[equal], d[equal]))
-        ii, d = np.take_along_axis(ii, order, axis=1), d_sorted
+        ii, d = _by_distance(ii, _distances_to(self._X[ii], Qb[:, None, :]))
         idx, dist = ii[:, :kk], d[:, :kk]
         # Rows whose probe neighbor may tie the k-th are re-resolved.
         tied = d[:, kk] <= d[:, kk - 1] * (1.0 + _TIE_RTOL) if k_probe > kk else []
         for r in np.flatnonzero(tied):
             idx[r], dist[r] = self._resolve_row(Qb[r], kk, d[r, kk - 1])
+        return idx, dist
+
+    def _search_sorted(self, Qb, kk):
+        # p = 1: a window of w sorted rows around each query's insertion
+        # point.  Distances grow away from the query on either side, fl
+        # included, so a window whose end rows (where it stops short of the
+        # column's ends) lie strictly beyond the k-th distance holds the
+        # exact answer; any other row doubles its window and goes again.
+        perm, xs = self._kdtree()
+        n, pos = self.n, np.searchsorted(xs, Qb[:, 0])
+        idx, dist = np.empty((len(Qb), kk), dtype=np.int64), np.empty((len(Qb), kk))
+        rows, w = np.arange(len(Qb)), min(2 * kk, n)
+        while rows.size:
+            wider = []
+            for b in _row_blocks(rows.size, w * 8, _CHUNK_BYTES // 64):
+                r = rows[b]
+                lo = np.clip(pos[r] - w // 2, 0, n - w)
+                ii = perm[lo[:, None] + np.arange(w)]
+                d = _distances_to(self._X[ii], Qb[r, None, :])
+                edge = np.minimum(np.where(lo > 0, d[:, 0], np.inf),
+                                  np.where(lo < n - w, d[:, -1], np.inf))
+                ii, d_sorted = _by_distance(ii, d)
+                idx[r], dist[r] = ii[:, :kk], d_sorted[:, :kk]
+                wider.append(r[edge <= d_sorted[:, kk - 1]])
+            rows, w = np.concatenate(wider), min(2 * w, n)
         return idx, dist
 
     def _resolve_row(self, q, kk, d_edge):

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     ZeroNotAllowedError,
 )
-from .frechet import _check_zero_alpha, _power, _unpower
+from .frechet import _check_alpha_parts, _power, _unpower
 from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _row_blocks,
                         build_index)
 # pairwise_distances and closure stay bound for benchmark/tracing.py, which
@@ -146,7 +146,7 @@ def fit_alpha_knn(X, U, alpha, k, strategy="auto"):
     """
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
-    _check_zero_alpha(U, a, "fit_alpha_knn")
+    _check_alpha_parts(U, a, "fit_alpha_knn")
     k = _check_k(k)
     if k > X.shape[0]:
         raise ValidationError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
@@ -302,7 +302,7 @@ def fit_alpha_kernel(X, U, alpha, h, kernel="gaussian"):
     """
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
-    _check_zero_alpha(U, a, "fit_alpha_kernel")
+    _check_alpha_parts(U, a, "fit_alpha_kernel")
     return AlphaKernelModel(predictors=X, responses=U, alpha=a, h=_check_bandwidth(h),
                             kernel=_check_kernel(kernel))
 

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import TuningError, ValidationError
+from .frechet import _check_alpha_parts
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
@@ -254,10 +255,8 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     clamp = _check_clamp(clamp, U.shape[1])
     threads = _check_count("threads", threads, 1)
-    if np.any(U == 0) and min(grid.alphas) <= 0:
-        raise ValidationError(
-            "responses contain zeros: every grid alpha must be strictly positive"
-        )
+    # The smallest grid alpha powers every part to its largest value.
+    _check_alpha_parts(U, min(grid.alphas), "tune: responses", ValidationError)
     if model_family == "alpha-knn":
         if grid.ks is None:
             raise ValidationError("alpha-knn tuning needs grid.ks")

@@ -719,6 +719,32 @@ class TestModelFile:
         assert err.startswith("error: ZeroNotAllowedError:")
 
 
+class TestOverflowingPowerExits2:
+    """A part whose power at a negative alpha overflows ends fit, tune and
+    frechet-path with exit 2 and one error line naming the row and alpha;
+    it used to be predicted as 0.0 with a numpy overflow warning."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["fit", "--predictor-cols", "x1", "--model", "aknn", "--alpha", "-1", "--k", "1"],
+         "ZeroNotAllowedError: fit_alpha_knn"),
+        (["fit", "--predictor-cols", "x1", "--model", "akernel", "--alpha", "-1",
+          "--h", "0.5"], "ZeroNotAllowedError: fit_alpha_kernel"),
+        (["tune", "--predictor-cols", "x1", "--model", "aknn", "--alpha-grid=1,-1",
+          "--k-grid", "1", "--folds", "2"], "ValidationError: tune: responses"),
+        (["frechet-path", "--alpha-grid=-1"], "ZeroNotAllowedError: frechet_mean"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, argv, error):
+        data = tmp_path / "tiny.csv"
+        data.write_text("x1,y1,y2\n0,0.5,0.5\n1,1,5e-324\n2,0.3,0.7\n3,0.6,0.4\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--input", str(data), "--response-cols", "y1,y2",
+                           "--output", str(out))
+        assert code == 2
+        assert err == (f"error: {error}: row 1: part 5e-324 overflows when raised to "
+                       "alpha, got alpha=-1.0\n")
+        assert not out.exists()
+
+
 class TestFrechetPath:
     def test_constant_symmetric_data(self, tmp_path, capsys):
         path = tmp_path / "sym.csv"
@@ -1040,7 +1066,8 @@ class TestDerivedJsonKeys:
 
 
 # Runs in a fresh interpreter: records after each command whether scipy
-# has been imported.
+# has been imported.  Two predictor columns: with one, the k-NN search
+# never loads scipy (_SCIPY_ONE_PREDICTOR_PROBE).
 _SCIPY_PROBE = """
 import json, sys
 from simplexreg import cli
@@ -1051,8 +1078,9 @@ def step(name, *argv):
     assert cli.main(list(argv)) == 0, name
     loaded[name] = "scipy" in sys.modules
 
-step("simulate", "simulate", "--n", "200", "--D", "3", "--seed", "2", "--output", "train.csv")
-io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
+step("simulate", "simulate", "--n", "200", "--D", "3", "--predictors", "2", "--seed", "2",
+     "--output", "train.csv")
+io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1,x2")
 step("fit aknn", "fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "5",
      "--output", "aknn.json")
 step("fit akernel", "fit", *io, "--model", "akernel", "--alpha", "0.5", "--h", "0.3",
@@ -1085,15 +1113,16 @@ print(json.dumps(loaded))
 """
 
 
-# Runs in a fresh interpreter: predict aknn loads scipy's kd-tree extension
-# but not the scipy.spatial package, and that package, imported later,
-# hands out the same cKDTree class.
+# Runs in a fresh interpreter: predict aknn with two predictor columns
+# loads scipy's kd-tree extension but not the scipy.spatial package, and
+# that package, imported later, hands out the same cKDTree class.
 _KDTREE_EXTENSION_PROBE = """
 import json, sys
 from simplexreg import cli, neighbors
 
-io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
-for argv in (["simulate", "--n", "200", "--D", "3", "--seed", "2", "--output", "train.csv"],
+io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1,x2")
+for argv in (["simulate", "--n", "200", "--D", "3", "--predictors", "2", "--seed", "2",
+              "--output", "train.csv"],
              ["fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "5",
               "--output", "aknn.json"],
              ["predict", "--input", "train.csv", "--model-file", "aknn.json",
@@ -1103,6 +1132,30 @@ loaded = {name: name in sys.modules for name in ("scipy", "scipy.spatial")}
 tree_class = neighbors._ckdtree()
 import scipy.spatial
 loaded["same class"] = scipy.spatial.cKDTree is tree_class
+print(json.dumps(loaded))
+"""
+
+
+# Runs in a fresh interpreter: with one predictor column the kd-tree
+# strategy searches the sorted column, so aknn tune and predict over 200
+# rows (above AUTO_KDTREE_THRESHOLD) never import scipy.
+_SCIPY_ONE_PREDICTOR_PROBE = """
+import json, sys
+from simplexreg import cli
+
+io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1")
+loaded = {}
+for name, argv in (
+        ("simulate", ["simulate", "--n", "200", "--D", "3", "--seed", "2",
+                      "--output", "train.csv"]),
+        ("tune aknn", ["tune", *io, "--model", "aknn", "--folds", "4",
+                       "--output", "report.json"]),
+        ("fit aknn", ["fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "5",
+                      "--output", "aknn.json"]),
+        ("predict aknn", ["predict", "--input", "train.csv", "--model-file", "aknn.json",
+                          "--output", "p.csv"])):
+    assert cli.main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
 print(json.dumps(loaded))
 """
 
@@ -1134,6 +1187,11 @@ class TestScipyLoadedOnlyForKdtreeSearch:
     def test_kdtree_search_loads_only_the_extension(self, tmp_path):
         loaded = _fresh_probe(_KDTREE_EXTENSION_PROBE, tmp_path)
         assert loaded == {"scipy": True, "scipy.spatial": False, "same class": True}
+
+    def test_one_predictor_knn_skips_scipy(self, tmp_path):
+        loaded = _fresh_probe(_SCIPY_ONE_PREDICTOR_PROBE, tmp_path)
+        assert loaded == {"simulate": False, "tune aknn": False, "fit aknn": False,
+                          "predict aknn": False}
 
 
 class TestNotUtf8Input:

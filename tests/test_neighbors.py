@@ -451,6 +451,119 @@ class TestKdtreeEdgeCases:
             _assert_matches_brute(X, Q, k, strategy="kdtree")
 
 
+class TestOnePredictor:
+    """At p = 1 the kd-tree strategy searches the sorted column: a window of
+    2 * k sorted rows around each query, doubled while its end rows are not
+    strictly beyond the k-th distance.  Bit for bit the brute oracle."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        # (window width, block sizes) of each row-block call of a kd-tree
+        # search: the sorted search passes 8 bytes per window row.
+        seen = []
+        blocks = neighbors._row_blocks
+
+        def recording(m, row_bytes, budget):
+            out = blocks(m, row_bytes, budget)
+            seen.append((row_bytes // 8, [b.stop - b.start for b in out]))
+            return out
+
+        monkeypatch.setattr(neighbors, "_row_blocks", recording)
+        return seen
+
+    def test_index_is_the_sorted_column(self, rng):
+        X = np.round(rng.normal(size=(300, 1)), 1)
+        idx = build_index(X, strategy="kdtree")
+        idx.query_batch(X[:3], 2)
+        perm, xs = idx._tree
+        assert np.array_equal(perm, np.argsort(X[:, 0], kind="stable"))
+        assert np.array_equal(xs, np.sort(X[:, 0]))
+
+    def test_continuous(self, rng):
+        X = rng.normal(size=(2000, 1))
+        Q = rng.normal(size=(300, 1))
+        for k in (1, 7, 50):
+            _assert_matches_brute(X, Q, k)
+            _assert_matches_brute(X, Q, k, strategy="auto")
+
+    def test_cut_ties_spill_past_the_window_on_both_sides(self, widths):
+        # Values 0 and 1, 40 rows each; a query at 0.5 is 0.5 from all 80.
+        # The 0s hold the lowest rows, and the stable sort puts them on the
+        # far left, so the answer lies beyond the first window's left end
+        # while the tie also runs past its right end.
+        X = np.r_[np.zeros(40), np.ones(40)][:, None]
+        Q = np.array([[0.5], [0.4], [0.6], [1.5]])
+        for k in (1, 5, 39, 40, 41):
+            _assert_matches_brute(X, Q, k)
+        widths.clear()
+        I, _ = build_index(X, strategy="kdtree").query_batch(Q[:1], 5)
+        assert I.tolist() == [[0, 1, 2, 3, 4]]
+        assert [w for w, _ in widths[1:]] == [10, 20, 40, 80]
+
+    def test_integer_rounded_columns(self, rng):
+        X = np.round(rng.normal(size=(600, 1)) * 3)
+        Q = np.round(rng.normal(size=(200, 1)) * 6) / 2  # integers and half-integers
+        for k in (1, 2, 9, 30, 200):
+            _assert_matches_brute(X, Q, k)
+
+    def test_queries_beyond_both_ends(self, rng):
+        X = np.round(rng.normal(size=(500, 1)), 1)
+        Q = np.array([[-1e6], [-50.0], [X.min() - 0.05], [X.max() + 0.05], [50.0], [1e6]])
+        for k in (1, 8, 499, 500):
+            _assert_matches_brute(X, Q, k)
+
+    @pytest.mark.parametrize("n", [AUTO_KDTREE_THRESHOLD + 1, 300])
+    def test_k_one_and_k_n(self, rng, n):
+        X = np.round(rng.normal(size=(n, 1)), 1)
+        Q = np.vstack([X[:20], np.round(rng.normal(size=(20, 1)), 2)])
+        assert build_index(X).strategy == "kdtree"
+        for k in (1, n - 1, n, n + 5):
+            _assert_matches_brute(X, Q, k, strategy="auto")
+
+    def test_signed_zeros(self):
+        X = np.array([0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 2.0] * 30)[:, None]
+        Q = np.array([[0.0], [-0.0], [0.5], [-0.5], [5e-324], [-5e-324]])
+        for k in (1, 3, 60, 120, 210):
+            _assert_matches_brute(X, Q, k)
+        _, D = build_index(X, strategy="kdtree").query_batch(Q, 3)
+        _, Db = build_index(X, strategy="brute").query_batch(Q, 3)
+        assert np.array_equal(np.signbit(D), np.signbit(Db))
+
+    def test_widening_reaches_n_in_row_blocks(self, monkeypatch, widths):
+        # One distinct value in 300 rows: every window doubles until it is
+        # the whole column; a budget of one 300-row window sends each
+        # widened row through its own block.
+        X = np.r_[np.full(297, 2.0), [0.0, 1.0, 3.0]][:, None]
+        Q = np.array([[2.0], [2.4], [1.6], [2.0], [-1.0], [9.0]])
+        expected = build_index(X, strategy="brute").query_batch(Q, 4)
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 64 * 300 * 8)
+        widths.clear()
+        got = build_index(X, strategy="kdtree").query_batch(Q, 4)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        # After the query block itself: 8, 16, ..., 256, then all 300 rows,
+        # every row of the last round in a block of its own.
+        assert [w for w, _ in widths[1:]] == [8, 16, 32, 64, 128, 256, 300]
+        assert widths[-1] == (300, [1] * len(Q))
+
+
+def test_one_predictor_search_beats_brute():
+    # Ratio gate, never absolute seconds (measured ~0.004 on 2 vCPUs).
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(3000, 1))
+    Q = rng.normal(size=(2000, 1))
+
+    def best_of_3(index):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            index.query_batch(Q, 10)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_of_3(build_index(X)) <= 0.25 * best_of_3(build_index(X, strategy="brute"))
+
+
 class TestTieRowCounter:
     """_resolve_row runs once per row whose (k+1)-th distance ties the k-th."""
 

@@ -35,10 +35,12 @@ from simplexreg import (
     fit_kld,
     fit_logratio_ols,
     frechet_mean,
+    frechet_path,
     predict_alpha_kernel,
     predict_alpha_knn,
     predict_kld,
     predict_logratio_ols,
+    weighted_frechet_mean,
 )
 from simplexreg import regressors
 from simplexreg.regressors import (
@@ -251,28 +253,77 @@ class TestKnnPowerOrder:
 
 
 class TestDegenerateClosing:
-    """At alpha = -1 each row's subnormal part powers to inf, so the mean of
-    the two rows unpowers to (0, 0): every power-mean path raises."""
+    """At alpha = -1 each part 1e-308 powers to 1e308, which is finite, so the
+    gate passes it; two of them in one column sum to inf, so the mean of the
+    four rows unpowers to (0, 0): every power-mean path raises."""
 
-    U = np.array([[1 - 5e-324, 5e-324], [5e-324, 1 - 5e-324]])
+    t = 1e-308
+    U = np.array([[t, 1 - t], [t, 1 - t], [1 - t, t], [1 - t, t]])
     message = "^closure: a slice sums to zero$"
 
     def test_every_path_raises(self):
-        X = np.array([[0.0], [1.0]])
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
         # The overflow is the case under test; pytest would raise its warning.
         with np.errstate(over="ignore"):
             with pytest.raises(DegenerateInputError, match=self.message):
-                fit_alpha_knn(X, self.U, -1.0, 2).predict([[0.5]])
+                fit_alpha_knn(X, self.U, -1.0, 4).predict([[0.5]])
             for Q in ([[0.5]], [[0.5], [0.2]]):  # neighbours first, training rows first
                 with pytest.raises(DegenerateInputError, match=self.message):
                     list(iter_knn_grid_predictions(build_index(X), self.U, np.array(Q),
-                                                   (-1.0,), (2,)))
+                                                   (-1.0,), (4,)))
             with pytest.raises(DegenerateInputError, match=self.message):
-                # Equal predictors: each fold's neighbours are its two lowest rows.
-                tune(np.zeros((6, 1)), np.tile(self.U, (3, 1)), "alpha-knn",
-                     TuningGrid(alphas=(-1.0,), ks=(2,), folds=2, seed=0))
+                # Equal predictors: each fold's neighbours are its four lowest
+                # rows, two of each kind at seed 0.
+                tune(np.zeros((12, 1)), np.tile(self.U, (3, 1)), "alpha-knn",
+                     TuningGrid(alphas=(-1.0,), ks=(4,), folds=2, seed=0))
             with pytest.raises(DegenerateInputError, match=self.message):
                 frechet_mean(self.U, -1.0)
+
+
+class TestOverflowingPowerRefused:
+    """A part whose alpha-th power overflows (alpha < 0, part below
+    finfo.max ** (1 / alpha)) is refused like a zero at alpha <= 0, naming
+    the row and alpha, by every fit, by tune at its smallest grid alpha and
+    by the Frechet means; a part just above the bound is accepted."""
+
+    @staticmethod
+    def data(part):
+        U = closure(np.array([[0.3, 0.7], [0.5, 0.5], [1.0, part], [0.6, 0.4]] * 2))
+        return np.arange(8.0)[:, None], U
+
+    @pytest.mark.parametrize("part", [5e-324, 5e-309])
+    def test_fits_and_means_refuse(self, part):
+        X, U = self.data(part)
+        message = rf"row 2: part {part!r} overflows when raised to alpha, got alpha=-1\.0$"
+        for fit in (lambda: fit_alpha_knn(X, U, -1.0, 1),
+                    lambda: fit_alpha_kernel(X, U, -1.0, 0.5),
+                    lambda: frechet_mean(U, -1.0),
+                    lambda: weighted_frechet_mean(U, np.ones(8), -1.0),
+                    lambda: frechet_path(U, (0.5, -1.0))):
+            with pytest.raises(ZeroNotAllowedError, match=message):
+                fit()
+
+    def test_part_at_the_bound_is_accepted(self):
+        limit = np.finfo(float).max ** -1.0  # 1 / max: its power is max itself
+        X, U = self.data(np.nextafter(limit, 1.0))
+        assert np.isfinite(U[2, 1] ** -1.0)
+        fit_alpha_knn(X, U, -1.0, 1)
+        fit_alpha_kernel(X, U, -1.0, 0.5)
+        # A milder alpha powers the refused part to a finite value.
+        X, U = self.data(5e-324)
+        model = fit_alpha_knn(X, U, -0.5, 1)
+        assert model.predict(X[2:3])[0, 1] > 0
+        assert frechet_mean(U, -0.5)[1] > 0
+
+    @pytest.mark.parametrize("family, axis", [("alpha-knn", {"ks": (1,)}),
+                                              ("alpha-kernel", {"hs": (0.5,)})])
+    def test_tune_checks_the_smallest_grid_alpha(self, family, axis):
+        X, U = self.data(5e-324)
+        grid = TuningGrid(alphas=(1.0, -1.0, 0.5), folds=2, seed=0, **axis)
+        with pytest.raises(ValidationError,
+                           match=r"^tune: responses: row 2: .*overflows.*alpha=-1\.0$"):
+            tune(X, U, family, grid)
+        tune(X, U, family, TuningGrid(alphas=(1.0, -0.5, 0.5), folds=2, seed=0, **axis))
 
 
 class TestKnnPredictBlocks:
