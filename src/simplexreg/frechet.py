@@ -18,33 +18,16 @@ only these two helpers know that alpha = 0 is the geometric limit.
 every sum is positive.  Its input is built from compositions that already
 passed the gate, so `closure`'s checks for caller input are not repeated;
 a sum that is zero (every part of the mean is 0) or NaN raises
-DegenerateInputError.  No single power is infinite: `_check_alpha_parts`
-refuses, naming the row, a part whose power at alpha would overflow, as
-it refuses zeros at alpha <= 0.
+DegenerateInputError.  No sum of powers is infinite: `_check_alpha_parts`
+refuses, naming the row, a part whose power exceeds finfo.max / terms (n
+for the mean, 1 for weights summing to 1), as it refuses zeros at alpha <= 0.
 """
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, ZeroNotAllowedError
+from .errors import DegenerateInputError, ValidationError
 from .simplex import _as_floats, _close, _grid_axis, as_composition_matrix, closure
-from .transforms import check_alpha
-
-
-def _check_alpha_parts(U, a, op, error=ZeroNotAllowedError):
-    # Refuses, naming the first row, a part that alpha cannot power: a zero
-    # at alpha <= 0, or a part whose alpha-th power overflows (alpha < 0,
-    # u below finfo.max ** (1 / alpha)).  u ** alpha falls as u grows, so
-    # each row's smallest part decides; at alpha > 0 no part can fail.
-    if a > 0:
-        return
-    low = U.min(axis=1)
-    with np.errstate(divide="ignore", over="ignore"):
-        rows = np.flatnonzero(np.isinf(_power(low, a)))
-    if rows.size:
-        r, u = int(rows[0]), float(low[rows[0]])
-        fault = "a zero part needs alpha strictly positive" if u == 0 else (
-            f"part {u!r} overflows when raised to alpha")
-        raise error(f"{op}: row {r}: {fault}, got alpha={a!r}")
+from .transforms import _check_alpha_parts, check_alpha
 
 
 def _power(U, a, out=None):
@@ -91,7 +74,7 @@ def weighted_frechet_mean(U, weights, alpha):
             f"weights shape {w.shape} does not match {arr.shape[0]} rows"
         )
     w = closure(w)
-    _check_alpha_parts(arr, a, "weighted_frechet_mean")
+    _check_alpha_parts(arr, a, "weighted_frechet_mean", 1)
     return _unpower(w @ _power(arr, a), a)
 
 
@@ -104,6 +87,6 @@ def frechet_path(U, alphas):
     arr = as_composition_matrix(U)
     path = []
     for a in _grid_axis("alphas", alphas, check_alpha):
-        _check_alpha_parts(arr, a, "frechet_mean")
+        _check_alpha_parts(arr, a, "frechet_mean", len(arr))
         path.append((a, _unpower(_power(arr, a).mean(axis=0), a)))
     return path

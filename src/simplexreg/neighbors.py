@@ -1,24 +1,21 @@
 """Exact Euclidean nearest-neighbor search with deterministic tie handling.
 
-Two interchangeable strategies produce identical output: a vectorized
-brute-force scan and a kd-tree accelerated path.  "auto" uses the kd-tree
-for every training set above AUTO_KDTREE_THRESHOLD rows; brute force is
-kept as the reference oracle and for tiny n.  The tree (scipy's cKDTree)
-is built on the first kd-tree query, and scipy is loaded only then, so a
-command that never searches pays for neither.  Only the tree's compiled
-extension is loaded, not the `scipy.spatial` package around it (see
-`_ckdtree`).  With one predictor column a kd-tree reduces to the sorted
-column, so there the index is the column's stable argsort and its sorted
-values, and scipy is never loaded: a query's k nearest rows are a run of
-the sorted column around its insertion point (`_search_sorted`).
-Neighbors are ordered by (distance, row index), so exact distance ties
-always resolve to the lower training row.  Both kd-tree paths re-evaluate
-candidate distances with the same floating point kernel the brute path
-uses, then widen the candidate set whenever a tie could straddle the cut,
-which keeps the strategies bit-identical.  They sort candidates by
-distance alone and sort again by (distance, row index) only the rows
-whose sorted distances hold an equal pair: a row without one has a single
-order (`_by_distance`).
+Two interchangeable strategies give identical output: a cache-blocked
+scan ("brute", `_search_brute`), which orders each row's cut set (every
+distance at or below its k-th) with one stable lexsort, and a kd-tree.
+"auto" names the kd-tree above AUTO_KDTREE_THRESHOLD rows, but at p >= 2
+it scans until the process has scanned `_SCAN_BUDGET` distances, about
+the cost of loading the tree's extension, and only then loads it.  The
+tree (scipy's cKDTree) is built on the first kd-tree search; only its
+compiled extension is loaded, not `scipy.spatial` (see `_ckdtree`).  With
+one predictor column the kd-tree is the sorted column (stable argsort and
+sorted values) and scipy is never loaded: a query's k nearest rows are a
+run of it around the insertion point (`_search_sorted`).  Neighbors are
+ordered by (distance, row index), so exact ties resolve to the lower
+training row.  Both kd-tree paths re-evaluate candidate distances with
+the scan's kernel and widen the candidates whenever a tie could straddle
+the cut, which keeps the strategies bit-identical; they sort again by
+(distance, row index) only rows holding an equal pair (`_by_distance`).
 
 That kernel, `_distances_to`, is predictor-major: it sums the p squared
 coordinate differences as p whole-array adds, not as a short reduction
@@ -27,12 +24,11 @@ bitwise, since numpy sums fewer than eight terms left to right; for
 p >= 8 the summation order differs from that formula, but every search
 path shares the kernel, so the strategies still agree bitwise.
 
-`query_batch` runs the one block loop of both strategies: `_search_brute`
-and `_search_kdtree` each answer one block, and the kd-tree's rare full
-scan is `_search_brute` on one row.  `_row_blocks` is the package's
-byte-budget block rule; every such loop passes it its own budget (the
-kernel family's GEMM blocks are sized by rows instead).  Rows pass
-`simplex._predictor_gate`, whose bound keeps squared distances finite.
+`query_batch` runs the one block loop of every strategy; the kd-tree's
+rare full scan is `_search_brute` on one row.  `_row_blocks` is the
+package's byte-budget block rule; every such loop passes it its own
+budget (the kernel family's GEMM blocks are sized by rows instead).  Rows
+pass `simplex._predictor_gate`, whose bound keeps squared distances finite.
 """
 
 import importlib.machinery
@@ -46,9 +42,9 @@ import numpy as np
 from .errors import ValidationError
 from .simplex import _as_floats, _check_count, _predictor_gate
 
-# Above this row count "auto" uses the kd-tree, below it brute force.  The
-# measured crossover grows with k: n ~ 32-192 at k <= 10, n ~ 192-384 at
-# k = 50.  At n = 20,000 and k = 10 the kd-tree is 8-1000x faster.
+# Above this row count "auto" names the kd-tree, below it the scan.  A loaded
+# tree is 1.0-1.8x faster than the scan at n = 32-128 (p = 2, 3, k = 5-50, 2,000
+# queries: under 3 ms of its ~0.25 s load), 2-12x at n = 3,000.
 AUTO_KDTREE_THRESHOLD = 128
 
 _STRATEGIES = ("auto", "brute", "kdtree")
@@ -64,6 +60,11 @@ _TIE_RTOL = 1e-9
 # sys.modules is its only cache.
 _CKDTREE_MODULE = "scipy.spatial._ckdtree"
 _ckdtree_lock = threading.Lock()
+
+# Distances an auto index at p >= 2 scans per process (counted under the
+# lock) before it loads the tree: its 0.14-0.25 s load at 75-100 M/s scanned.
+_SCAN_BUDGET = 2**24
+_scanned = 0
 
 
 def _ckdtree():
@@ -97,13 +98,13 @@ def _ckdtree():
             return cKDTree
 
 
-def _distances_to(X, q, out=None):
+def _distances_to(X, q, out=None, tmp=None):
     # Rows of X against broadcast queries q; the one distance kernel of
     # every code path, so that distances agree bitwise between strategies.
     total = np.subtract(X[..., 0], q[..., 0], out=out)
     total *= total
     for j in range(1, X.shape[-1]):
-        t = X[..., j] - q[..., j]
+        t = np.subtract(X[..., j], q[..., j], out=tmp)
         t *= t
         total += t
     return np.sqrt(total, out=total)
@@ -150,7 +151,8 @@ class NeighborIndex:
     X : array_like, shape (n, p)
         Training predictors; held by reference.
     strategy : {"auto", "brute", "kdtree"}
-        "auto" picks the kd-tree once n exceeds AUTO_KDTREE_THRESHOLD.
+        "auto" picks the kd-tree once n exceeds AUTO_KDTREE_THRESHOLD; at
+        p >= 2 it scans while the process is within `_SCAN_BUDGET`.
     """
 
     def __init__(self, X, strategy="auto"):
@@ -159,10 +161,11 @@ class NeighborIndex:
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
             )
         self._X = _predictor_gate(X, "training")
+        self._scan_first = strategy == "auto" and self.p > 1
         if strategy == "auto":
-            strategy = "kdtree" if self._X.shape[0] > AUTO_KDTREE_THRESHOLD else "brute"
+            strategy = "kdtree" if self.n > AUTO_KDTREE_THRESHOLD else "brute"
         self.strategy = strategy
-        self._tree = None
+        self._tree = self._columns = None
 
     @property
     def n(self):
@@ -195,19 +198,33 @@ class NeighborIndex:
         """
         Q = _predictor_gate(Q, "query", self.p)
         kk = min(_check_k(k), self.n)
-        if self.strategy == "brute":
-            search, row_bytes, budget = self._search_brute, self._X.size * 8, _CHUNK_BYTES
+        if self.strategy == "brute" or self._scan_first and self._scans(Q.shape[0]):
+            # Cache-sized blocks of distances in scratch made once per call:
+            # fresh arrays would fault their pages in again in every block.
+            blocks = _row_blocks(Q.shape[0], self.n * 8, _CHUNK_BYTES // 256)
+            scratch = np.empty((2, -(-Q.shape[0] // len(blocks)), self.n))
+            search = lambda Qb, kk: self._search_brute(Qb, kk, scratch)  # noqa: E731
         else:
             # A block keeps several (rows, k + 1, p) temporaries alive; small
             # blocks keep them out of the peak footprint at no cost in time.
             row_bytes = min(kk + 1, self.n) * self.p * 8
             search = self._search_sorted if self.p == 1 else self._search_kdtree
-            budget = _CHUNK_BYTES // 64
+            blocks = _row_blocks(Q.shape[0], row_bytes, _CHUNK_BYTES // 64)
         out_idx = np.empty((Q.shape[0], kk), dtype=np.int64)
         out_dist = np.empty((Q.shape[0], kk))
-        for b in _row_blocks(Q.shape[0], row_bytes, budget):
+        for b in blocks:
             out_idx[b], out_dist[b] = search(Q[b], kk)
         return out_idx, out_dist
+
+    def _scans(self, m):
+        # True, counting the scan, until the extension is loaded or the
+        # process's scans would pass _SCAN_BUDGET distances.
+        global _scanned
+        with _ckdtree_lock:
+            if _CKDTREE_MODULE in sys.modules or _scanned + m * self.n > _SCAN_BUDGET:
+                return False
+            _scanned += m * self.n
+            return True
 
     def _kdtree(self):
         # Two threads making the first query at once each build an
@@ -222,11 +239,22 @@ class NeighborIndex:
                 self._tree = _ckdtree()(self._X)
         return self._tree
 
-    def _search_brute(self, Qb, kk):
-        d = _distances_to(self._X[None, :, :], Qb[:, None, :])
-        # Stable sort on distance keeps ties in ascending index order.
-        order = np.argsort(d, axis=1, kind="stable")[:, :kk]
-        return order, np.take_along_axis(d, order, axis=1)
+    def _search_brute(self, Qb, kk, scratch=None):
+        # The cut set (distances at or below the row's kk-th) in one stable
+        # lexsort by (row, distance): each row's first kk are the stable
+        # argsort's.  Contiguous columns give the same distances, faster.
+        if self._columns is None:
+            self._columns = np.asfortranarray(self._X)
+        d, part = np.empty((2, len(Qb), self.n)) if scratch is None else scratch[:, :len(Qb)]
+        d = _distances_to(self._columns[None, :, :], Qb[:, None, :], out=d, tmp=part)
+        part[...] = d
+        part.partition(kk - 1, axis=1)
+        cut = d <= part[:, kk - 1:kk]
+        flat = np.flatnonzero(cut)  # far faster than a 2-D nonzero
+        (rows, cols), d = np.divmod(flat, self.n), d.ravel()[flat]
+        order = np.lexsort((d, rows))
+        take = order[np.searchsorted(rows, np.arange(len(Qb)))[:, None] + np.arange(kk)]
+        return cols[take], d[take]
 
     def _search_kdtree(self, Qb, kk):
         k_probe = min(kk + 1, self.n)

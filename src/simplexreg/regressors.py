@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     ZeroNotAllowedError,
 )
-from .frechet import _check_alpha_parts, _power, _unpower
+from .frechet import _power, _unpower
 from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _row_blocks,
                         build_index)
 # pairwise_distances and closure stay bound for benchmark/tracing.py, which
@@ -44,7 +44,7 @@ from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _r
 from .neighbors import pairwise_distances  # noqa: F401
 from .simplex import _as_floats, _check_count, _check_real, _predictor_gate, as_composition_matrix
 from .simplex import closure  # noqa: F401
-from .transforms import alr, alr_inverse, check_alpha, ilr, ilr_inverse
+from .transforms import _check_alpha_parts, alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
 # Per-alpha GEMM size (rows * n * D multiply-adds) from which a kernel block
 # may run one GEMM over every alpha.  On OpenBLAS 0.3.31 the stacked columns
@@ -146,10 +146,10 @@ def fit_alpha_knn(X, U, alpha, k, strategy="auto"):
     """
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
-    _check_alpha_parts(U, a, "fit_alpha_knn")
     k = _check_k(k)
     if k > X.shape[0]:
         raise ValidationError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
+    _check_alpha_parts(U, a, "fit_alpha_knn", k)
     return AlphaKnnModel(index=build_index(X, strategy=strategy), responses=U, alpha=a, k=k)
 
 
@@ -302,7 +302,7 @@ def fit_alpha_kernel(X, U, alpha, h, kernel="gaussian"):
     """
     X, U = _fit_arrays(X, U)
     a = check_alpha(alpha)
-    _check_alpha_parts(U, a, "fit_alpha_kernel")
+    _check_alpha_parts(U, a, "fit_alpha_kernel", 1)
     return AlphaKernelModel(predictors=X, responses=U, alpha=a, h=_check_bandwidth(h),
                             kernel=_check_kernel(kernel))
 

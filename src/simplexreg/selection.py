@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import TuningError, ValidationError
-from .frechet import _check_alpha_parts
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
@@ -30,7 +29,7 @@ from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
 from .simplex import (_as_floats, _check_count, _check_real, _check_seed, _grid_axis,
                       _predictor_gate)
 from .simplex import closure  # noqa: F401
-from .transforms import check_alpha
+from .transforms import _check_alpha_parts, check_alpha
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -255,8 +254,6 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     clamp = _check_clamp(clamp, U.shape[1])
     threads = _check_count("threads", threads, 1)
-    # The smallest grid alpha powers every part to its largest value.
-    _check_alpha_parts(U, min(grid.alphas), "tune: responses", ValidationError)
     if model_family == "alpha-knn":
         if grid.ks is None:
             raise ValidationError("alpha-knn tuning needs grid.ks")
@@ -268,6 +265,10 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
             raise ValidationError("alpha-kernel tuning needs grid.hs")
         kernel = _check_kernel("gaussian" if kernel is None else kernel)
         axis2 = grid.hs
+    # The smallest grid alpha powers every part to its largest value; a k-NN
+    # cell sums up to k of them, a kernel cell averages them.
+    terms = min(max(grid.ks), len(U)) if model_family == "alpha-knn" else 1
+    _check_alpha_parts(U, min(grid.alphas), "tune: responses", terms, ValidationError)
 
     n = X.shape[0]
     labels = make_folds(n, grid.folds, grid.seed)

@@ -73,6 +73,22 @@ def _check_parts(arr, op, positive):
         raise ZeroNotAllowedError(f"{op} requires strictly positive parts")
 
 
+def _check_alpha_parts(U, a, op, terms, error=ZeroNotAllowedError):
+    # Refuses, naming the first row, a zero at alpha <= 0 or, at alpha < 0,
+    # a part whose power exceeds finfo.max / terms, so no sum of `terms`
+    # powers overflows.  Each row's smallest part has its largest power.
+    if a > 0:
+        return
+    low = U.min(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        rows = np.flatnonzero(low == 0 if a == 0 else low**a > np.finfo(float).max / terms)
+    if rows.size:
+        r, u = int(rows[0]), float(low[rows[0]])
+        fault = "a zero part needs alpha strictly positive" if u == 0 else (
+            f"part {u!r} overflows when raised to alpha")
+        raise error(f"{op}: row {r}: {fault}, got alpha={a!r}")
+
+
 def _maybe_squeeze(arr, squeeze):
     return arr[0] if squeeze else arr
 
@@ -148,7 +164,8 @@ def power_transform(u, alpha):
     """
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(u, "power_transform")
-    _check_parts(arr, "power_transform", positive=a <= 0)
+    _check_parts(arr, "power_transform", positive=False)
+    _check_alpha_parts(arr, a, "power_transform", arr.shape[1])
     return _maybe_squeeze(closure(arr**a), squeeze)
 
 
@@ -165,7 +182,8 @@ def alpha_transform(u, alpha):
     arr, squeeze = _as_rows(u, "alpha_transform")
     if a == 0.0:
         return ilr(arr if not squeeze else arr[0])
-    _check_parts(arr, "alpha_transform", positive=a < 0)
+    _check_parts(arr, "alpha_transform", positive=False)
+    _check_alpha_parts(arr, a, "alpha_transform", arr.shape[1])
     D = arr.shape[1]
     H = helmert_submatrix(D)
     w = closure(arr**a)

@@ -745,6 +745,28 @@ class TestOverflowingPowerExits2:
         assert not out.exists()
 
 
+class TestOverflowingPowerSumExits2:
+    """Powers that are finite alone but whose sum could overflow (two parts
+    1e-308 at alpha = -1 in one column) end fit and frechet-path with exit 2
+    naming the row and alpha; they used to be predicted as 0.0."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["fit", "--predictor-cols", "x1", "--model", "aknn", "--alpha", "-1", "--k", "3"],
+         "ZeroNotAllowedError: fit_alpha_knn"),
+        (["frechet-path", "--alpha-grid=-1"], "ZeroNotAllowedError: frechet_mean"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, argv, error):
+        data = tmp_path / "tiny.csv"
+        data.write_text("x1,y1,y2\n0,1e-308,1\n1,1e-308,1\n2,0.5,0.5\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--input", str(data), "--response-cols", "y1,y2",
+                           "--output", str(out))
+        assert code == 2
+        assert err == (f"error: {error}: row 0: part 1e-308 overflows when raised to "
+                       "alpha, got alpha=-1.0\n")
+        assert not out.exists()
+
+
 class TestFrechetPath:
     def test_constant_symmetric_data(self, tmp_path, capsys):
         path = tmp_path / "sym.csv"
@@ -1113,21 +1135,17 @@ print(json.dumps(loaded))
 """
 
 
-# Runs in a fresh interpreter: predict aknn with two predictor columns
-# loads scipy's kd-tree extension but not the scipy.spatial package, and
-# that package, imported later, hands out the same cKDTree class.
+# Runs in a fresh interpreter: a query through an explicit kd-tree index
+# over two predictor columns loads scipy's kd-tree extension but not the
+# scipy.spatial package, and that package, imported later, hands out the
+# same cKDTree class.
 _KDTREE_EXTENSION_PROBE = """
 import json, sys
-from simplexreg import cli, neighbors
+import numpy as np
+from simplexreg import build_index, neighbors
 
-io = ("--input", "train.csv", "--response-cols", "y1,y2,y3", "--predictor-cols", "x1,x2")
-for argv in (["simulate", "--n", "200", "--D", "3", "--predictors", "2", "--seed", "2",
-              "--output", "train.csv"],
-             ["fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "5",
-              "--output", "aknn.json"],
-             ["predict", "--input", "train.csv", "--model-file", "aknn.json",
-              "--output", "p.csv"]):
-    assert cli.main(argv) == 0, argv
+X = np.random.default_rng(2).normal(size=(200, 2))
+build_index(X, strategy="kdtree").query_batch(X, 5)
 loaded = {name: name in sys.modules for name in ("scipy", "scipy.spatial")}
 tree_class = neighbors._ckdtree()
 import scipy.spatial
@@ -1172,11 +1190,11 @@ def _fresh_probe(script, cwd):
 class TestScipyLoadedOnlyForKdtreeSearch:
     def test_commands_without_a_neighbor_search_skip_scipy(self, tmp_path):
         loaded = _fresh_probe(_SCIPY_PROBE, tmp_path)
-        # 200 training rows: "auto" answers predict aknn with the kd-tree.
-        assert loaded.pop("predict aknn") is True
+        # 200 training rows: "auto" answers predict aknn with a scan, well
+        # within the process's scan budget, so the kd-tree is never loaded.
         assert loaded == dict.fromkeys(loaded, False)
         assert set(loaded) == {"import", "simulate", "fit aknn", "fit akernel",
-                               "predict akernel", "validate"}
+                               "predict akernel", "validate", "predict aknn"}
 
     def test_kernel_tune_skips_scipy(self, tmp_path):
         # The kernel family's gate lives next to the kd-tree loader, in the
@@ -1192,6 +1210,35 @@ class TestScipyLoadedOnlyForKdtreeSearch:
         loaded = _fresh_probe(_SCIPY_ONE_PREDICTOR_PROBE, tmp_path)
         assert loaded == {"simulate": False, "tune aknn": False, "fit aknn": False,
                           "predict aknn": False}
+
+    def test_three_predictor_knn_commands_scan_without_scipy(self, tmp_path):
+        # Each command in a fresh process, as from a shell: tune scans 10
+        # folds of 300 x 2,700 distances and predict 3,000 x 3,000, each
+        # within one process's scan budget, so none loads the kd-tree.
+        io = ["--input", "train.csv", "--response-cols", "y1,y2,y3",
+              "--predictor-cols", "x1,x2,x3"]
+        commands = {
+            "simulate": ["simulate", "--n", "3000", "--D", "3", "--predictors", "3",
+                         "--seed", "4", "--output", "train.csv"],
+            "tune aknn": ["tune", *io, "--model", "aknn", "--output", "report.json"],
+            "fit aknn": ["fit", *io, "--model", "aknn", "--alpha", "0.5", "--k", "10",
+                         "--output", "aknn.json"],
+            "predict aknn": ["predict", "--input", "train.csv", "--model-file", "aknn.json",
+                             "--output", "p.csv"],
+        }
+        probe = ("import json, sys\nfrom simplexreg import cli\n"
+                 "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simplexreg.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        loaded = {}
+        for name, argv in commands.items():
+            proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == dict.fromkeys(commands, [])
+        assert json.loads((tmp_path / "report.json").read_text())["selected"]
 
 
 class TestNotUtf8Input:

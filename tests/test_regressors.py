@@ -253,31 +253,73 @@ class TestKnnPowerOrder:
 
 
 class TestDegenerateClosing:
-    """At alpha = -1 each part 1e-308 powers to 1e308, which is finite, so the
-    gate passes it; two of them in one column sum to inf, so the mean of the
-    four rows unpowers to (0, 0): every power-mean path raises."""
+    """At alpha = -1 each part 1e-308 powers to 1e308, which is finite; two
+    of them in one column sum to inf, so the mean of the four rows would
+    unpower to (0, 0).  Every public path sums four such powers, so each
+    refuses row 0 up front, naming alpha; only the unchecked grid iterator
+    still reaches the degenerate closing and raises there."""
 
     t = 1e-308
     U = np.array([[t, 1 - t], [t, 1 - t], [1 - t, t], [1 - t, t]])
     message = "^closure: a slice sums to zero$"
+    refusal = r"row 0: part 1e-308 overflows when raised to alpha, got alpha=-1\.0$"
 
-    def test_every_path_raises(self):
+    def test_every_public_path_refuses_up_front(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ZeroNotAllowedError, match="^fit_alpha_knn: " + self.refusal):
+            fit_alpha_knn(X, self.U, -1.0, 4)
+        with pytest.raises(ValidationError, match="^tune: responses: " + self.refusal):
+            tune(np.zeros((12, 1)), np.tile(self.U, (3, 1)), "alpha-knn",
+                 TuningGrid(alphas=(-1.0,), ks=(4,), folds=2, seed=0))
+        with pytest.raises(ZeroNotAllowedError, match="^frechet_mean: " + self.refusal):
+            frechet_mean(self.U, -1.0)
         # The overflow is the case under test; pytest would raise its warning.
         with np.errstate(over="ignore"):
-            with pytest.raises(DegenerateInputError, match=self.message):
-                fit_alpha_knn(X, self.U, -1.0, 4).predict([[0.5]])
             for Q in ([[0.5]], [[0.5], [0.2]]):  # neighbours first, training rows first
                 with pytest.raises(DegenerateInputError, match=self.message):
                     list(iter_knn_grid_predictions(build_index(X), self.U, np.array(Q),
                                                    (-1.0,), (4,)))
-            with pytest.raises(DegenerateInputError, match=self.message):
-                # Equal predictors: each fold's neighbours are its four lowest
-                # rows, two of each kind at seed 0.
-                tune(np.zeros((12, 1)), np.tile(self.U, (3, 1)), "alpha-knn",
-                     TuningGrid(alphas=(-1.0,), ks=(4,), folds=2, seed=0))
-            with pytest.raises(DegenerateInputError, match=self.message):
-                frechet_mean(self.U, -1.0)
+
+
+class TestOverflowingSumRefused:
+    """Each power is bounded by finfo.max over the terms one sum adds: n rows
+    for the Frechet mean, k neighbours for the k-NN fit, the largest grid k
+    for its tune, 1 for the weighted means.  A part whose power stays finite
+    but whose column sum would overflow is refused up front, naming the row
+    and alpha, with no RuntimeWarning (the suite turns those into errors)."""
+
+    t = 1e-308
+    U = np.array([[t, 1 - t], [t, 1 - t], [0.5, 0.5]])
+    X = np.arange(3.0)[:, None]
+    refusal = r"row 0: part 1e-308 overflows when raised to alpha, got alpha=-1\.0$"
+
+    def test_mean_and_fit_refuse(self):
+        with pytest.raises(ZeroNotAllowedError, match="^frechet_mean: " + self.refusal):
+            frechet_mean(self.U, -1.0)
+        with pytest.raises(ZeroNotAllowedError, match="^fit_alpha_knn: " + self.refusal):
+            fit_alpha_knn(self.X, self.U, -1.0, 3)
+        with pytest.raises(ValidationError, match="^tune: responses: " + self.refusal):
+            tune(np.tile(self.X, (2, 1)), np.tile(self.U, (2, 1)), "alpha-knn",
+                 TuningGrid(alphas=(0.5, -1.0), ks=(1, 2), folds=2, seed=0))
+
+    def test_one_term_sums_are_accepted(self):
+        # One neighbour, or weights summing to 1, never add two powers.
+        pred = fit_alpha_knn(self.X, self.U, -1.0, 1).predict(self.X)
+        assert np.allclose(pred, self.U, rtol=1e-12, atol=0)
+        assert np.all(np.isfinite(weighted_frechet_mean(self.U, [1.0, 0.0, 1.0], -1.0)))
+        fit_alpha_kernel(self.X, self.U, -1.0, 0.5)
+
+    def test_bound_scales_with_the_terms(self):
+        # At alpha = -1 the bound on a part is terms / finfo.max: about
+        # 1.7e-304 at 30,000 rows.
+        n = 30_000
+        edge = n / np.finfo(float).max
+        U = closure(np.tile([[0.5, 0.5]], (n, 1)))
+        U[7] = [edge * 0.99, 1 - edge * 0.99]
+        with pytest.raises(ZeroNotAllowedError, match="^frechet_mean: row 7: "):
+            frechet_mean(U, -1.0)
+        U[7] = [edge * 1.01, 1 - edge * 1.01]
+        assert np.all(np.isfinite(frechet_mean(U, -1.0)))
 
 
 class TestOverflowingPowerRefused:

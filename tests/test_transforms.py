@@ -322,3 +322,32 @@ class TestAlphaInverse:
         U = alpha_inverse(Z, 0.5)
         assert U.shape == (25, 3)
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) <= 1e-12
+
+
+class TestOverflowingPowers:
+    """At alpha < 0 a part whose power overflows, alone or in the closure's
+    row sum of D powers, is refused up front, naming the row and alpha."""
+
+    @pytest.mark.parametrize("transform", [power_transform, alpha_transform])
+    def test_single_power_overflow(self, transform):
+        with pytest.raises(ZeroNotAllowedError,
+                           match=rf"^{transform.__name__}: row 1: part 5e-324 overflows "
+                                 r"when raised to alpha, got alpha=-1\.0$"):
+            transform([[0.5, 0.5], [1.0, 5e-324]], -1.0)
+
+    @pytest.mark.parametrize("transform", [power_transform, alpha_transform])
+    def test_row_sum_overflow(self, transform):
+        # Each power is 1e308, finite; two of them sum to inf.
+        with pytest.raises(ZeroNotAllowedError, match=r"row 0: part 1e-308 .*alpha=-1\.0$"):
+            transform([1e-308, 1e-308, 1.0], -1.0)
+
+    @pytest.mark.parametrize("transform", [power_transform, alpha_transform])
+    def test_zero_names_the_row(self, transform):
+        with pytest.raises(ZeroNotAllowedError,
+                           match=r"row 1: a zero part needs alpha strictly positive"):
+            transform([[0.5, 0.5], [1.0, 0.0]], -0.5)
+
+    def test_milder_alpha_is_accepted(self):
+        w = power_transform([1.0, 5e-324], -0.5)
+        assert np.all(np.isfinite(w)) and w[1] > 0.99
+        assert np.all(np.isfinite(alpha_transform([1.0, 5e-324], -0.5)))
