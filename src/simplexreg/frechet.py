@@ -15,8 +15,9 @@ overflows for tiny exponents, where sum^(1/alpha) is roughly n^(1/alpha).
 Every power mean in the package is `_unpower(<average of> _power(U, a), a)`;
 only these two helpers know that alpha = 0 is the geometric limit.
 `_unpower` closes its result with `simplex._close` after one check, that
-every sum is positive.  Its input is built from compositions that already
-passed the gate, so `closure`'s checks for caller input are not repeated;
+every sum is positive, in place on the fresh average it is given.  Its
+input is built from compositions that already passed the gate, so
+`closure`'s checks for caller input are not repeated;
 a sum that is zero (every part of the mean is 0) or NaN raises
 DegenerateInputError.  No sum of powers is infinite: `_check_alpha_parts`
 refuses, naming the row, a part whose power exceeds finfo.max / terms (n
@@ -39,14 +40,18 @@ def _power(U, a, out=None):
 
 
 def _unpower(S, a):
-    # Inverse of _power applied to an average S of powered rows, closed.
-    # S averages powers of gated compositions, so x has no negative part;
+    # Inverse of _power applied to an average S of powered rows, closed in
+    # place: S is a fresh array of the caller's, and the result is S.
+    # S averages powers of gated compositions, so no part is negative;
     # a sum that is not positive is a degenerate mean (see the docstring).
-    x = np.exp(S) if a == 0.0 else S ** (1.0 / a)
-    total = x.sum(axis=-1, keepdims=True)
+    if a == 0.0:
+        np.exp(S, out=S)
+    else:
+        S **= 1.0 / a  # numpy's fast paths serve 1/a in {1, -1, 2} here too
+    total = S.sum(axis=-1, keepdims=True)
     if not np.all(total > 0):
         raise DegenerateInputError("closure: a slice sums to zero")
-    return _close(x, total)
+    return _close(S, total, in_place=True)
 
 
 def frechet_mean(U, alpha):

@@ -206,6 +206,10 @@ def load_csv(path, schema):
     return X, U
 
 
+# Delimiters that occur in no float repr and that csv.writer does not quote.
+_PLAIN_DELIMITERS = (",", ";", "\t", "|", " ")
+
+
 def write_csv(path_or_file, columns, names, delimiter=","):
     """Write named float columns with shortest round-trip formatting.
 
@@ -220,11 +224,18 @@ def write_csv(path_or_file, columns, names, delimiter=","):
 
     def emit(fh):
         # csv.writer writes a float as its repr.  Blocks bound the Python
-        # copy: a float object and its list slot, 32 bytes, per value.
+        # copy: a float object and its list slot, 32 bytes, per value, and
+        # one block's list is freed before the next is made.  A delimiter
+        # that no float repr holds never needs quoting, so those rows are
+        # joined directly, byte for byte what csv.writer writes.
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(names)
+        writerows = writer.writerows
+        if delimiter in _PLAIN_DELIMITERS:
+            writerows = lambda rows: fh.writelines(  # noqa: E731
+                delimiter.join(map(repr, row)) + "\r\n" for row in rows)
         for b in _row_blocks(n, 32 * len(arrays), _CHUNK_BYTES // 64):
-            writer.writerows(np.column_stack([a[b] for a in arrays]).tolist())
+            writerows(np.column_stack([a[b] for a in arrays]).tolist())
 
     if hasattr(path_or_file, "write"):
         emit(path_or_file)

@@ -114,11 +114,14 @@ def _by_distance(ii, d):
     # Candidates ii with distances d, each row ordered by (distance, row
     # index).  Only rows holding equal distances need the row index as
     # second key; reordering their ties leaves the sorted distances as they are.
+    # Gathers go through flat offsets: far faster than take_along_axis.
     order = np.argsort(d, axis=1, kind="stable")
-    d_sorted = np.take_along_axis(d, order, axis=1)
+    offsets = np.arange(0, d.size, d.shape[1])[:, None]
+    order += offsets
+    d_sorted = np.take(d, order)
     equal = np.flatnonzero((d_sorted[:, 1:] == d_sorted[:, :-1]).any(axis=1))
-    order[equal] = np.lexsort((ii[equal], d[equal]))
-    return np.take_along_axis(ii, order, axis=1), d_sorted
+    order[equal] = np.lexsort((ii[equal], d[equal])) + offsets[equal]
+    return np.take(ii, order), d_sorted
 
 
 def _row_blocks(m, row_bytes, budget):

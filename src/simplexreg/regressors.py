@@ -16,9 +16,10 @@ Models hold their training arrays by reference and never copy or mutate
 them.
 
 Each power-mean family predicts through one grid iterator that tuning
-also scores: `predict` is the single-cell grid.  Both iterators work
-parts-major, so every reduction over the D parts is D - 1 whole-vector
-adds; for D <= 7 the bits equal those of a row-major reduction.
+also scores: `predict` is the single-cell grid.  Both iterators yield
+parts-major cells, so every reduction over the D parts is D - 1
+whole-vector adds; for D <= 7 the bits equal those of a row-major
+reduction.  The k-NN grid gathers its neighbors' rows row-major.
 """
 
 import contextlib
@@ -158,8 +159,8 @@ def predict_alpha_knn(model, Xnew):
 
     The whole query matrix is validated first, so an error names its row.
     The grid iterator then runs once per equal block of queries, sized so
-    that a block's k neighbor indices and distances and its (D, k)
-    gathered and running-sum arrays per row stay within the kd-tree
+    that a block's k neighbor indices and distances and its k gathered
+    and k powered neighbor rows of D parts per row stay within the kd-tree
     search's budget, `_CHUNK_BYTES // 64`.  Memory therefore grows with
     the queries and predictions only, not by k * D floats per query row.
     A row's prediction does not depend on the other rows of the call, so
@@ -176,20 +177,22 @@ def predict_alpha_knn(model, Xnew):
 def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     """Predictions for every (alpha, k) cell from one neighbor search.
 
-    Neighbors are fetched once at the largest k; running cumulative sums
-    over the neighbor axis then produce each cell at constant extra cost.
-    Yields (alpha_position, k_position, predictions) in grid order, with
-    None predictions for cells whose k exceeds the index size.  Inputs are
+    Neighbors are fetched once at the largest k; a running sum over the
+    neighbor ranks then produces each cell at constant extra cost.  Yields
+    (alpha_position, k_position, predictions) in grid order, with None
+    predictions for cells whose k exceeds the index size.  Inputs are
     assumed validated (grid exponents in range, zeros only with positive
     alphas).
 
-    The neighbor responses are laid out parts-major, (D, k_max, m), so the
-    running sums are k_max - 1 whole-slab adds and each cell is handed to
-    `_unpower` as a Fortran-ordered (m, D) view, whose closure over the D
-    parts is D - 1 whole-column adds.  For D <= 7 these adds round
-    exactly like the row-major reductions they replace; for D >= 8 the
-    summation order differs from a row-major sum, but predict and tune
-    share this one path.
+    The gather is row-major: each rank's m neighbor rows of D powered
+    parts are taken into an (m, D) slab and added to the running sum, so
+    every part sums its neighbors in rank order.  The cells are
+    parts-major: a finished running sum is divided into its cell's (D, m)
+    slot, and `_unpower` powers and closes an alpha's cells in place as
+    Fortran-ordered (m, D) views, whose closure over the D parts is D - 1
+    whole-column adds.  For D <= 7 these adds round exactly like a
+    row-major reduction; for D >= 8 the order differs from one, but
+    predict and tune share this one path.
 
     The power runs on the smaller of two sets: the n training responses,
     which are then gathered (a tune fold, where n < m * k_max), or the
@@ -199,28 +202,34 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     bitwise.
     """
     ks = [int(k) for k in ks]
+    m, D = Q.shape[0], U.shape[1]
     k_max = min(max(ks), index.n)
     idx = np.ascontiguousarray(index.query_batch(Q, k_max)[0].T)  # (k_max, m)
+    feasible = [k for k in ks if k <= index.n]
+    # The slots of the cells whose running sum is complete after step i.
+    done_at = [[s for s, k in enumerate(feasible) if k == i + 1] for i in range(k_max)]
     train_first = index.n < idx.size
-    if train_first:
-        Ut = np.ascontiguousarray(U.T)  # (D, n)
-        powered = np.empty_like(Ut)  # reused by every alpha
-    else:
-        nbr = np.take(U.T, idx, axis=1)  # (D, k_max, m)
-    cum = np.empty((U.shape[1],) + idx.shape)  # reused by every alpha
+    # (n, D) or (k_max, m, D), powered into one contiguous buffer per alpha
+    source = np.ascontiguousarray(U) if train_first else np.take(U, idx, axis=0)
+    powered = np.empty_like(source)
+    run, row = np.empty((2, m, D))
     for ai, a in enumerate(alphas):
         a = float(a)
-        if train_first:
-            _power(Ut, a, out=powered)
+        _power(source, a, out=powered)
+        cells = np.empty((len(feasible), D, m))  # fresh: the yielded cells are views
+        for i in range(k_max):
             # The indices come from query_batch, so all lie in [0, n);
             # "clip" only spares numpy the buffered copy "raise" makes.
-            np.take(powered, idx, axis=1, out=cum, mode="clip")
-        else:
-            _power(nbr, a, out=cum)
-        for i in range(1, k_max):
-            np.add(cum[:, i - 1], cum[:, i], out=cum[:, i])
+            g = powered.take(idx[i], axis=0, out=row, mode="clip") if train_first else powered[i]
+            if i:
+                run += g
+            else:
+                run[...] = g
+            for s in done_at[i]:
+                np.divide(run.T, i + 1, out=cells[s])
+        closed = iter(_unpower(cells.transpose(0, 2, 1), a))
         for ki, k in enumerate(ks):
-            yield ai, ki, None if k > index.n else _unpower((cum[:, k - 1, :] / k).T, a)
+            yield ai, ki, next(closed) if k <= index.n else None
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +438,8 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
         for ai, a in enumerate(alphas):
             if errors[hi] is not None:
                 yield ai, hi, errors[hi]
-            else:
-                yield ai, hi, _unpower(np.asfortranarray(S[hi, :, ai]), a)
+            else:  # a copy, as _unpower closes in place
+                yield ai, hi, _unpower(np.array(S[hi, :, ai], order="F"), a)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ all deterministic functions of the inputs and the seed; the optional
 thread pool only distributes folds, never reorders the reduction.
 
 Folds score the cells of each family's grid iterator, whose single-cell
-case is that family's `predict`.  The cells come Fortran-ordered (parts-
-major) and each fold's held-out responses are laid out the same way, so
-a divergence's sum over the D parts is D - 1 whole-column adds.  For
+case is that family's `predict`, with one scorer per fold (`_scorer`,
+which also serves both public divergences).  The cells come parts-major
+(Fortran-ordered) and so do the fold's held-out responses, so a
+divergence's sum over the D parts is D - 1 whole-column adds.  For
 D <= 7 that rounds exactly like a row-major sum; for D >= 8 the order
 differs from one, but every fold and thread count shares it.
 """
@@ -61,10 +62,45 @@ def _check_clamp(clamp, D):
     return clamp
 
 
-def _kl_terms(y, q):
-    # y log(y / q) elementwise; parts with y = 0 contribute zero.
+def _kl_terms(y, log_y, zero, log_q, out=None):
+    # y log(y / q) as y (log y - log q); 0 where y = 0 (mask `zero`, or None).
+    out = np.subtract(log_y, log_q, out=out)
+    np.multiply(y, out, out=out)
+    if zero is not None:
+        np.copyto(out, 0.0, where=zero)
+    return out
+
+
+def _scorer(metric, y, clamp=0.0):
+    """The rows' divergences of predictions q from fixed responses y (m, D).
+
+    log y and y's zero mask are worked out once for a tune fold's cells.
+    The terms go to buffers laid out as numpy lays out the first call's
+    (y, q), which later calls reuse, so all q share one layout.  Both
+    public divergences score through this one function.
+    """
+    positive = y > 0
+    zero = None if positive.all() else ~positive
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(y > 0, y * (np.log(y) - np.log(q)), 0.0)
+        log_y = np.log(y)
+    work = [None, None, None]
+
+    def rows(q):
+        t, log_m, log_q = work
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if metric == "kl":
+                if clamp > 0:
+                    q = np.maximum(q, clamp, out=t)
+                t = _kl_terms(y, log_y, zero, np.log(q, out=t), out=t)
+            else:  # both halves against m = (y + q) / 2
+                log_m = np.log(np.multiply(0.5, np.add(y, q, out=log_m), out=log_m), out=log_m)
+                t = _kl_terms(y, log_y, zero, log_m, out=t)
+                log_q = _kl_terms(q, np.log(q, out=log_q), ~(q > 0), log_m, out=log_q)
+                t += log_q
+        work[:] = t, log_m, log_q
+        return t.sum(axis=1)
+
+    return rows
 
 
 def kl_divergence(y, yhat, clamp=0.0):
@@ -76,8 +112,7 @@ def kl_divergence(y, yhat, clamp=0.0):
     Returns a scalar for vector inputs, a length-n array for matrix inputs.
     """
     y, yhat, single = _check_pair(y, yhat)
-    clamp = _check_clamp(clamp, y.shape[1])
-    out = _kl_terms(y, np.maximum(yhat, clamp) if clamp > 0 else yhat).sum(axis=1)
+    out = _scorer("kl", y, _check_clamp(clamp, y.shape[1]))(yhat)
     return float(out[0]) if single else out
 
 
@@ -87,15 +122,8 @@ def js_divergence(y, yhat):
     Attains its maximum 2 log 2 on disjoint-support pairs.
     """
     y, yhat, single = _check_pair(y, yhat)
-    m = 0.5 * (y + yhat)
-    out = (_kl_terms(y, m) + _kl_terms(yhat, m)).sum(axis=1)
+    out = _scorer("js", y)(yhat)
     return float(out[0]) if single else out
-
-
-def _divergence_rows(metric, y, yhat, clamp):
-    if metric == "kl":
-        return kl_divergence(y, yhat, clamp=clamp)
-    return js_divergence(y, yhat)
 
 
 def make_folds(n, folds=10, seed=0):
@@ -288,12 +316,12 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
             cells = iter_kernel_grid_predictions(
                 X[train], U[train], X[test], grid.alphas, grid.hs, kernel
             )
-        U_test = np.asfortranarray(U[test])  # parts-major, like the cells
+        score = _scorer(metric, np.asfortranarray(U[test]), clamp)  # parts-major, like the cells
         sums = np.zeros(shape)
         infeasible = np.zeros(shape, dtype=bool)
         for i, j, pred in cells:
             if isinstance(pred, np.ndarray):
-                sums[i, j] = _divergence_rows(metric, U_test, pred, clamp).sum()
+                sums[i, j] = score(pred).sum()
             else:
                 infeasible[i, j] = True
         return sums, infeasible

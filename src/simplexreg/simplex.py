@@ -108,16 +108,18 @@ def closure(values, axis=-1):
     return _close(x, total)
 
 
-def _close(x, total):
+def _close(x, total, in_place=False):
     """`closure`'s closing step, for checked x whose slices sum to `total` > 0."""
     # A slice whose sum is within float noise of 1 is already closed;
     # leaving it undivided makes closure exactly idempotent.  The rule is
     # per slice, so no slice's bits depend on the others in the call.
     closed = np.abs(total - 1.0) <= 8e-15
     if not closed.any():
-        return x / total
+        return np.divide(x, total, out=x if in_place else None)
     if closed.all():
         return x
+    if in_place:
+        return np.divide(x, total, out=x, where=~closed)
     return np.where(closed, x, x / total)
 
 

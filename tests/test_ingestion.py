@@ -392,6 +392,22 @@ class TestWriteCsv:
             writer.writerow([repr(float(c[i])) for c in columns])
         assert got.getvalue() == expected.getvalue()
 
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "|", " ", ".", "e", "1", ":"])
+    def test_bytes_equal_csv_writer(self, tmp_path, delimiter):
+        # Plain delimiters join the reprs directly; any other delimiter,
+        # which a repr may hold and csv.writer then quotes, stays on
+        # csv.writer.  Both must write csv.writer's bytes, to a path too.
+        U = np.random.default_rng(31).dirichlet(np.ones(4), size=40)
+        U[:5] = [[-0.0, 5e-324, 1e300, 1 / 3], [math.inf, 0.1, -2.5e17, 1e-7]] * 2 + [[1, 2, 3, 4]]
+        names = ["y1", "y 2", "y|3", "y.4"]
+        path = tmp_path / "out.csv"
+        write_csv(path, list(U.T), names, delimiter=delimiter)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, delimiter=delimiter)
+        writer.writerow(names)
+        writer.writerows(U.tolist())
+        assert path.read_bytes() == expected.getvalue().encode()
+
     def test_name_count_mismatch(self, tmp_path):
         with pytest.raises(ValidationError):
             write_csv(tmp_path / "x.csv", [np.ones(3)], ["a", "b"])

@@ -88,6 +88,44 @@ def test_knn_cells_equal_row_major_iterator(D, strategy):
         assert np.array_equal(model.predict(Q), want)
 
 
+def _parts_major_knn_cells(index, U, Q, alphas, ks):
+    # The (D, k_max, m) iterator that the row-major gather replaced.
+    k_max = min(max(ks), index.n)
+    nbr = np.take(U.T, index.query_batch(Q, k_max)[0].T, axis=1)
+    cum = np.empty_like(nbr)
+    for ai, a in enumerate(alphas):
+        _power(nbr, a, out=cum)
+        for i in range(1, k_max):
+            np.add(cum[:, i - 1], cum[:, i], out=cum[:, i])
+        for ki, k in enumerate(ks):
+            yield ai, ki, None if k > index.n else _unpower((cum[:, k - 1, :] / k).T, a)
+
+
+@pytest.mark.parametrize("m", [1, 40])
+@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+def test_knn_cells_equal_parts_major_iterator(strategy, m):
+    # At D = 9 a row-major sum over the parts rounds unlike the parts-major
+    # one, so the gather must keep every cell's parts-major bits.  m = 1
+    # powers the gathered neighbors, m = 40 the training rows; ks repeat
+    # and run past n.
+    rng = np.random.default_rng(m)
+    X = np.round(rng.normal(size=(60, 2)), 1)
+    U = closure(rng.random((60, 9)) ** 4 + 1e-9)
+    Q = rng.normal(size=(m, 2))
+    index = build_index(X, strategy=strategy)
+    alphas = (-1.0, -0.4, 0.0, 0.5, 1.0)
+    ks = (9, 1, 20, 9, 61)
+    old = list(_parts_major_knn_cells(index, U, Q, alphas, ks))
+    new = list(iter_knn_grid_predictions(index, U, Q, alphas, ks))
+    assert [c[:2] for c in new] == [c[:2] for c in old]
+    for (_, _, want), (_, _, got) in zip(old, new):
+        assert (got is None) if want is None else np.array_equal(got, want)
+    if m > 1:  # one row is both C- and Fortran-ordered
+        row_major = list(_row_major_knn_cells(index, U, Q, alphas, ks))
+        assert any(want is not None and not np.array_equal(want, other)
+                   for (_, _, want), (_, _, other) in zip(old, row_major))
+
+
 def _kernel_cells(monkeypatch, chunk_bytes, *args):
     monkeypatch.setattr(regressors, "_CHUNK_BYTES", chunk_bytes)
     return list(iter_kernel_grid_predictions(*args))

@@ -29,6 +29,9 @@ from simplexreg import (
     make_folds,
     tune,
 )
+from simplexreg.neighbors import build_index
+from simplexreg.regressors import iter_knn_grid_predictions
+from simplexreg.selection import DEFAULT_CLAMP, _scorer
 
 
 class TestKlDivergence:
@@ -104,6 +107,85 @@ class TestJsDivergence:
 
     def test_finite_on_zero_predictions(self):
         assert np.isfinite(js_divergence([0.5, 0.5], [0.0, 1.0]))
+
+
+def _reference_terms(y, q):
+    # The divergence terms as written before the per-fold scorer.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y > 0, y * (np.log(y) - np.log(q)), 0.0)
+
+
+def _reference_rows(metric, y, q, clamp):
+    if metric == "kl":
+        return _reference_terms(y, np.maximum(q, clamp) if clamp > 0 else q).sum(axis=1)
+    m = 0.5 * (y + q)
+    return (_reference_terms(y, m) + _reference_terms(q, m)).sum(axis=1)
+
+
+class TestFoldScorer:
+    """One scorer serves a fold's every cell with its buffers reused; each
+    cell's sum, and the public divergences' rows, keep the bits of the
+    terms written out in full, for either prediction layout, with and
+    without zero parts, at D = 9 too, where the sum over the parts of a
+    Fortran-ordered row rounds unlike a C-ordered one."""
+
+    @staticmethod
+    def _cells(rng, m, D, zeros, order):
+        y = closure(rng.random((m, D)) ** 3 + 1e-9)
+        cells = [closure(rng.random((m, D)) ** 3 + 1e-9) for _ in range(4)]
+        if zeros:
+            y[::3, 0] = 0.0
+            for c in cells:
+                c[1::4, -1] = 0.0
+            cells[0][::3, 0] = 0.0  # a zero facing a zero
+        return np.array(y, order=order), [np.array(c, order=order) for c in cells]
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("m", [1, 300, 9000])
+    @pytest.mark.parametrize("D", [3, 7, 9])
+    @pytest.mark.parametrize("metric,clamp", [("kl", 0.0), ("kl", 1e-12), ("js", 0.0)])
+    def test_sums_equal_reference(self, metric, clamp, D, m, zeros, order):
+        rng = np.random.default_rng(D * m + zeros)
+        y, cells = self._cells(rng, m, D, zeros, order)
+        score = _scorer(metric, y, clamp)
+        public = (lambda q: kl_divergence(y, q, clamp)) if metric == "kl" else (
+            lambda q: js_divergence(y, q))
+        for q in cells:
+            want = _reference_rows(metric, y, q, clamp)
+            got = score(q)
+            assert np.array_equal(got, want) and got.sum() == want.sum()
+            assert np.array_equal(public(q), want)
+
+    @pytest.mark.parametrize("metric", ["kl", "js"])
+    def test_public_rows_keep_mixed_layouts(self, metric):
+        # A C-ordered truth against a Fortran-ordered prediction (a kernel
+        # cell) sums its rows as numpy does for that pair.
+        rng = np.random.default_rng(9)
+        y, (q, *_) = self._cells(rng, 50, 9, True, "C")
+        for yy, qq in ((y, np.asfortranarray(q)), (np.asfortranarray(y), q)):
+            got = kl_divergence(yy, qq, 1e-12) if metric == "kl" else js_divergence(yy, qq)
+            assert np.array_equal(got, _reference_rows(metric, yy, qq, 1e-12))
+
+    @pytest.mark.parametrize("metric", ["kl", "js"])
+    def test_tune_sums_equal_reference(self, metric):
+        # Every cell's mean in the report, at D = 9 and with zeros.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(120, 1))
+        U = rng.random((120, 9)) ** 3 + 1e-6
+        U[::5, 2] = 0.0
+        U = closure(U)
+        grid = TuningGrid(alphas=(0.3, 1.0), ks=(2, 9, 30), folds=4, seed=3)
+        report = tune(X, U, "alpha-knn", grid, metric=metric)
+        labels = make_folds(120, 4, 3)
+        total = np.zeros((2, 3))
+        for f in range(4):
+            train, test = labels != f, labels == f
+            y = np.asfortranarray(U[test])
+            for i, j, pred in iter_knn_grid_predictions(
+                    build_index(X[train]), U[train], X[test], grid.alphas, grid.ks):
+                total[i, j] += _reference_rows(metric, y, pred, DEFAULT_CLAMP).sum()
+        assert report.mean_divergence == tuple(tuple(float(v) for v in r) for r in total / 120)
 
 
 class TestMakeFolds:
