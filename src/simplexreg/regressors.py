@@ -47,8 +47,8 @@ from .simplex import _as_floats, _check_count, _check_real, _predictor_gate, as_
 from .simplex import closure  # noqa: F401
 from .transforms import _check_alpha_parts, alr, alr_inverse, check_alpha, ilr, ilr_inverse
 
-# Per-alpha GEMM size (rows * n * D multiply-adds) from which a kernel block
-# may run one GEMM over every alpha.  On OpenBLAS 0.3.31 the stacked columns
+# Per-alpha GEMM size (rows * n * D multiply-adds) from which one kernel
+# GEMM may span every alpha.  On OpenBLAS 0.3.31 the stacked columns
 # differed from the one-alpha GEMM at up to 9.9e5 and matched from 1.08e6,
 # so 2e6 leaves a 2x margin.
 _STACK_MULADDS = 2_000_000
@@ -322,9 +322,10 @@ def predict_alpha_kernel(model, Xnew):
     Raises DegenerateWeightsError, naming the first offending query row,
     when every kernel weight underflows to zero for some query.
 
-    Runs through `iter_kernel_grid_predictions` as its one-cell grid: its
-    docstring gives the query block size R, the memory bound and when a
-    row's bits can depend on the other rows of the call.  `tune` and
+    Runs through `iter_kernel_grid_predictions` as its one-cell grid,
+    whose one bandwidth runs in query blocks of at least R rows: its
+    docstring gives R, the memory bound and when a row's bits can depend
+    on the other rows of the call.  `tune` and
     `predict` agree because they pass the same query rows.
     """
     cells = iter_kernel_grid_predictions(
@@ -365,81 +366,110 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     predictions.  Inputs are assumed validated (grid exponents in range,
     zeros only with positive alphas, positive bandwidths, a known kernel).
 
-    Queries are processed in max(1, m // R) equal blocks, where R is the
-    larger of ceil(`_STACK_MULADDS` / (n * D)) and A * D + 1 (2 at A = 1),
-    so each block of a call with m >= R rows holds R to 2R - 1 rows.  One
-    (rows, n) exponent-base and one weight buffer serve every block and
-    bandwidth: memory is O(R * n) = O(n * A * D + `_STACK_MULADDS` / D),
-    never O(m * n).  Only the GEMM runs on a whole block.  Everything
-    else runs on row tiles of at most `_CHUNK_BYTES // 64` bytes, which
-    stay in cache between passes: the distances and their kernel base
-    once per block, and the divide, exp, row sums and normalising once
-    per bandwidth.  The weights are
+    R is the larger of ceil(`_STACK_MULADDS` / (n * D)) and A * D + 1 (2
+    at A = 1): the fewest rows a GEMM needs to run every alpha at once.  A
+    call of m < R rows runs as one block, one GEMM per alpha and
+    bandwidth.  A call of m >= R rows stacks: its queries run in
+    max(1, m // ceil(R / H)) equal blocks of b >= ceil(R / H) rows, and
+    its H bandwidths in max(1, H // g) equal groups of at least
+    g = ceil(R / b) (so one bandwidth per group once b >= R, as in
+    predict, where H = 1).  A group's weights fill one reused buffer,
+    bandwidth after bandwidth, and run as one (g * b, n) @ (n, A * D)
+    GEMM of at least R rows against all alphas' powered responses side by
+    side, with at least `_STACK_MULADDS` multiply-adds per alpha
+    (rows * n * D) and more rows than columns; a small temporary takes
+    its output apart into the (H, m, A, D) weighted sums.
+
+    Memory: one (b, n) exponent-base buffer and one weight buffer of fewer
+    than 2R + H rows of n serve every block and group, so a call holds
+    O(R * n) = O(n * A * D + `_STACK_MULADDS` / D) floats beyond its
+    inputs and outputs, never O(m * n).  Only the GEMM runs on a whole
+    group.  Everything else runs on row tiles of at most
+    `_CHUNK_BYTES // 64` bytes, which stay in cache between passes: the
+    distances (against a Fortran-ordered copy of P, one contiguous column
+    per predictor) and their kernel base once per block, and the divide,
+    exp, row sums and normalising once per bandwidth.  The weights are
     elementwise and summed row by row, so the tiling does not move a bit.
-    Only the (H, m, A, D) weighted sums, which do not grow with n, outlive
-    a block, and the cells are yielded once the last block is done.  A
-    bandwidth with a dead row is skipped in later blocks.  Each weighted
+    Only the weighted sums, which do not grow with n, outlive a block, and
+    the cells are yielded once the last block is done.  A bandwidth with a
+    dead row is not evaluated in later blocks; its rows stay in its group's
+    GEMM, zero-filled, so the GEMM keeps at least R rows.  Each weighted
     sum is closed Fortran-ordered, so the closure over the D parts is
     D - 1 whole-column adds (bitwise a row-major sum for D <= 7).
 
-    A call of m >= R rows stacks every alpha; a smaller call runs one GEMM
-    per alpha.  A stacked block's GEMM spans the A * D columns of all
-    alphas' powered responses side by side, with at least `_STACK_MULADDS`
-    multiply-adds per alpha (rows * n * D) and more rows than columns.
-    Either way each cell has the bits of its one-alpha GEMM, and at A = 1
-    the two routes are the same call, so predict and tune agree bitwise.
-    The blocks run at one BLAS thread, so a call of m >= R rows gives each
-    row the bits it has in any other such call, whatever the core count.
-    Only a smaller call can move a row's last ulp: numpy sends a one-row
-    GEMM to BLAS gemv, and OpenBLAS sends GEMMs under about 1e6
-    multiply-adds to a small-matrix kernel, each rounding unlike the
-    blocked GEMM.
+    Each cell has the bits of its one-alpha GEMM, and at A = 1 the two
+    routes are the same call, so predict and tune agree bitwise.  The
+    GEMMs run at one BLAS thread, and OpenBLAS's blocked kernel gives a
+    row of a GEMM of at least R rows the bits it has in any other such
+    GEMM, so a call of m >= R rows gives each row the bits it has in any
+    other such call, whatever the core count and however its bandwidths
+    are grouped.  Only a smaller call can move a row's last ulp: numpy
+    sends a one-row GEMM to BLAS gemv, and OpenBLAS sends GEMMs under
+    about 1e6 multiply-adds to a small-matrix kernel, each rounding unlike
+    the blocked GEMM.  For the same reason a group is one 2-D GEMM: a
+    batched (g, b, n) @ (n, A * D) matmul would run g GEMMs of b < R rows.
     """
     Q = _predictor_gate(Q, "query", P.shape[1])
-    m, (n, D), A = Q.shape[0], U.shape, len(alphas)
+    m, (n, D), A, H = Q.shape[0], U.shape, len(alphas), len(hs)
     R = max(-(-_STACK_MULADDS // (n * D)), A * D + 1 if A > 1 else 2)
-    count = max(1, m // R)
-    blocks = [slice(i * m // count, (i + 1) * m // count) for i in range(count)]
     stack = m >= R
+    count = max(1, m // -(-R // H)) if stack else 1
+    g = -(-R // (m // count)) if stack else 1
+    blocks = _equal_slices(m, count)
+    groups = [range(H)[s] for s in _equal_slices(H, max(1, H // g))]
+    rows, width = -(-m // count), max(map(len, groups))
     powered = np.empty((n, A, D))
     for ai, a in enumerate(alphas):
         _power(U, a, out=powered[:, ai])
-    S = np.empty((len(hs), m, A, D))
-    errors = [None] * len(hs)
+    S = np.empty((H, m, A, D))
+    errors = [None] * H
     base_of = _KERNEL_PARTS[kernel][0]
-    base_rows = np.empty((-(-m // len(blocks)), n))
-    weight_rows = np.empty_like(base_rows)
+    columns = np.asfortranarray(P)[None, :, :]
+    base_rows = np.empty((rows, n))
+    weight_rows = np.empty((width * rows, n))
+    sums = np.empty((width * rows, A * D))
     with _one_blas_thread():
         for block in blocks:
             Qb = Q[block]
-            base, W = base_rows[:len(Qb)], weight_rows[:len(Qb)]
-            tiles = _row_blocks(len(Qb), 8 * n, _CHUNK_BYTES // 64)
+            b = len(Qb)
+            base = base_rows[:b]
+            tiles = _row_blocks(b, 8 * n, _CHUNK_BYTES // 64)
             for tile in tiles:
-                d = _distances_to(P[None, :, :], Qb[tile, None, :], out=base[tile])
+                d = _distances_to(columns, Qb[tile, None, :], out=base[tile])
                 base_of(d, out=d)
-            for hi, h in enumerate(hs):
-                if errors[hi] is not None:
-                    continue
-                dead = _fill_weights(W, base, h, kernel, tiles)
-                if dead is not None:
-                    row = block.start + dead
-                    errors[hi] = DegenerateWeightsError(
-                        f"all kernel weights underflowed for query row {row} "
-                        f"(h={h!r}, kernel={kernel!r})",
-                        query_index=row,
-                    )
-                    continue
-                if stack:
-                    np.matmul(W, powered.reshape(n, A * D), out=S[hi, block].reshape(-1, A * D))
-                else:
+            for his in groups:
+                W = weight_rows[:len(his) * b].reshape(len(his), b, n)
+                for j, hi in enumerate(his):
+                    if errors[hi] is None:
+                        dead = _fill_weights(W[j], base, hs[hi], kernel, tiles)
+                        if dead is not None:
+                            row = block.start + dead
+                            errors[hi] = DegenerateWeightsError(
+                                f"all kernel weights underflowed for query row {row} "
+                                f"(h={hs[hi]!r}, kernel={kernel!r})",
+                                query_index=row,
+                            )
+                    if errors[hi] is not None:
+                        W[j] = 0.0  # keeps the group's GEMM at R rows or more
+                live = [j for j, hi in enumerate(his) if errors[hi] is None]
+                if live and stack:
+                    T = np.matmul(W.reshape(-1, n), powered.reshape(n, A * D),
+                                  out=sums[:len(his) * b]).reshape(len(his), b, A, D)
+                    for j in live:
+                        S[his[j], block] = T[j]
+                elif live:
                     for ai in range(A):
-                        np.matmul(W, powered[:, ai], out=S[hi, block, ai])
-    for hi in range(len(hs)):
+                        np.matmul(W[0], powered[:, ai], out=S[his[0], block, ai])
+    for hi in range(H):
         for ai, a in enumerate(alphas):
             if errors[hi] is not None:
                 yield ai, hi, errors[hi]
             else:  # a copy, as _unpower closes in place
                 yield ai, hi, _unpower(np.array(S[hi, :, ai], order="F"), a)
+
+
+def _equal_slices(total, count):
+    return [slice(i * total // count, (i + 1) * total // count) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,9 @@ def test_kernel_degenerate_row_in_later_block(monkeypatch):
         return fill_weights(W, base, h, kernel, tiles)
 
     monkeypatch.setattr(regressors, "_fill_weights", counted)
-    # R = A * D + 1 = 7: four blocks of seven rows, rows 8 and 15 in blocks 2 and 3
+    # R = A * D + 1 = 7 and H = 2: blocks of b = ceil(R / H) = 4 rows, both
+    # bandwidths in one GEMM of 8 rows; row 8 lies in block 8 // b
+    b = -(-7 // 2)
     cells = _blocked_cells(monkeypatch, 1, X, U, Q, (0.5, 1.0), (1.0, 1e4), "gaussian")
     dead = [pred for _, hi, pred in cells if hi == 0]
     assert len(dead) == 2
@@ -179,9 +181,9 @@ def test_kernel_degenerate_row_in_later_block(monkeypatch):
     assert all(e.query_index == 8 for e in dead)
     assert "query row 8" in str(dead[0])
     assert all(isinstance(pred, np.ndarray) for _, hi, pred in cells if hi == 1)
-    # the dead bandwidth is not evaluated again after its second block
-    assert calls.count(1.0) == 2
-    assert calls.count(1e4) == 4
+    # the dead bandwidth is not evaluated again after its dying block
+    assert calls.count(1.0) == 8 // b + 1
+    assert calls.count(1e4) == len(Q) // b
 
 
 def _tiled_chunk(n, m):

@@ -663,6 +663,73 @@ class TestKernelRouteBoundary:
                 assert np.array_equal(pred, model.predict(Q)), (m, ai, hi)
 
 
+class TestKernelBandwidthGroups:
+    """A stacked call cuts its queries into blocks of b >= ceil(R / H) rows
+    and runs groups of g = ceil(R / b) bandwidths as one GEMM of g * b >= R
+    weight rows.  It holds fewer than 2R + H weight rows and b rows of
+    exponent bases, not a base and a weight buffer of R to 2R - 1 rows
+    each, and keeps predict's bits."""
+
+    def test_peak_memory_at_a_tune_fold(self):
+        # kernel-small's fold shape: 2,700 training and 300 held-out rows, the
+        # default 21 alphas and 10 bandwidths; R = 186 rows.
+        rng = np.random.default_rng(24)
+        n, m, D = 2700, 300, 4
+        X, U = make_data(rng, n=n, p=2, D=D)
+        Q = rng.normal(size=(m, 2))
+        hs = tuple(np.geomspace(0.05, 5.0, 10))
+        alphas = default_alpha_grid()
+        A, H = len(alphas), len(hs)
+        R = max(-(-_STACK_MULADDS // (n * D)), A * D + 1)
+        assert m >= R
+        cells = iter_kernel_grid_predictions(X, U, Q, alphas, hs, "gaussian")
+        tracemalloc.start()
+        try:
+            for _, _, pred in cells:
+                assert isinstance(pred, np.ndarray)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        powered, S = n * A * D * 8, H * m * A * D * 8
+        assert peak < powered + S + 2 * R * n * 8 + 2**20
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    def test_groups_keep_predict_bits(self, monkeypatch, kernel):
+        # A tune fold of 3,400 rows in ten: R = 164, blocks of b = 17 rows,
+        # one group of all ten bandwidths per block.  Query row 200 lies far
+        # from every training row, so h = 0.01 dies in block 11 and keeps
+        # zero-filled rows in the later blocks' GEMMs.
+        rng = np.random.default_rng(24)
+        n, m, D = 3060, 340, 4
+        X, U = make_data(rng, n=n, p=2, D=D)
+        Q = rng.normal(size=(m, 2))
+        Q[200] = (10.0, 10.0)
+        alphas = (-1.0, 0.0, 0.5, 1.0)
+        hs = (0.4, 0.6, 0.9, 1.3, 0.01, 2.0, 3.0, 4.5, 6.5, 10.0)
+        R = max(-(-_STACK_MULADDS // (n * D)), len(alphas) * D + 1)
+        b = m // (m // -(-R // len(hs)))
+        assert m >= R and b < R / 2 and 200 // b < m // b - 1
+        rows = []
+        matmul = np.matmul
+
+        def counting(a, w, *args, **kwargs):
+            rows.append(a.shape[0])
+            return matmul(a, w, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        cells = list(iter_kernel_grid_predictions(X, U, Q, alphas, hs, kernel))
+        monkeypatch.undo()
+        assert len(rows) == m // b and min(rows) >= R
+        for ai, hi, pred in cells:
+            model = fit_alpha_kernel(X, U, alphas[ai], hs[hi], kernel)
+            if hs[hi] == 0.01:
+                assert isinstance(pred, DegenerateWeightsError) and pred.query_index == 200
+                with pytest.raises(DegenerateWeightsError, match="query row 200"):
+                    model.predict(Q)
+            else:
+                assert np.array_equal(pred, model.predict(Q)), (ai, hi)
+
+
 @pytest.fixture
 def blas_threads():
     """The (get, set) pair the pin uses; the caller's count is restored."""
