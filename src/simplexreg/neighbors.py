@@ -124,11 +124,15 @@ def _by_distance(ii, d):
     return np.take(ii, order), d_sorted
 
 
+def _equal_slices(total, count):
+    # The package's one equal-slice rule: count slices whose lengths differ by at most one.
+    return [slice(i * total // count, (i + 1) * total // count) for i in range(count)]
+
+
 def _row_blocks(m, row_bytes, budget):
     # Equal slices of at most budget // row_bytes rows (at least one); not
     # full blocks plus a short tail, so two or more are each >= half the budget.
-    blocks = -(-m // max(1, budget // max(1, row_bytes)))
-    return [slice(i * m // blocks, (i + 1) * m // blocks) for i in range(blocks)]
+    return _equal_slices(m, -(-m // max(1, budget // max(1, row_bytes))))
 
 
 def _check_k(k):

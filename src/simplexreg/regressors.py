@@ -31,21 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateWeightsError,
-    ValidationError,
-    ZeroNotAllowedError,
-)
+from .errors import ConvergenceError, DegenerateWeightsError, ValidationError
 from .frechet import _power, _unpower
-from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _row_blocks,
-                        build_index)
+from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _equal_slices,
+                        _row_blocks, build_index)
 # pairwise_distances and closure stay bound for benchmark/tracing.py, which
 # rebinds them by module.
 from .neighbors import pairwise_distances  # noqa: F401
 from .simplex import _as_floats, _check_count, _check_real, _predictor_gate, as_composition_matrix
 from .simplex import closure  # noqa: F401
-from .transforms import _check_alpha_parts, alr, alr_inverse, check_alpha, ilr, ilr_inverse
+from .transforms import (_check_alpha_parts, _softmax, alr, alr_inverse, check_alpha, ilr,
+                         ilr_inverse)
 
 # Per-alpha GEMM size (rows * n * D multiply-adds) from which one kernel
 # GEMM may span every alpha.  On OpenBLAS 0.3.31 the stacked columns
@@ -468,10 +464,6 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
                 yield ai, hi, _unpower(np.array(S[hi, :, ai], order="F"), a)
 
 
-def _equal_slices(total, count):
-    return [slice(i * total // count, (i + 1) * total // count) for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # multinomial logit baseline
 
@@ -492,16 +484,10 @@ class KldModel:
 
 def _kld_forward(X1, U_tail, B):
     # Negative log-likelihood and fitted tail probabilities for logits
-    # [0 | X1 @ B], evaluated with max-shifted exponentials.
+    # [0 | X1 @ B], through alr_inverse's max-shifted softmax.
     eta = X1 @ B
-    shift = np.maximum(eta.max(axis=1), 0.0)
-    expv = np.exp(eta - shift[:, None])
-    base = np.exp(-shift)
-    denom = base + expv.sum(axis=1)
-    lse = shift + np.log(denom)
-    nll = float(lse.sum() - (U_tail * eta).sum())
-    W = expv / denom[:, None]
-    return nll, W
+    shift, denom, mu = _softmax(eta)
+    return float((shift + np.log(denom)).sum() - (U_tail * eta).sum()), mu[:, 1:]
 
 
 def _kld_hessian(X1, W):
@@ -636,11 +622,7 @@ def fit_logratio_ols(X, U, transform="alr"):
     """
     X, U = _fit_arrays(X, U)
     _check_transform(transform)
-    if np.any(U == 0):
-        raise ZeroNotAllowedError(
-            "fit_logratio_ols: responses contain zeros; log-ratio "
-            "coordinates need strictly positive parts"
-        )
+    _check_alpha_parts(U, 0.0, "fit_logratio_ols", 1)
     X1 = _design_matrix(X)
     V = alr(U) if transform == "alr" else ilr(U)
     coef, _, rank, _ = np.linalg.lstsq(X1, V, rcond=None)

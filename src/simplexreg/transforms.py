@@ -5,6 +5,11 @@ closed power transform, and the power-interpolated family indexed by an
 exponent alpha in [-1, 1] that recovers the isometric log-ratio transform
 in the limit alpha -> 0.  All transforms accept a single composition (1-D)
 or a matrix of row compositions (2-D) and return matching shape.
+
+Each public transform reads its input once (`_as_rows`), each forward one
+checks its parts once (`_check_parts`, whose alpha = 0 case is the log-ratio
+maps'), and none calls another: shared steps are private kernels, among them
+`_softmax`, which `alr_inverse` and the multinomial logit fit share.
 """
 
 import math
@@ -48,29 +53,24 @@ def helmert_submatrix(D):
 
 def _as_rows(u, op, min_cols=2, what="composition"):
     arr = _as_floats(u, what)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-        squeeze = True
-    elif arr.ndim == 2:
-        squeeze = False
-    else:
+    if arr.ndim not in (1, 2):
         raise ValidationError(f"{what} must be 1-D or 2-D, got ndim={arr.ndim}")
+    squeeze, arr = arr.ndim == 1, np.atleast_2d(arr)
     if arr.shape[0] < 1:
         raise ValidationError(f"{what} has no rows")
     if arr.shape[1] < min_cols:
-        raise ValidationError(
-            f"{what} needs at least {min_cols} columns, got {arr.shape[1]}"
-        )
+        raise ValidationError(f"{what} needs at least {min_cols} columns, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{op}: input contains non-finite values")
     return arr, squeeze
 
 
-def _check_parts(arr, op, positive):
+def _check_parts(arr, op, a):
+    # The transforms' one part rule: no negative part, then the alpha rule
+    # over a row's D parts; the log-ratio maps are its alpha = 0 case.
     if np.any(arr < 0):
         raise ValidationError(f"{op}: input contains negative values")
-    if positive and np.any(arr == 0):
-        raise ZeroNotAllowedError(f"{op} requires strictly positive parts")
+    _check_alpha_parts(arr, a, op, arr.shape[1])
 
 
 def _check_alpha_parts(U, a, op, terms, error=ZeroNotAllowedError):
@@ -93,6 +93,28 @@ def _maybe_squeeze(arr, squeeze):
     return arr[0] if squeeze else arr
 
 
+def _softmax(eta):
+    # Softmax of the logits [0 | eta] row by row, shifted by max(row max, 0)
+    # so no exponential overflows; also returns the shift and denominator.
+    shift = np.maximum(eta.max(axis=1), 0.0)
+    out = np.empty((eta.shape[0], eta.shape[1] + 1))
+    expv = np.subtract(eta, shift[:, None], out=out[:, 1:])
+    np.exp(expv, out=expv)
+    out[:, 0] = np.exp(-shift)
+    denom = out[:, 0] + expv.sum(axis=1)
+    out /= denom[:, None]
+    return shift, denom, out
+
+
+def _clr(arr):
+    logs = np.log(arr)
+    return logs - logs.mean(axis=1, keepdims=True)
+
+
+def _clr_inverse(arr):
+    return closure(np.exp(arr - arr.max(axis=1, keepdims=True)))
+
+
 def alr(u):
     """Additive log-ratio transform, first part as reference.
 
@@ -100,7 +122,7 @@ def alr(u):
     log(u_j / u_1) for j = 2..D.
     """
     arr, squeeze = _as_rows(u, "alr")
-    _check_parts(arr, "alr", positive=True)
+    _check_parts(arr, "alr", 0.0)
     logs = np.log(arr)
     return _maybe_squeeze(logs[:, 1:] - logs[:, :1], squeeze)
 
@@ -112,13 +134,7 @@ def alr_inverse(v):
     values cannot overflow.
     """
     arr, squeeze = _as_rows(v, "alr_inverse", min_cols=1, what="alr coordinates")
-    shift = np.maximum(arr.max(axis=1), 0.0)
-    expv = np.exp(arr - shift[:, None])
-    denom = np.exp(-shift) + expv.sum(axis=1)
-    out = np.empty((arr.shape[0], arr.shape[1] + 1))
-    out[:, 0] = np.exp(-shift) / denom
-    out[:, 1:] = expv / denom[:, None]
-    return _maybe_squeeze(out, squeeze)
+    return _maybe_squeeze(_softmax(arr)[2], squeeze)
 
 
 def clr(u):
@@ -127,9 +143,8 @@ def clr(u):
     Output coordinates sum to zero within float error.
     """
     arr, squeeze = _as_rows(u, "clr")
-    _check_parts(arr, "clr", positive=True)
-    logs = np.log(arr)
-    return _maybe_squeeze(logs - logs.mean(axis=1, keepdims=True), squeeze)
+    _check_parts(arr, "clr", 0.0)
+    return _maybe_squeeze(_clr(arr), squeeze)
 
 
 def clr_inverse(y):
@@ -139,21 +154,20 @@ def clr_inverse(y):
     need not sum exactly to zero.
     """
     arr, squeeze = _as_rows(y, "clr_inverse", what="clr coordinates")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    return _maybe_squeeze(closure(np.exp(shifted)), squeeze)
+    return _maybe_squeeze(_clr_inverse(arr), squeeze)
 
 
 def ilr(u):
     """Isometric log-ratio transform: Helmert rotation of clr coordinates."""
     arr, squeeze = _as_rows(u, "ilr")
-    _check_parts(arr, "ilr", positive=True)
-    return _maybe_squeeze(clr(arr) @ helmert_submatrix(arr.shape[1]).T, squeeze)
+    _check_parts(arr, "ilr", 0.0)
+    return _maybe_squeeze(_clr(arr) @ helmert_submatrix(arr.shape[1]).T, squeeze)
 
 
 def ilr_inverse(z):
     """Inverse isometric log-ratio transform."""
     arr, squeeze = _as_rows(z, "ilr_inverse", min_cols=1, what="ilr coordinates")
-    return _maybe_squeeze(clr_inverse(arr @ helmert_submatrix(arr.shape[1] + 1)), squeeze)
+    return _maybe_squeeze(_clr_inverse(arr @ helmert_submatrix(arr.shape[1] + 1)), squeeze)
 
 
 def power_transform(u, alpha):
@@ -164,8 +178,7 @@ def power_transform(u, alpha):
     """
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(u, "power_transform")
-    _check_parts(arr, "power_transform", positive=False)
-    _check_alpha_parts(arr, a, "power_transform", arr.shape[1])
+    _check_parts(arr, "power_transform", a)
     return _maybe_squeeze(closure(arr**a), squeeze)
 
 
@@ -180,12 +193,11 @@ def alpha_transform(u, alpha):
     """
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(u, "alpha_transform")
-    if a == 0.0:
-        return ilr(arr if not squeeze else arr[0])
-    _check_parts(arr, "alpha_transform", positive=False)
-    _check_alpha_parts(arr, a, "alpha_transform", arr.shape[1])
+    _check_parts(arr, "alpha_transform", a)
     D = arr.shape[1]
     H = helmert_submatrix(D)
+    if a == 0.0:
+        return _maybe_squeeze(_clr(arr) @ H.T, squeeze)
     w = closure(arr**a)
     z = (D * w - 1.0) @ H.T / a
     return _maybe_squeeze(z, squeeze)
@@ -200,10 +212,10 @@ def alpha_inverse(z, alpha):
     """
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(z, "alpha_inverse", min_cols=1, what="transform coordinates")
+    y = arr @ helmert_submatrix(arr.shape[1] + 1)
     if a == 0.0:
-        return ilr_inverse(arr if not squeeze else arr[0])
-    H = helmert_submatrix(arr.shape[1] + 1)
-    t = a * (arr @ H) + 1.0
+        return _maybe_squeeze(_clr_inverse(y), squeeze)
+    t = a * y + 1.0
     if np.any(t < 0):
         raise OutOfRangeError(
             f"alpha_inverse: pre-image component {t.min()!r} is negative; "

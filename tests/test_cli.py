@@ -745,6 +745,24 @@ class TestOverflowingPowerExits2:
         assert not out.exists()
 
 
+class TestOlsZeroExits2:
+    """`fit --model ols` on responses holding a zero exits 2 with the log-ratio
+    maps' alpha = 0 refusal, naming the row."""
+
+    @pytest.mark.parametrize("transform", ["alr", "ilr"])
+    def test_exits_2(self, tmp_path, capsys, transform):
+        data = tmp_path / "tiny.csv"
+        data.write_text("x1,y1,y2\n0,0.5,0.5\n1,0.2,0.8\n2,0,1\n3,0.6,0.4\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "fit", "--predictor-cols", "x1", "--model", "ols",
+                           "--transform", transform, "--input", str(data),
+                           "--response-cols", "y1,y2", "--output", str(out))
+        assert code == 2
+        assert err == ("error: ZeroNotAllowedError: fit_logratio_ols: row 2: a zero part "
+                       "needs alpha strictly positive, got alpha=0.0\n")
+        assert not out.exists()
+
+
 class TestOverflowingPowerSumExits2:
     """Powers that are finite alone but whose sum could overflow (two parts
     1e-308 at alpha = -1 in one column) end fit and frechet-path with exit 2

@@ -140,8 +140,9 @@ def _blocked_cells(monkeypatch, muladds, *args):
 
 @pytest.mark.parametrize("D", [4, 7])
 def test_kernel_blocks_equal_one_block(monkeypatch, D):
-    # R = m // 3 = 352 rows of n = 1000 per block: three blocks of 352-353
-    # rows, each GEMM above 1e6 multiply-adds, against one 1058-row block.
+    # R = m // 3 = 352 rows of n = 1000: six blocks of 176-177 rows, each
+    # one GEMM of both bandwidths (352-354 rows, above 1e6 multiply-adds),
+    # against one 1058-row block.
     rng = np.random.default_rng(D)
     n, m = 1000, 2 * 524 + 10
     X = rng.normal(size=(n, 2))

@@ -607,7 +607,8 @@ class TestKernelBlockRule:
         monkeypatch.setattr(np, "matmul", counting)
         cells = list(iter_kernel_grid_predictions(X, U, Q, alphas, hs, "gaussian"))
         monkeypatch.undo()
-        # R = 85: two 100-row blocks, one width-84 GEMM per block and bandwidth
+        # R = 85: four 50-row blocks, each one width-84 GEMM of both
+        # bandwidths (100 rows)
         assert widths == [84] * 2 * len(hs)
         for ai, hi, pred in cells:
             if alphas[ai] in (-1.0, 0.0, 1.0):

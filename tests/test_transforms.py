@@ -23,11 +23,14 @@ from simplexreg import (
     closure,
     clr,
     clr_inverse,
+    fit_logratio_ols,
     helmert_submatrix,
     ilr,
     ilr_inverse,
     power_transform,
+    transforms,
 )
+from simplexreg.regressors import _kld_forward
 
 
 def random_compositions(rng, n, D):
@@ -351,3 +354,102 @@ class TestOverflowingPowers:
         w = power_transform([1.0, 5e-324], -0.5)
         assert np.all(np.isfinite(w)) and w[1] > 0.99
         assert np.all(np.isfinite(alpha_transform([1.0, 5e-324], -0.5)))
+
+
+class TestOnePartRule:
+    """Each public transform reads its input once and each forward one checks
+    its parts once, by the alpha rule whose alpha = 0 case is the log-ratio
+    maps'; a zero refusal names the function called and the row."""
+
+    def test_each_transform_reads_and_checks_once(self, monkeypatch):
+        U = closure(np.random.default_rng(0).random((5, 4)) + 0.1)
+        Z = transforms.ilr(U)
+        calls = {}
+
+        def counted(name):
+            inner = getattr(transforms, name)
+
+            def wrapper(*args, **kwargs):
+                calls[current][name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(transforms, name, wrapper)
+        counted("_as_rows")
+        counted("_check_parts")
+        cases = {
+            "alr": lambda: alr(U), "alr_inverse": lambda: alr_inverse(Z),
+            "clr": lambda: clr(U), "clr_inverse": lambda: clr_inverse(U),
+            "ilr": lambda: ilr(U), "ilr_inverse": lambda: ilr_inverse(Z),
+            "power_transform": lambda: power_transform(U, -0.5),
+            "alpha_transform(0)": lambda: alpha_transform(U, 0.0),
+            "alpha_transform(0.5)": lambda: alpha_transform(U, 0.5),
+            "alpha_inverse(0)": lambda: alpha_inverse(Z, 0.0),
+            "alpha_inverse(0.5)": lambda: alpha_inverse(Z * 0.1, 0.5),
+        }
+        for current, call in cases.items():
+            calls[current] = {"_as_rows": 0, "_check_parts": 0}
+            call()
+        forward = {"alr", "clr", "ilr", "power_transform", "alpha_transform(0)",
+                   "alpha_transform(0.5)"}
+        assert calls == {name: {"_as_rows": 1, "_check_parts": int(name in forward)}
+                         for name in cases}
+
+    @pytest.mark.parametrize("name, call", [
+        ("alr", alr),
+        ("clr", clr),
+        ("ilr", ilr),
+        ("alpha_transform", lambda U: alpha_transform(U, 0.0)),
+        ("fit_logratio_ols", lambda U: fit_logratio_ols(np.arange(3.0), U)),
+        ("fit_logratio_ols", lambda U: fit_logratio_ols(np.arange(3.0), U, "ilr")),
+    ], ids=["alr", "clr", "ilr", "alpha_transform", "ols-alr", "ols-ilr"])
+    def test_zero_refusal_names_function_and_row(self, name, call):
+        U = [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]]
+        with pytest.raises(ZeroNotAllowedError,
+                           match=rf"^{name}: row 1: a zero part needs alpha strictly "
+                                 r"positive, got alpha=0\.0$"):
+            call(U)
+
+    def test_negative_part_is_refused_before_zeros(self):
+        with pytest.raises(ValidationError, match=r"^ilr: input contains negative values$"):
+            ilr([[0.5, 0.5, 0.0], [0.6, 0.6, -0.2]])
+
+
+def _parent_softmax(eta):
+    # The max-shifted softmax of [0 | eta] as alr_inverse and the logit fit
+    # each wrote it before they shared transforms._softmax.
+    shift = np.maximum(eta.max(axis=1), 0.0)
+    expv = np.exp(eta - shift[:, None])
+    denom = np.exp(-shift) + expv.sum(axis=1)
+    out = np.empty((eta.shape[0], eta.shape[1] + 1))
+    out[:, 0] = np.exp(-shift) / denom
+    out[:, 1:] = expv / denom[:, None]
+    nll_terms = shift + np.log(denom)
+    return out, nll_terms, expv / denom[:, None]
+
+
+class TestSharedSoftmax:
+    """alr_inverse and the logit fit's forward pass share one softmax kernel,
+    bitwise equal to the formulas each used to restate."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 33])
+    def test_alr_inverse_bits(self, d):
+        rng = np.random.default_rng(d)
+        V = rng.normal(size=(60, d)) * rng.choice([1.0, 30.0, 300.0], size=(60, 1))
+        V[::4] += 750.0  # rows above 700, whose plain exponential overflows
+        want = _parent_softmax(V)[0]
+        assert alr_inverse(V).tobytes() == want.tobytes()
+        assert alr_inverse(V[5]).tobytes() == want[5].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    def test_kld_forward_bits(self, d):
+        rng = np.random.default_rng(10 + d)
+        n = 80
+        X1 = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        B = rng.normal(size=(3, d)) * 40.0
+        B[0, 0] = 720.0  # an intercept above 700 in one logit
+        U = closure(rng.random((n, d + 1)))
+        nll, W = _kld_forward(X1, U[:, 1:], B)
+        eta = X1 @ B
+        assert eta.max() > 700.0
+        _, terms, want_W = _parent_softmax(eta)
+        assert nll == float(terms.sum() - (U[:, 1:] * eta).sum())
+        assert np.ascontiguousarray(W).tobytes() == want_W.tobytes()
