@@ -2,18 +2,18 @@
 
 Files are plain RFC-4180 CSV in UTF-8.  `csv.reader` reads the header;
 numpy's `loadtxt` then parses the data lines in one pass from the open
-file, and the response columns go once through the composition gate
-`simplex.as_composition_matrix` (finite, nonnegative, sums within
-`SUM_TOL` of 1, then re-closed row by row).  When any line defeats that
-pass (a quote character, a field that is not a finite number, a short
-row, a byte that is not UTF-8, a row that fails the gate), the file is
-read again by a `csv.reader` loop one field at a time, which returns the
-same arrays or raises with the physical line and column; a response row
-that is not a composition is rejected with its line rather than silently
-closed.  A column named twice (as response and predictor, or by two
-spellings of one index) is rejected once the names are resolved to file
-positions.  Floats are written with shortest round-trip formatting so a
-load / export / load cycle is value-exact.
+file, splitting quoted fields as `csv.reader` does, and the response
+columns go once through the composition gate `simplex.as_composition_matrix`
+(finite, nonnegative, sums within `SUM_TOL` of 1, then re-closed row by
+row).  Only a file that numpy refuses (a field that is not a finite number
+or that only Python's `float` reads, a short row, a byte that is not UTF-8,
+a row that fails the gate) is read again, by a `csv.reader` loop one field
+at a time, which returns the same arrays or raises with the physical line
+and column; a response row that is not a composition is rejected with its
+line rather than silently closed.  A column named twice (as response and
+predictor, or by two spellings of one index) is rejected once the names
+are resolved to file positions.  Floats are written with shortest
+round-trip formatting so a load / export / load cycle is value-exact.
 """
 
 import csv
@@ -86,24 +86,16 @@ def _column_positions(schema, header, path):
     return positions[:n_resp], positions[n_resp:]
 
 
-def _unquoted(lines):
-    # numpy splits a quoted field at its delimiters, csv.reader does not.
-    for line in lines:
-        if '"' in line:
-            raise ValueError("quoted field")
-        yield line
-
-
 def _parse_numbers(fh, delimiter, positions, n_resp):
     # (A, U) from one numpy pass over the rest of fh and one gate; None if either fails.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
-            A = np.loadtxt(_unquoted(fh), delimiter=delimiter, usecols=positions,
-                           comments=None, ndmin=2, dtype=float)
+            A = np.loadtxt(fh, delimiter=delimiter, usecols=positions, comments=None,
+                           quotechar='"', ndmin=2, dtype=float)
         U = as_composition_matrix(A[:, :n_resp]) if n_resp else None
-    # TypeError: a newline delimiter.  ValueError: an unparsable field, a
-    # byte that is not UTF-8, or the gate's ValidationError.
+    # TypeError: a newline or quote delimiter.  ValueError: an unparsable
+    # field, a byte that is not UTF-8, or the gate's ValidationError.
     except (TypeError, ValueError):
         return None
     return (A, U) if len(A) and np.isfinite(A[:, n_resp:]).all() else None
@@ -292,11 +284,15 @@ def standardize(X):
     """Center and scale columns by mean and sample standard deviation.
 
     Returns (X_std, center, scale) with scale computed using n - 1.
-    Constant columns cannot be scaled and are rejected by index.
+    Constant columns and columns too large to square are rejected by index.
     """
     X = as_predictor_matrix(X)
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows to standardize")
+    # |x - mean| <= 2 max|x|, so below this bound the n squares sum finitely.
+    big = np.flatnonzero(np.abs(X).max(axis=0) > math.sqrt(np.finfo(float).max / len(X)) / 4)
+    if big.size:
+        raise ValidationError(f"column {int(big[0])} is too large to standardize")
     center = X.mean(axis=0)
     scale = X.std(axis=0, ddof=1)
     flat = np.flatnonzero(scale == 0)

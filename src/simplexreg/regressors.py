@@ -202,8 +202,9 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     k_max = min(max(ks), index.n)
     idx = np.ascontiguousarray(index.query_batch(Q, k_max)[0].T)  # (k_max, m)
     feasible = [k for k in ks if k <= index.n]
-    # The slots of the cells whose running sum is complete after step i.
-    done_at = [[s for s, k in enumerate(feasible) if k == i + 1] for i in range(k_max)]
+    done_at = [[] for _ in range(k_max)]  # slots of the cells whose sum is complete at step i
+    for s, k in enumerate(feasible):
+        done_at[k - 1].append(s)
     train_first = index.n < idx.size
     # (n, D) or (k_max, m, D), powered into one contiguous buffer per alpha
     source = np.ascontiguousarray(U) if train_first else np.take(U, idx, axis=0)

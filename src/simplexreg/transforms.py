@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, ZeroNotAllowedError
-from .simplex import _as_floats, _check_count, _check_real, closure
+from .simplex import _as_floats, _check_count, _check_real, _plain, closure
 
 
 def check_alpha(alpha):
@@ -112,7 +112,10 @@ def _clr(arr):
 
 
 def _clr_inverse(arr):
-    return closure(np.exp(arr - arr.max(axis=1, keepdims=True)))
+    # Halves find where the shift would overflow; the exponential is 0 there anyway.
+    top = arr.max(axis=1, keepdims=True)
+    far = top / 2 - arr / 2 > np.finfo(float).max / 2
+    return closure(np.exp(np.subtract(arr, top, out=np.full(arr.shape, -np.inf), where=~far)))
 
 
 def alr(u):
@@ -218,7 +221,7 @@ def alpha_inverse(z, alpha):
     t = a * y + 1.0
     if np.any(t < 0):
         raise OutOfRangeError(
-            f"alpha_inverse: pre-image component {t.min()!r} is negative; "
+            f"alpha_inverse: pre-image component {_plain(t.min())!r} is negative; "
             "the point lies outside the transform's range"
         )
     if a < 0 and np.any(t == 0):

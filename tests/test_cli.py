@@ -970,12 +970,49 @@ class TestRejectedArguments:
         assert not out.exists()
 
     def test_field_over_the_csv_limit(self, tmp_path, capsys):
-        # A quoted field sends the file to the csv.reader loop, whose field
-        # limit (131,072 characters) used to end the run in a traceback.
+        # A field numpy cannot parse sends the file to the csv.reader loop,
+        # whose field limit (131,072 characters) used to end the run in a
+        # traceback.
         path = tmp_path / "long.csv"
-        path.write_text('y1,y2,note\n0.5,0.5,"a"\n0.25,0.75,' + "x" * 200_000 + "\n")
+        path.write_text('y1,y2,note\n0.5,0.5,"a"\n0.25,"' + "x" * 200_000 + '",b\n')
         _exits_2_naming(capsys, ["validate", "--input", str(path), "--response-cols", "y1,y2"],
                         str(path), "line 3", "field larger than field limit")
+
+
+def _r_style_copy(src, dst):
+    # R's write.csv: a quoted header led by "" and a quoted name per row.
+    lines = src.read_text().splitlines()
+    header = ",".join(f'"{name}"' for name in ["", *lines[0].split(",")])
+    dst.write_text("\n".join([header, *(f'"{i}",{line}' for i, line in enumerate(lines[1:], 1))])
+                   + "\n")
+
+
+class TestQuotedCsv:
+    def test_r_style_copy_writes_the_same_bytes(self, train_csv, tmp_path, capsys):
+        quoted = tmp_path / "quoted.csv"
+        _r_style_copy(train_csv, quoted)
+        assert quoted.read_text().startswith('"","x1","y1","y2","y3"\n"1",')
+        outputs = {}
+        for name, data in (("plain", train_csv), ("quoted", quoted)):
+            report, model, pred = (tmp_path / f"{name}.{ext}" for ext in ("report", "model", "csv"))
+            assert run(capsys, "tune", *_io(data), "--model", "aknn", "--alpha-grid", "0.5,1",
+                       "--output", str(report))[0] == 0
+            assert run(capsys, "fit", *_io(data), "--model", "aknn", "--alpha", "0.5",
+                       "--k", "4", "--output", str(model))[0] == 0
+            assert run(capsys, "predict", "--input", str(data), "--model-file", str(model),
+                       "--response-cols", "y1,y2,y3", "--output", str(pred))[0] == 0
+            outputs[name] = [path.read_bytes() for path in (report, model, pred)]
+        assert outputs["quoted"] == outputs["plain"]
+
+    def test_standardize_names_a_column_too_large(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("x1,y1,y2\n1e155,0.25,0.75\n1,0.5,0.5\n2,0.5,0.5\n")
+        out = tmp_path / "model.json"
+        _exits_2_naming(capsys, ["fit", "--input", str(path), "--response-cols", "y1,y2",
+                                 "--predictor-cols", "x1", "--model", "aknn", "--alpha", "0.5",
+                                 "--k", "2", "--standardize", "--output", str(out)],
+                        "column 0 is too large to standardize")
+        assert not out.exists()
 
 
 class TestPredictTruthColumn:

@@ -8,6 +8,7 @@ formatting.
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,12 +210,12 @@ class TestLoadCsv:
     def test_field_over_the_csv_limit(self, tmp_path, monkeypatch):
         long_field = "x" * 200_000
         quoted = tmp_path / "quoted.csv"
-        quoted.write_text(f'y1,y2,note\n0.5,0.5,"a"\n0.25,0.75,{long_field}\n')
+        quoted.write_text(f'y1,y2,note\n0.5,0.5,"a"\n0.25,"{long_field}",b\n')
         schema = DatasetSchema(response_cols=("y1", "y2"))
         with pytest.raises(ValidationError, match=r"quoted.csv: line 3: field larger"):
             load_csv(quoted, schema)
-        # Without a quote the numpy pass reads the file; it never parses
-        # the unused note column.
+        # The numpy pass never parses the unused note column, so it reads
+        # a long field there.
         plain = tmp_path / "plain.csv"
         plain.write_text(f"y1,y2,note\n0.5,0.5,a\n0.25,0.75,{long_field}\n")
         monkeypatch.setattr(ingestion, "_parse_rows", None)
@@ -285,6 +286,9 @@ PARSER_CORPUS = {
     "quoted number": ('x1,y1,y2\n"0.5",0.25,"0.75"\n', XY),
     "quote mid field": ('x1,z,y1,y2\n0.5,a"b,0.25,0.75\n', XY),
     "quoted newline": ('x1,z,y1,y2\n0.5,"a\nb",0.25,0.75\n1.5,c,0.5,0.5\n', XY),
+    # R's write.csv quotes the header and the row names.
+    "R write.csv": ('"","x1","y1","y2"\n"1",0.5,0.25,0.75\n"2",1.5,0.5,0.5\n', XY),
+    "R write.csv crlf": ('"","lake","x1","y1","y2"\r\n"1","L 1",0.5,0.25,0.75\r\n', XY),
     "negative zero": ("x1,y1,y2\n-0.0,-0.0,1.0\n", XY),
     "negative part": ("x1,y1,y2\n0.5,0.25,0.75\n0.5,-0.25,1.25\n", XY),
     "bad sum": ("x1,y1,y2\n0.5,0.25,0.75\n0.5,0.25,0.5\n", XY),
@@ -296,7 +300,30 @@ PARSER_CORPUS = {
     "predictors only": ("x1,x2\n1,2\n3,nan\n", DatasetSchema(response_cols=(), predictor_cols=("x1", "x2"))),
     "semicolon": ("x1;y1;y2\n0,5;0.25;0.75\n", DatasetSchema(
         response_cols=("y1", "y2"), predictor_cols=("x1",), delimiter=";")),
+    "quote delimiter": ('x1"y1"y2\n0.5"0.25"0.75\n', DatasetSchema(
+        response_cols=("y1", "y2"), predictor_cols=("x1",), delimiter='"')),
 }
+
+# Unused-column fields and the ways a number can be padded or quoted.
+_NOTES = ("a", '"a,b"', '"say ""hi"""', '""', 'a"b', '"a\nb"', '"a\r\nb"', '"x" ', ' "x"',
+          '"a"b', '"', '"a,', "", "1e400", '"a\rb"')
+_NUMBER_FORMS = ("{}", " {} ", '"{}"', '" {} "', '"{}" ', '"{}"0', '{}"', '"{}', '"{},"')
+
+
+def _fuzz_file(rng):
+    # Header x1,z,y1,y2 and one to three rows, each with a note in z and,
+    # now and then, a number padded or quoted.
+    lines = ["x1,z,y1,y2"]
+    for _ in range(rng.integers(1, 4)):
+        y1 = rng.choice(["0.25", "0.5", "0.125", "-0.0"])
+        y2 = {"0.25": "0.75", "0.5": "0.5", "0.125": "0.875", "-0.0": "1"}[y1]
+        fields = [rng.choice(["1", "-2.5", "+3"]), rng.choice(_NOTES), y1, y2]
+        for j in (0, 2, 3):
+            if rng.random() < 0.3:
+                fields[j] = rng.choice(_NUMBER_FORMS).format(fields[j])
+        lines.append(",".join(fields))
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(lines) + rng.choice([eol, ""])
 
 
 def _load_outcome(path, schema):
@@ -342,9 +369,32 @@ class TestNumpyPassAgreesWithLoop:
             if not looped:
                 fast.add(name)
         assert {"plain", "crlf", "bom", "tab delimiter", "headerless", "negative zero",
-                "extra columns", "responses only"} <= fast
-        assert not {name for name in fast if '"' in PARSER_CORPUS[name][0]}
-        assert not fast & {"negative part", "bad sum", "nan", "short row", "header only"}
+                "extra columns", "responses only", "quoted comma",
+                "quoted comma shifting columns", "doubled quote", "quoted number",
+                "quote mid field", "quoted newline", "R write.csv", "R write.csv crlf"} <= fast
+        assert not fast & {"negative part", "bad sum", "nan", "short row", "header only",
+                           "quote delimiter"}
+
+    def test_quoted_fuzz_corpus(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(26)
+        looped = []
+        parse_rows = ingestion._parse_rows
+        monkeypatch.setattr(ingestion, "_parse_rows",
+                            lambda *args: looped.append(True) or parse_rows(*args))
+        parse_numbers = ingestion._parse_numbers
+        path = tmp_path / "fuzz.csv"
+        fast = 0
+        for _ in range(300):
+            text = _fuzz_file(rng)
+            path.write_bytes(text.encode("utf-8"))
+            looped.clear()
+            both = _load_outcome(path, XY)
+            fast += '"' in text and not looped
+            monkeypatch.setattr(ingestion, "_parse_numbers", lambda *args: None)
+            loop_only = _load_outcome(path, XY)
+            monkeypatch.setattr(ingestion, "_parse_numbers", parse_numbers)
+            assert _same_outcome(both, loop_only), (text, both, loop_only)
+        assert fast >= 50  # numpy read that many quoted files
 
 
 class TestWriteCsv:
@@ -494,6 +544,22 @@ class TestStandardize:
     def test_single_row_rejected(self):
         with pytest.raises(ValidationError):
             standardize(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("big", [1e155, -1e155, 1e308])
+    def test_column_too_large_named(self, big):
+        X = np.column_stack([np.arange(4.0), [1.0, 2.0, big, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^column 1 is too large to standardize$"):
+                standardize(X)
+
+    def test_large_column_below_the_bound_scaled(self):
+        # Values up to sqrt(finfo.max / n) / 4 square and sum finitely.
+        X = np.column_stack([np.arange(4.0), [1e153, -1e153, 0.0, 5e152]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Xs, _, scale = standardize(X)
+        assert np.isfinite(Xs).all() and np.isfinite(scale).all()
 
     def test_apply_validates_shapes(self):
         with pytest.raises(ValidationError):

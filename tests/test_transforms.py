@@ -7,6 +7,7 @@ transform.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,33 @@ class TestClr:
         assert u[0] == pytest.approx(1.0)
 
 
+class TestFarCoordinates:
+    """A coordinate more than finfo.max below its row's top: the shift before
+    the exponential must not overflow, and every other row keeps its bits."""
+
+    @staticmethod
+    def unguarded(Y):
+        return closure(np.exp(Y - Y.max(axis=1, keepdims=True)))
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(ilr_inverse([1e308, 1e308]), [1.0, 0.0, 0.0])
+            assert np.array_equal(clr_inverse([1e308, -1e308, 0.0]), [1.0, 0.0, 0.0])
+            assert np.array_equal(alpha_inverse([[1e308, 1e308]], 0.0), [[1.0, 0.0, 0.0]])
+
+    def test_bits_equal_the_unguarded_shift(self):
+        rng = np.random.default_rng(26)
+        Y = rng.normal(size=(400, 5)) * 10.0 ** rng.integers(-3, 307, size=(400, 1))
+        Y[::7, 0] = 1e308  # these rows' ranges overflow
+        Y[::7, 1] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = clr_inverse(Y)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(got, self.unguarded(Y))
+
+
 class TestIlr:
     def test_uniform_maps_to_origin(self):
         z = ilr([1 / 3, 1 / 3, 1 / 3])
@@ -300,6 +328,10 @@ class TestAlphaInverse:
         # alpha = 1, D = 2: t = z * H^T + 1 goes negative for large z
         with pytest.raises(OutOfRangeError):
             alpha_inverse([10.0], 1.0)
+
+    def test_refusal_prints_a_plain_number(self):
+        with pytest.raises(OutOfRangeError, match=r"component -3\.5355339059327373e\+307 is negative"):
+            alpha_inverse([-1e308, 1.0], 0.5)
 
     def test_boundary_round_trip(self):
         # coordinates of (1, 0) sit on the image boundary and stay
