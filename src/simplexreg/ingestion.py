@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
 from .neighbors import _CHUNK_BYTES, _row_blocks
-from .simplex import _as_floats, _composition_fault, as_composition_matrix, as_predictor_matrix
+from .simplex import (_as_floats, _composition_fault, _plain, as_composition_matrix,
+                      as_predictor_matrix)
 
 
 @dataclass(frozen=True)
@@ -268,10 +269,12 @@ def latlon_to_euclidean(lat, lon):
         raise ValidationError(f"shape mismatch: {lat.shape} vs {lon.shape}")
     if not (np.all(np.isfinite(lat)) and np.all(np.isfinite(lon))):
         raise ValidationError("coordinates contain non-finite values")
-    if np.any(np.abs(lat) > 90.0):
-        raise OutOfRangeError("latitude outside [-90, 90] degrees")
-    if np.any(np.abs(lon) > 180.0):
-        raise OutOfRangeError("longitude outside [-180, 180] degrees")
+    for name, arr, limit in (("latitude", lat, 90), ("longitude", lon, 180)):
+        bad = np.flatnonzero(np.abs(arr) > limit)
+        if bad.size:
+            i = int(bad[0])
+            raise OutOfRangeError(f"row {i}: {name} {_plain(arr.flat[i])!r} outside "
+                                  f"[-{limit}, {limit}] degrees")
     phi = np.radians(lat)
     lam = np.radians(lon)
     return np.stack(
@@ -311,6 +314,15 @@ def apply_standardization(X, center, scale):
             f"center/scale of shapes {center.shape}/{scale.shape} do not "
             f"match {X.shape[1]} columns"
         )
-    if np.any(scale <= 0):
-        raise ValidationError("scale entries must be positive")
+    bad = np.flatnonzero(~(scale > 0))
+    if bad.size:
+        j = int(bad[0])
+        raise ValidationError(f"scale of column {j} must be positive, got {_plain(scale[j])!r}")
+    # |x - center| / 2 below max / 2 * min(scale, 1) keeps both steps finite.
+    big = np.flatnonzero(np.abs(X).max(axis=0) / 2 + np.abs(center) / 2
+                         > np.finfo(float).max / 2 * np.minimum(scale, 1.0))
+    if big.size:
+        j = int(big[0])
+        raise ValidationError(f"column {j} is too large to standardize by center "
+                              f"{_plain(center[j])!r} and scale {_plain(scale[j])!r}")
     return (X - center) / scale

@@ -492,16 +492,16 @@ def _kld_forward(X1, U_tail, B):
 
 
 def _kld_hessian(X1, W):
-    d = W.shape[1]
-    q = X1.shape[1]
-    H = np.empty((d, q, d, q))
-    for a in range(d):
-        for b in range(a, d):
-            w = W[:, a] * ((1.0 if a == b else 0.0) - W[:, b])
-            block = (X1 * w[:, None]).T @ X1
-            H[a, :, b, :] = block
-            H[b, :, a, :] = block.T
-    return H.reshape(d * q, d * q)
+    # blockdiag_a(X1' diag(W_a) X1) - Z'Z, row i of Z being W_i (x) X1_i
+    # class-major, summed over row blocks so no temporary grows with n.
+    (n, d), q = W.shape, X1.shape[1]
+    H = np.zeros((d * q, d * q))
+    H4 = H.reshape(d, q, d, q)
+    for b in _row_blocks(n, 8 * d * q, _CHUNK_BYTES // 64):
+        Z = (W[b, :, None] * X1[b, None, :]).reshape(-1, d * q)
+        H -= Z.T @ Z
+        H4[range(d), :, range(d), :] += Z.reshape(-1, d, q).transpose(1, 2, 0) @ X1[b]
+    return H
 
 
 def fit_kld(X, U, tol=1e-7, max_iter=100):

@@ -27,8 +27,8 @@ from .errors import TuningError, ValidationError
 from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
-from .simplex import (_as_floats, _check_count, _check_real, _check_seed, _grid_axis,
-                      _predictor_gate)
+from .simplex import (SUM_TOL, _as_floats, _check_count, _check_real, _check_seed, _grid_axis,
+                      _plain, _predictor_gate)
 from .simplex import closure  # noqa: F401
 from .transforms import _check_alpha_parts, check_alpha
 
@@ -43,11 +43,18 @@ def _check_pair(y, yhat):
     y, yhat = _as_floats(y, "y"), _as_floats(yhat, "yhat")
     if y.shape != yhat.shape:
         raise ValidationError(f"shape mismatch: {y.shape} vs {yhat.shape}")
-    if y.ndim == 1:
-        return y[None, :], yhat[None, :], True
-    if y.ndim != 2:
+    if y.ndim not in (1, 2):
         raise ValidationError(f"inputs must be 1-D or 2-D, got ndim={y.ndim}")
-    return y, yhat, False
+    single, y, yhat = y.ndim == 1, np.atleast_2d(y), np.atleast_2d(yhat)
+    # No part of a composition lies outside [0, 1 + SUM_TOL], and within it no
+    # term of either divergence overflows.
+    for name, arr in (("y", y), ("yhat", yhat)):
+        bad = ~((arr >= 0) & (arr <= 1 + SUM_TOL))
+        if bad.any():
+            r, j = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"{name} row {r}: part {_plain(arr[r, j])!r} lies outside [0, 1]")
+    return y, yhat, single
 
 
 def _check_clamp(clamp, D):
@@ -109,6 +116,7 @@ def kl_divergence(y, yhat, clamp=0.0):
     Terms with y_i = 0 contribute zero.  With clamp = 0 a zero predicted
     component facing positive truth yields +inf; a positive clamp, which
     must be below 1/D for D parts, floors yhat at that value first.
+    A part of y or yhat outside [0, 1] is refused, naming its row.
     Returns a scalar for vector inputs, a length-n array for matrix inputs.
     """
     y, yhat, single = _check_pair(y, yhat)
@@ -119,7 +127,8 @@ def kl_divergence(y, yhat, clamp=0.0):
 def js_divergence(y, yhat):
     """Jensen-Shannon divergence, rowwise; symmetric and always finite.
 
-    Attains its maximum 2 log 2 on disjoint-support pairs.
+    Attains its maximum 2 log 2 on disjoint-support pairs.  Parts are
+    checked as in `kl_divergence`.
     """
     y, yhat, single = _check_pair(y, yhat)
     out = _scorer("js", y)(yhat)

@@ -118,6 +118,19 @@ def _clr_inverse(arr):
     return closure(np.exp(np.subtract(arr, top, out=np.full(arr.shape, -np.inf), where=~far)))
 
 
+def _contrast(arr, op):
+    # clr coordinates z @ H, refusing first a row with a coordinate above
+    # finfo.max / sqrt(D): H's columns have norm below 1, so no clr
+    # coordinate can then exceed (D - 1) / D of finfo.max.
+    D = arr.shape[1] + 1
+    big = np.abs(arr) > np.finfo(float).max / math.sqrt(D)
+    if big.any():
+        r, j = np.argwhere(big)[0]
+        raise OutOfRangeError(f"{op}: row {r}: coordinate {_plain(arr[r, j])!r} is too large "
+                              "to invert")
+    return arr @ helmert_submatrix(D)
+
+
 def alr(u):
     """Additive log-ratio transform, first part as reference.
 
@@ -170,7 +183,7 @@ def ilr(u):
 def ilr_inverse(z):
     """Inverse isometric log-ratio transform."""
     arr, squeeze = _as_rows(z, "ilr_inverse", min_cols=1, what="ilr coordinates")
-    return _maybe_squeeze(_clr_inverse(arr @ helmert_submatrix(arr.shape[1] + 1)), squeeze)
+    return _maybe_squeeze(_clr_inverse(_contrast(arr, "ilr_inverse")), squeeze)
 
 
 def power_transform(u, alpha):
@@ -215,17 +228,21 @@ def alpha_inverse(z, alpha):
     """
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(z, "alpha_inverse", min_cols=1, what="transform coordinates")
-    y = arr @ helmert_submatrix(arr.shape[1] + 1)
+    y = _contrast(arr, "alpha_inverse")
     if a == 0.0:
         return _maybe_squeeze(_clr_inverse(y), squeeze)
     t = a * y + 1.0
-    if np.any(t < 0):
+    low = t.min(axis=1)
+    rows = np.flatnonzero(low < 0 if a > 0 else low <= 0)
+    if rows.size:
+        r = int(rows[0])
+        fault = "is negative; the point lies outside the transform's range" if low[r] < 0 else (
+            "is zero, which a negative alpha cannot raise")
         raise OutOfRangeError(
-            f"alpha_inverse: pre-image component {_plain(t.min())!r} is negative; "
-            "the point lies outside the transform's range"
-        )
-    if a < 0 and np.any(t == 0):
-        raise OutOfRangeError(
-            "alpha_inverse: zero pre-image component with negative alpha"
-        )
+            f"alpha_inverse: row {r}: pre-image component {_plain(low[r])!r} {fault}")
+    # A row whose largest power could overflow the closure's sum is first divided
+    # by the component that gives it: its largest at alpha > 0, else its smallest.
+    top = t.max(axis=1) if a > 0 else low
+    far = np.log(top) / a > np.log(np.finfo(float).max / (2 * t.shape[1]))
+    t = np.divide(t, top[:, None], out=t, where=far[:, None])
     return _maybe_squeeze(closure(t ** (1.0 / a)), squeeze)

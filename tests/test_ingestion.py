@@ -501,6 +501,12 @@ class TestLatLon:
         with pytest.raises(OutOfRangeError):
             latlon_to_euclidean(0.0, 180.5)
 
+    def test_range_refusal_names_the_row(self):
+        with pytest.raises(OutOfRangeError, match=r"^row 2: latitude -95\.5 outside \[-90, 90\] degrees$"):
+            latlon_to_euclidean([0.0, 10.0, -95.5], [0.0, 0.0, 0.0])
+        with pytest.raises(OutOfRangeError, match=r"^row 0: longitude 1e\+308 outside \[-180, 180\]"):
+            latlon_to_euclidean([0.0, 10.0], [1e308, 0.0])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             latlon_to_euclidean(np.nan, 0.0)
@@ -566,6 +572,28 @@ class TestStandardize:
             apply_standardization(np.ones((3, 2)), np.zeros(3), np.ones(3))
         with pytest.raises(ValidationError):
             apply_standardization(np.ones((3, 2)), np.zeros(2), np.array([1.0, 0.0]))
+
+    def test_apply_names_the_nonpositive_scale(self):
+        with pytest.raises(ValidationError, match=r"^scale of column 1 must be positive, got 0\.0$"):
+            apply_standardization(np.ones((3, 2)), np.zeros(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("X, center, scale, j", [
+        ([[1.0, 1e308]], [0.0, 0.0], [1.0, 0.5], 1),  # the division overflows
+        ([[1e308, 1.0]], [-1e308, 0.0], [1.0, 1.0], 0),  # the subtraction overflows
+        ([[1.0, 2.0]], [0.0, 0.0], [5e-324, 1.0], 0),  # a tiny scale
+    ])
+    def test_apply_refuses_an_overflowing_column(self, X, center, scale, j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=rf"^column {j} is too large to standardize by center "):
+                apply_standardization(X, center, scale)
+
+    def test_apply_keeps_large_finite_columns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_standardization([[1e308, 1.0]], [-1e307, 0.0], [2.0, 1e-300])
+        assert np.array_equal(out, [[(1e308 + 1e307) / 2.0, 1.0 / 1e-300]])
 
 
 class TestNotUtf8:

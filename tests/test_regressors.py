@@ -990,6 +990,92 @@ class TestKld:
             model.coef[0, 0] = 1.0
 
 
+def _pair_loop_hessian(X1, W):
+    # The Newton Hessian as fit_kld built it before the block form: one
+    # weighted cross-product per class pair, mirrored into both blocks.
+    d = W.shape[1]
+    q = X1.shape[1]
+    H = np.empty((d, q, d, q))
+    for a in range(d):
+        for b in range(a, d):
+            w = W[:, a] * ((1.0 if a == b else 0.0) - W[:, b])
+            block = (X1 * w[:, None]).T @ X1
+            H[a, :, b, :] = block
+            H[b, :, a, :] = block.T
+    return H.reshape(d * q, d * q)
+
+
+def _hessian_inputs(n, d, q):
+    rng = np.random.default_rng([n, d, q])
+    X1 = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
+    return X1, alr_inverse(rng.normal(size=(n, d)))[:, 1:]
+
+
+def _assert_close_to_pair_loop(H, X1, W):
+    # Relative to the largest entry: an entry that sums terms of both signs
+    # may cancel to far below its terms, and then only its absolute error
+    # is small.
+    want = _pair_loop_hessian(X1, W)
+    assert H.shape == want.shape
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestKldHessian:
+    """The logit Hessian in block form, blockdiag_a(X1' diag(W_a) X1) - Z'Z
+    summed over row blocks, agrees with the class-pair loop it replaced and
+    holds memory of one row block, not of n."""
+
+    @pytest.mark.parametrize("n, d, q", [(1, 1, 1), (257, 1, 3), (5000, 4, 2), (20000, 9, 2)])
+    def test_equals_pair_loop(self, n, d, q):
+        X1, W = _hessian_inputs(n, d, q)
+        _assert_close_to_pair_loop(regressors._kld_hessian(X1, W), X1, W)
+
+    def test_many_row_blocks(self, monkeypatch):
+        # Blocks of at most 100 rows; 1234 rows is no multiple of them.
+        n, d, q = 1234, 3, 3
+        monkeypatch.setattr(regressors, "_CHUNK_BYTES", 64 * 8 * d * q * 100)
+        seen = []
+        row_blocks = regressors._row_blocks
+
+        def recorded(*args):
+            seen.append(row_blocks(*args))
+            return seen[-1]
+        monkeypatch.setattr(regressors, "_row_blocks", recorded)
+        X1, W = _hessian_inputs(n, d, q)
+        _assert_close_to_pair_loop(regressors._kld_hessian(X1, W), X1, W)
+        (blocks,) = seen
+        assert len(blocks) == 13 and blocks[-1].stop == n
+        assert {b.stop - b.start for b in blocks} == {94, 95}
+
+    @pytest.mark.parametrize("intercept_only", [True, False])
+    def test_fit_matches_pair_loop_fit(self, rng, monkeypatch, intercept_only):
+        # The intercept-only fit runs the Hessian at q = 1.
+        X, U = make_data(rng, n=400, p=2, D=5)
+        X = None if intercept_only else X
+        fit = fit_kld(X, U)
+        monkeypatch.setattr(regressors, "_kld_hessian", _pair_loop_hessian)
+        want = fit_kld(X, U)
+        assert fit.iterations == want.iterations
+        assert fit.hessian_damped == want.hessian_damped
+        assert fit.coef.shape == want.coef.shape == (1 if intercept_only else 3, 4)
+        assert np.abs(fit.coef - want.coef).max() <= 1e-13 * np.abs(want.coef).max()
+        assert abs(fit.objective - want.objective) <= 1e-13 * abs(want.objective)
+
+    def test_traced_peak_does_not_grow_with_n(self):
+        d, q = 9, 2
+        peaks = {}
+        for n in (200_000, 400_000):
+            X1, W = _hessian_inputs(n, d, q)
+            tracemalloc.start()
+            try:
+                regressors._kld_hessian(X1, W)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del X1, W
+        assert max(peaks.values()) < 3 * 2**20, peaks
+
+
 class TestLogRatioOls:
     def test_alr_ilr_predictions_agree(self, rng):
         X, U = make_data(rng, n=120, p=3, D=5)

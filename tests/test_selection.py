@@ -8,6 +8,7 @@ smaller k is observable without relying on float coincidences.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ class TestKlDivergence:
     def test_negative_clamp_rejected(self):
         with pytest.raises(ValidationError):
             kl_divergence([0.5, 0.5], [0.5, 0.5], clamp=-1.0)
+
+    @pytest.mark.parametrize("divergence", [kl_divergence, js_divergence])
+    @pytest.mark.parametrize("y, yhat, fault", [
+        ([[0.5, 0.5], [1e308, 0.1]], [[0.5, 0.5], [0.5, 0.5]], r"y row 1: part 1e\+308"),
+        ([0.5, 0.5], [-0.25, 1.25], r"yhat row 0: part -0\.25"),
+        ([0.5, 0.5], [math.nan, 1.0], r"yhat row 0: part nan"),
+    ])
+    def test_part_outside_unit_interval_names_its_row(self, divergence, y, yhat, fault):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^{fault} lies outside \[0, 1\]$"):
+                divergence(y, yhat)
 
     @pytest.mark.parametrize("clamp", [math.nan, math.inf, -math.inf])
     def test_nonfinite_clamp_rejected(self, clamp):

@@ -359,6 +359,64 @@ class TestAlphaInverse:
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) <= 1e-12
 
 
+class TestInverseOverflow:
+    """The inverse maps take z @ H only for rows whose coordinates are at most
+    finfo.max / sqrt(D), and refuse any other by row and value; alpha_inverse
+    divides a row whose largest power could overflow by the part giving it."""
+
+    @pytest.mark.parametrize("call, op", [
+        (ilr_inverse, "ilr_inverse"),
+        (lambda z: alpha_inverse(z, 0.0), "alpha_inverse"),
+        (lambda z: alpha_inverse(z, 0.5), "alpha_inverse"),
+        (lambda z: alpha_inverse(z, -0.5), "alpha_inverse"),
+    ], ids=["ilr", "alpha0", "alpha0.5", "alpha-0.5"])
+    def test_overflowing_contrast_refused_by_row(self, call, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError,
+                               match=rf"^{op}: row 0: coordinate 1\.7e\+308 is too large to invert$"):
+                call([1.7e308, 1.7e308])
+            with pytest.raises(OutOfRangeError, match=rf"^{op}: row 1: coordinate -1\.7e\+308 "):
+                call([[0.1, 0.2], [1.0, -1.7e308]])
+
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_coordinates_at_the_bound_invert(self, D):
+        # z along the signs of each column of H gives that column's largest
+        # clr coordinate; at the bound it stays finite.
+        H = helmert_submatrix(D)
+        z = np.finfo(float).max / math.sqrt(D) * np.where(H.T >= 0, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (ilr_inverse(z), alpha_inverse(z, 0.0)):
+                assert np.all(np.isfinite(u))
+                assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("a, far", [
+        (0.002, [4.6, 0.1, 0.1, 0.1, 0.1]),  # 4.6 ** 500 overflows
+        (-0.01, [1e-10, 1.25, 1.25, 1.25, 1.25]),  # 1e-10 ** -100 overflows
+    ])
+    def test_far_row_closes_without_overflow(self, a, far):
+        H = helmert_submatrix(5)
+        t = np.array([far, [1.2, 0.9, 1.0, 0.8, 1.1]])  # the second row is ordinary
+        z = ((t - 1.0) / a) @ H.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = alpha_inverse(z, a)
+        vertex = np.eye(5)[np.argmax(far) if a > 0 else np.argmin(far)]
+        assert np.abs(u[0] - vertex).max() <= 1e-12
+        y = (z @ H)[1]
+        assert np.array_equal(u[1], closure((a * y + 1.0) ** (1.0 / a)))
+
+    def test_refusals_name_the_row(self):
+        with pytest.raises(OutOfRangeError, match=r"^alpha_inverse: row 1: pre-image component "
+                                                  r"-\S+ is negative"):
+            alpha_inverse([[0.0], [10.0]], 1.0)
+        h = helmert_submatrix(2)[0, 0]
+        with pytest.raises(OutOfRangeError, match=r"^alpha_inverse: row 1: pre-image component "
+                                                  r"0\.0 is zero, which a negative alpha cannot"):
+            alpha_inverse([[0.0], [-1.0 / h]], -1.0)
+
+
 class TestOverflowingPowers:
     """At alpha < 0 a part whose power overflows, alone or in the closure's
     row sum of D powers, is refused up front, naming the row and alpha."""
