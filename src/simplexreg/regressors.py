@@ -209,19 +209,13 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     # (n, D) or (k_max, m, D), powered into one contiguous buffer per alpha
     source = np.ascontiguousarray(U) if train_first else np.take(U, idx, axis=0)
     powered = np.empty_like(source)
-    run, row = np.empty((2, m, D))
     for ai, a in enumerate(alphas):
         a = float(a)
         _power(source, a, out=powered)
         cells = np.empty((len(feasible), D, m))  # fresh: the yielded cells are views
+        run = np.full((m, D), -0.0)  # -0.0 + x is x, signed zeros too
         for i in range(k_max):
-            # The indices come from query_batch, so all lie in [0, n);
-            # "clip" only spares numpy the buffered copy "raise" makes.
-            g = powered.take(idx[i], axis=0, out=row, mode="clip") if train_first else powered[i]
-            if i:
-                run += g
-            else:
-                run[...] = g
+            run += powered.take(idx[i], axis=0) if train_first else powered[i]
             for s in done_at[i]:
                 np.divide(run.T, i + 1, out=cells[s])
         closed = iter(_unpower(cells.transpose(0, 2, 1), a))
@@ -374,8 +368,8 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     bandwidth after bandwidth, and run as one (g * b, n) @ (n, A * D)
     GEMM of at least R rows against all alphas' powered responses side by
     side, with at least `_STACK_MULADDS` multiply-adds per alpha
-    (rows * n * D) and more rows than columns; a small temporary takes
-    its output apart into the (H, m, A, D) weighted sums.
+    (rows * n * D) and more rows than columns; its output, a fresh
+    temporary of A * D columns, is taken apart into the (H, m, A, D) sums.
 
     Memory: one (b, n) exponent-base buffer and one weight buffer of fewer
     than 2R + H rows of n serve every block and group, so a call holds
@@ -424,7 +418,6 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
     columns = np.asfortranarray(P)[None, :, :]
     base_rows = np.empty((rows, n))
     weight_rows = np.empty((width * rows, n))
-    sums = np.empty((width * rows, A * D))
     with _one_blas_thread():
         for block in blocks:
             Qb = Q[block]
@@ -450,10 +443,9 @@ def iter_kernel_grid_predictions(P, U, Q, alphas, hs, kernel):
                         W[j] = 0.0  # keeps the group's GEMM at R rows or more
                 live = [j for j, hi in enumerate(his) if errors[hi] is None]
                 if live and stack:
-                    T = np.matmul(W.reshape(-1, n), powered.reshape(n, A * D),
-                                  out=sums[:len(his) * b]).reshape(len(his), b, A, D)
+                    T = np.matmul(W.reshape(-1, n), powered.reshape(n, A * D))
                     for j in live:
-                        S[his[j], block] = T[j]
+                        S[his[j], block] = T[j * b:(j + 1) * b].reshape(b, A, D)
                 elif live:
                     for ai in range(A):
                         np.matmul(W[0], powered[:, ai], out=S[his[0], block, ai])

@@ -9,9 +9,9 @@ thread pool only distributes folds, never reorders the reduction.
 
 Folds score the cells of each family's grid iterator, whose single-cell
 case is that family's `predict`, with one scorer per fold (`_scorer`,
-which also serves both public divergences).  The cells come parts-major
-(Fortran-ordered) and so do the fold's held-out responses, so a
-divergence's sum over the D parts is D - 1 whole-column adds.  For
+which also serves both public divergences and keeps no buffers).  Cells
+and the fold's held-out responses are parts-major (Fortran-ordered), so
+a divergence's sum over the D parts is D - 1 whole-column adds.  For
 D <= 7 that rounds exactly like a row-major sum; for D >= 8 the order
 differs from one, but every fold and thread count shares it.
 """
@@ -69,9 +69,9 @@ def _check_clamp(clamp, D):
     return clamp
 
 
-def _kl_terms(y, log_y, zero, log_q, out=None):
+def _kl_terms(y, log_y, zero, log_q):
     # y log(y / q) as y (log y - log q); 0 where y = 0 (mask `zero`, or None).
-    out = np.subtract(log_y, log_q, out=out)
+    out = np.subtract(log_y, log_q)
     np.multiply(y, out, out=out)
     if zero is not None:
         np.copyto(out, 0.0, where=zero)
@@ -82,29 +82,23 @@ def _scorer(metric, y, clamp=0.0):
     """The rows' divergences of predictions q from fixed responses y (m, D).
 
     log y and y's zero mask are worked out once for a tune fold's cells.
-    The terms go to buffers laid out as numpy lays out the first call's
-    (y, q), which later calls reuse, so all q share one layout.  Both
-    public divergences score through this one function.
+    Each call's terms are fresh arrays laid out as numpy lays out (y, q),
+    so a row's score depends on that call alone.  Both public divergences
+    score through this one function.
     """
     positive = y > 0
     zero = None if positive.all() else ~positive
     with np.errstate(divide="ignore", invalid="ignore"):
         log_y = np.log(y)
-    work = [None, None, None]
 
     def rows(q):
-        t, log_m, log_q = work
         with np.errstate(divide="ignore", invalid="ignore"):
             if metric == "kl":
-                if clamp > 0:
-                    q = np.maximum(q, clamp, out=t)
-                t = _kl_terms(y, log_y, zero, np.log(q, out=t), out=t)
+                t = _kl_terms(y, log_y, zero, np.log(np.maximum(q, clamp) if clamp > 0 else q))
             else:  # both halves against m = (y + q) / 2
-                log_m = np.log(np.multiply(0.5, np.add(y, q, out=log_m), out=log_m), out=log_m)
-                t = _kl_terms(y, log_y, zero, log_m, out=t)
-                log_q = _kl_terms(q, np.log(q, out=log_q), ~(q > 0), log_m, out=log_q)
-                t += log_q
-        work[:] = t, log_m, log_q
+                log_m = np.log(0.5 * (y + q))
+                t = _kl_terms(y, log_y, zero, log_m)
+                t += _kl_terms(q, np.log(q), ~(q > 0), log_m)
         return t.sum(axis=1)
 
     return rows

@@ -102,6 +102,12 @@ def closure(values, axis=-1):
         raise ValidationError("closure: input contains non-finite values")
     if np.any(x < 0):
         raise ValidationError("closure: input contains negative values")
+    # A slice whose sum could overflow is first divided by its largest part;
+    # closure is scale-invariant, and every other slice keeps its bits.
+    top = x.max(axis=axis, keepdims=True)
+    big = top > np.finfo(float).max / (x.size // top.size)
+    if big.any():
+        x = x / np.where(big, top, 1.0)
     total = x.sum(axis=axis, keepdims=True)
     if np.any(total <= 0):
         raise DegenerateInputError("closure: a slice sums to zero")
@@ -131,7 +137,8 @@ def _composition_fault(U):
         rows = np.flatnonzero(bad.any(axis=1))
         if rows.size:
             return int(rows[0]), reason
-    sums = U.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite sum is refused like any other
+        sums = U.sum(axis=1)
     rows = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
     if rows.size:
         return int(rows[0]), f"sum {float(sums[rows[0]])!r} outside tolerance {SUM_TOL}"

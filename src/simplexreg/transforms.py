@@ -224,14 +224,21 @@ def alpha_inverse(z, alpha):
 
     Requires every component of alpha * H^T z + 1 to be nonnegative
     (strictly positive for alpha < 0); values outside that preimage do
-    not correspond to any composition.
+    not correspond to any composition.  For alpha > 0 a component within
+    rounding of 0 is 0, so a zero part round-trips to an exact zero.
     """
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(z, "alpha_inverse", min_cols=1, what="transform coordinates")
     y = _contrast(arr, "alpha_inverse")
     if a == 0.0:
         return _maybe_squeeze(_clr_inverse(y), squeeze)
-    t = a * y + 1.0
+    ay = a * y
+    t = ay + 1.0
+    if a > 0:
+        # A zero part's component rounds to a few ulps of the row's scale
+        # 1 + max|a * y| either side of 0; one within D such ulps is 0.
+        near = t.shape[1] * np.finfo(float).eps * (1.0 + np.abs(ay).max(axis=1, keepdims=True))
+        t[np.abs(t) <= near] = 0.0
     low = t.min(axis=1)
     rows = np.flatnonzero(low < 0 if a > 0 else low <= 0)
     if rows.size:

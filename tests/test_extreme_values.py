@@ -3,8 +3,10 @@ its row or column.
 
 Each case sets one seeded cell of otherwise ordinary input to +-1e308,
 +-1e155, 1e-300, 5e-324 or 0 and calls an array-taking public function
-under warnings-as-errors.  A nonnegative cell of a composition is also
-tried with its row re-closed, so tiny parts get past the composition gate.
+under warnings-as-errors; a second sweep sets two cells of one row, whose
+sum can overflow where one cell's does not.  A nonnegative cell of a
+composition is also tried with its row re-closed, so tiny parts get past
+the composition gate.
 The call must return a finite result, closed for compositions, or raise a
 SimplexRegError that names a row or column and prints plain numbers.  The
 one message exempt from naming a row is the negative-part refusal
@@ -153,15 +155,21 @@ _EXEMPT = re.compile(r"^\w+: input contains negative values$")
 _NUMPY_REPR = re.compile(r"\bnp\.\w+\(")
 
 
-def _inputs(ci, vi):
+def _inputs(ci, vi, cells=1):
     case_id, _, base, _ = CASES[ci]
     value = EXTREMES[vi]
     arr = BASES[base].copy()
-    cell = tuple(int(i) for i in np.random.default_rng([ci, vi]).integers(arr.shape))
+    if cells == 1:
+        cell = tuple(int(i) for i in np.random.default_rng([ci, vi]).integers(arr.shape))
+    else:
+        rng = np.random.default_rng([ci, vi, cells])
+        cell = (int(rng.integers(arr.shape[0])), rng.choice(arr.shape[1], cells, replace=False))
     arr[cell] = value
     yield arr
     if base == "U" and value >= 0:
         arr = arr.copy()
+        if cells > 1:  # two parts of 1e308 sum past the float maximum
+            arr[cell[0]] /= arr[cell[0]].max()
         arr[cell[0]] /= arr[cell[0]].sum()
         yield arr
 
@@ -169,8 +177,31 @@ def _inputs(ci, vi):
 @pytest.mark.parametrize("vi", range(len(EXTREMES)), ids=[repr(v) for v in EXTREMES])
 @pytest.mark.parametrize("ci", range(len(CASES)), ids=[c[0] for c in CASES])
 def test_finite_or_refused_by_place(ci, vi):
+    _check_outcomes(ci, _inputs(ci, vi))
+
+
+_WIDE = [ci for ci, c in enumerate(CASES) if BASES[c[2]].shape[1] > 1]
+
+
+@pytest.mark.parametrize("vi", range(len(EXTREMES)), ids=[repr(v) for v in EXTREMES])
+@pytest.mark.parametrize("ci", _WIDE, ids=[CASES[ci][0] for ci in _WIDE])
+def test_two_extreme_cells_in_one_row(ci, vi):
+    _check_outcomes(ci, _inputs(ci, vi, cells=2))
+
+
+def test_closing_parts_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(closure([1e308, 1e308, 1.0]), [0.5, 0.5, 5e-309])
+        assert np.array_equal(power_transform([1e308, 1e308], 1.0), [0.5, 0.5])
+        # Only a slice whose sum would overflow is rescaled.
+        ordinary = [0.1, 0.7, 0.3]
+        assert np.array_equal(closure([ordinary, [1e308, 1e308, 1.0]])[0], closure(ordinary))
+
+
+def _check_outcomes(ci, inputs):
     _, call, _, closed = CASES[ci]
-    for arr in _inputs(ci, vi):
+    for arr in inputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:

@@ -54,8 +54,9 @@ def test_distances_equal_row_sum_formula(p, kind):
         assert np.array_equal(got, _row_sum_distances(A, b)), name
 
 
-def _row_major_knn_cells(index, U, Q, alphas, ks):
-    # The (m, k, D) iterator that parts-major evaluation replaced.
+def _row_major_knn_cells(index, U, Q, alphas, ks, order="C"):
+    # The (m, k, D) iterator that parts-major evaluation replaced; order "F"
+    # closes its cells over the parts as the grid iterator does.
     k_max = min(max(ks), index.n)
     idx, _ = index.query_batch(Q, k_max)
     nbr = U[idx]
@@ -63,20 +64,27 @@ def _row_major_knn_cells(index, U, Q, alphas, ks):
     for ai, a in enumerate(alphas):
         np.cumsum(_power(nbr, a, out=cum), axis=1, out=cum)
         for ki, k in enumerate(ks):
-            yield ai, ki, None if k > index.n else _unpower(cum[:, k - 1, :] / k, a)
+            yield ai, ki, None if k > index.n else _unpower(
+                np.array(cum[:, k - 1, :] / k, order=order), a)
 
 
-@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
-@pytest.mark.parametrize("D", [2, 7])
-def test_knn_cells_equal_row_major_iterator(D, strategy):
+@pytest.mark.parametrize("D, strategy, gather_first", [
+    pytest.param(D, s, g, id=f"{D}-{s}" + "-gather-first" * g)
+    for D in (2, 7, 8) for s in ("brute", "kdtree") for g in (False, True)])
+def test_knn_cells_equal_row_major_iterator(D, strategy, gather_first):
+    # n < m * k_max powers the training rows, then gathers them (a tune fold);
+    # n >= m * k_max gathers the neighbors, then powers them (predict's blocks).
+    n, m, ks = (400, 3, (1, 2, 9, 50, 120)) if gather_first else (150, 37, (1, 2, 9, 50, 151))
     rng = np.random.default_rng(D)
-    X = np.round(rng.normal(size=(150, 2)), 1)
-    U = closure(rng.random((150, D)) + 0.02)
-    Q = rng.normal(size=(37, 2))
+    X = np.round(rng.normal(size=(n, 2)), 1)
+    U = closure(rng.random((n, D)) + 0.02)
+    Q = rng.normal(size=(m, 2))
     index = build_index(X, strategy=strategy)
+    assert (n >= m * min(max(ks), n)) == gather_first
     alphas = (-1.0, -0.4, 0.0, 0.3, 1.0)
-    ks = (1, 2, 9, 50, 151)
-    old = list(_row_major_knn_cells(index, U, Q, alphas, ks))
+    # From D = 8 a row-major closure rounds unlike the iterator's closure
+    # over the parts; below that the row-major formula itself is the reference.
+    old = list(_row_major_knn_cells(index, U, Q, alphas, ks, order="F" if D >= 8 else "C"))
     new = list(iter_knn_grid_predictions(index, U, Q, alphas, ks))
     assert [c[:2] for c in new] == [c[:2] for c in old]
     for (ai, ki, want), (_, _, got) in zip(old, new):

@@ -95,6 +95,17 @@ class TestAlphaKnn:
         ref = np.vstack([clr_inverse(clr(U[row]).mean(axis=0)) for row in idx])
         assert np.max(np.abs(pred - ref)) <= 1e-5
 
+    def test_negative_zero_part_kept_at_alpha_one(self):
+        # -0.0 passes the composition gate.  At alpha = 1, a cell whose
+        # neighbors all hold -0.0 in a part predicts -0.0 there, on both
+        # power routes (n < m * k powers the training rows first).
+        X = np.array([0.0, 1.0, 5.0])
+        U = np.array([[0.5, 0.5, -0.0], [0.3, 0.7, -0.0], [0.2, 0.3, 0.5]])
+        for k, Q in ((1, [0.0, 1.0]), (1, [0.0, 1.0, 0.1, 0.9]), (2, [0.5, 0.4])):
+            pred = predict_alpha_knn(fit_alpha_knn(X, U, 1.0, k), Q)
+            assert np.all(np.signbit(pred[:, 2]))
+            assert not np.any(np.signbit(pred[:, :2]))
+
     def test_predictions_on_simplex(self, rng):
         X, U = make_data(rng)
         for a in (-1.0, 0.0, 0.5, 1.0):

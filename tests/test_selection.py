@@ -201,6 +201,23 @@ class TestFoldScorer:
         assert report.mean_divergence == tuple(tuple(float(v) for v in r) for r in total / 120)
 
 
+class TestScorerKeepsNoState:
+    """A scorer's rows for q are those of a fresh scorer, whatever layouts
+    it scored before; at D >= 8 a sum over the parts of a Fortran-ordered
+    row rounds unlike a C-ordered one, so a kept buffer would show."""
+
+    @pytest.mark.parametrize("D", [4, 9, 12])
+    @pytest.mark.parametrize("metric,clamp", [("kl", 0.0), ("kl", 1e-12), ("js", 0.0)])
+    def test_rows_independent_of_earlier_layouts(self, metric, clamp, D):
+        rng = np.random.default_rng(D)
+        y = np.asfortranarray(closure(rng.random((300, D)) ** 3 + 1e-9))  # as in a tune fold
+        q = closure(rng.random((300, D)) ** 3 + 1e-9)
+        for first, then in ((np.asfortranarray(q), q), (q, np.asfortranarray(q))):
+            score = _scorer(metric, y, clamp)
+            score(first)
+            assert np.array_equal(score(then), _scorer(metric, y, clamp)(then))
+
+
 class TestMakeFolds:
     def test_partition_and_balance(self):
         labels = make_folds(103, folds=10, seed=0)

@@ -351,6 +351,31 @@ class TestAlphaInverse:
         with pytest.raises(OutOfRangeError):
             alpha_inverse(z, -1.0)
 
+    @pytest.mark.parametrize("D", [3, 4, 6, 10])
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.25, 0.5, 0.9, 1.0])
+    def test_round_trip_keeps_zero_parts(self, a, D):
+        # A zero part's pre-image component rounds to a few ulps either side
+        # of 0; it comes back as an exact zero.
+        rng = np.random.default_rng(D)
+        U = rng.random((40, D)) ** 3 + 0.01
+        U[::2, 1] = 0.0
+        U[::3, -1] = 0.0
+        U = closure(U)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = alpha_inverse(alpha_transform(U, a), a)
+        assert np.array_equal(back == 0, U == 0)
+        assert np.abs(back - U).max() <= 1e-12
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_component_past_rounding_refused(self, a):
+        # A pre-image part at -1e-9 lies far outside rounding's reach.
+        t = np.array([-1e-9, 1.5 + 5e-10, 1.5 + 5e-10])
+        z = ((t - 1.0) / a) @ helmert_submatrix(3).T
+        with pytest.raises(OutOfRangeError, match=r"^alpha_inverse: row 0: pre-image component "
+                                                  r"-1\.0000000\d*e-09 is negative; the point"):
+            alpha_inverse(z, a)
+
     def test_matrix_shape(self):
         rng = np.random.default_rng(16)
         Z = rng.normal(size=(25, 2)) * 0.1
