@@ -27,7 +27,7 @@ for the mean, 1 for weights summing to 1), as it refuses zeros at alpha <= 0.
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .simplex import _as_floats, _close, _grid_axis, as_composition_matrix, closure
+from .simplex import _as_floats, _close, _grid_axis, _refuse, as_composition_matrix, closure
 from .transforms import _check_alpha_parts, check_alpha
 
 
@@ -75,9 +75,11 @@ def weighted_frechet_mean(U, weights, alpha):
     arr = as_composition_matrix(U)
     w = _as_floats(weights, "weights")
     if w.ndim != 1 or w.shape[0] != arr.shape[0]:
-        raise ValidationError(
-            f"weights shape {w.shape} does not match {arr.shape[0]} rows"
-        )
+        raise ValidationError(f"weights shape {w.shape} does not match {arr.shape[0]} rows")
+    _refuse(~((w >= 0) & (w < np.inf)), lambda r: (
+        f"weighted_frechet_mean: row {r}: weight {float(w[r])!r} must be finite and nonnegative"))
+    if not w.any():
+        raise DegenerateInputError("weighted_frechet_mean: every weight is zero")
     w = closure(w)
     _check_alpha_parts(arr, a, "weighted_frechet_mean", 1)
     return _unpower(w @ _power(arr, a), a)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
 from .neighbors import _CHUNK_BYTES, _row_blocks
-from .simplex import (_as_floats, _composition_fault, _plain, as_composition_matrix,
+from .simplex import (_as_floats, _composition_fault, _plain, _refuse, as_composition_matrix,
                       as_predictor_matrix)
 
 
@@ -267,14 +267,9 @@ def latlon_to_euclidean(lat, lon):
     lon = _as_floats(lon, "longitude")
     if lat.shape != lon.shape:
         raise ValidationError(f"shape mismatch: {lat.shape} vs {lon.shape}")
-    if not (np.all(np.isfinite(lat)) and np.all(np.isfinite(lon))):
-        raise ValidationError("coordinates contain non-finite values")
     for name, arr, limit in (("latitude", lat, 90), ("longitude", lon, 180)):
-        bad = np.flatnonzero(np.abs(arr) > limit)
-        if bad.size:
-            i = int(bad[0])
-            raise OutOfRangeError(f"row {i}: {name} {_plain(arr.flat[i])!r} outside "
-                                  f"[-{limit}, {limit}] degrees")
+        _refuse(np.ravel(~(np.abs(arr) <= limit)), lambda i: f"row {i}: {name} "
+                f"{_plain(arr.flat[i])!r} outside [-{limit}, {limit}] degrees", OutOfRangeError)
     phi = np.radians(lat)
     lam = np.radians(lon)
     return np.stack(
@@ -293,36 +288,29 @@ def standardize(X):
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows to standardize")
     # |x - mean| <= 2 max|x|, so below this bound the n squares sum finitely.
-    big = np.flatnonzero(np.abs(X).max(axis=0) > math.sqrt(np.finfo(float).max / len(X)) / 4)
-    if big.size:
-        raise ValidationError(f"column {int(big[0])} is too large to standardize")
+    _refuse(np.abs(X).max(axis=0) > math.sqrt(np.finfo(float).max / len(X)) / 4,
+            lambda j: f"column {j} is too large to standardize")
     center = X.mean(axis=0)
     scale = X.std(axis=0, ddof=1)
-    flat = np.flatnonzero(scale == 0)
-    if flat.size:
-        raise ValidationError(f"column {int(flat[0])} is constant")
+    _refuse(scale == 0, lambda j: f"column {j} is constant")
     return (X - center) / scale, center, scale
 
 
 def apply_standardization(X, center, scale):
-    """Apply a previously fitted centering and scaling."""
+    """Apply a previously fitted centering and scaling, both finite."""
     X = as_predictor_matrix(X)
     center = _as_floats(center, "center")
     scale = _as_floats(scale, "scale")
     if center.shape != (X.shape[1],) or scale.shape != (X.shape[1],):
-        raise ValidationError(
-            f"center/scale of shapes {center.shape}/{scale.shape} do not "
-            f"match {X.shape[1]} columns"
-        )
-    bad = np.flatnonzero(~(scale > 0))
-    if bad.size:
-        j = int(bad[0])
-        raise ValidationError(f"scale of column {j} must be positive, got {_plain(scale[j])!r}")
+        raise ValidationError(f"center/scale of shapes {center.shape}/{scale.shape} do not "
+                              f"match {X.shape[1]} columns")
+    _refuse(~(scale > 0), lambda j: (
+        f"scale of column {j} must be positive, got {_plain(scale[j])!r}"))
+    _refuse(~(np.isfinite(center) & np.isfinite(scale)), lambda j: (
+        f"column {j}: center {_plain(center[j])!r} and scale {_plain(scale[j])!r} must be finite"))
     # |x - center| / 2 below max / 2 * min(scale, 1) keeps both steps finite.
-    big = np.flatnonzero(np.abs(X).max(axis=0) / 2 + np.abs(center) / 2
-                         > np.finfo(float).max / 2 * np.minimum(scale, 1.0))
-    if big.size:
-        j = int(big[0])
-        raise ValidationError(f"column {j} is too large to standardize by center "
-                              f"{_plain(center[j])!r} and scale {_plain(scale[j])!r}")
+    _refuse(np.abs(X).max(axis=0) / 2 + np.abs(center) / 2
+            > np.finfo(float).max / 2 * np.minimum(scale, 1.0), lambda j: (
+                f"column {j} is too large to standardize by center "
+                f"{_plain(center[j])!r} and scale {_plain(scale[j])!r}"))
     return (X - center) / scale

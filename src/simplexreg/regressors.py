@@ -579,10 +579,12 @@ def fit_kld(X, U, tol=1e-7, max_iter=100):
 def predict_kld(model, Xnew):
     """Fitted compositions: softmax of [1 | X] @ coef with leading zero."""
     if model.coef.shape[0] == 1:
-        # Intercept-only model: only the number of query rows matters.
+        # Intercept-only model: the number of query rows matters, their values are gated.
         arr = _as_floats(Xnew, "predictor matrix")
         if arr.ndim == 0 or arr.shape[0] < 1:
             raise ValidationError("predict needs at least one query row")
+        if arr.size:
+            _predictor_gate(arr, "query")
         return np.tile(alr_inverse(model.coef[0]), (arr.shape[0], 1))
     return alr_inverse(_linear_predictor(model.coef, Xnew))
 

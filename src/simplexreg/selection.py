@@ -28,7 +28,7 @@ from .neighbors import _check_k, _distances_to, build_index, pairwise_distances 
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
 from .simplex import (SUM_TOL, _as_floats, _check_count, _check_real, _check_seed, _grid_axis,
-                      _plain, _predictor_gate)
+                      _plain, _predictor_gate, _refuse)
 from .simplex import closure  # noqa: F401
 from .transforms import _check_alpha_parts, check_alpha
 
@@ -49,11 +49,8 @@ def _check_pair(y, yhat):
     # No part of a composition lies outside [0, 1 + SUM_TOL], and within it no
     # term of either divergence overflows.
     for name, arr in (("y", y), ("yhat", yhat)):
-        bad = ~((arr >= 0) & (arr <= 1 + SUM_TOL))
-        if bad.any():
-            r, j = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"{name} row {r}: part {_plain(arr[r, j])!r} lies outside [0, 1]")
+        _refuse(~((arr >= 0) & (arr <= 1 + SUM_TOL)), lambda r, j: (
+            f"{name} row {r}: part {_plain(arr[r, j])!r} lies outside [0, 1]"))
     return y, yhat, single
 
 
@@ -391,6 +388,9 @@ def cross_validated_score(X, U, model_spec, folds=10, seed=0, clamp=DEFAULT_CLAM
     be compared on identical folds.
     """
     X, U = _fit_arrays(X, U)
+    if not callable(getattr(model_spec, "fit", None)):
+        raise ValidationError(f"model_spec needs a fit method, got {type(model_spec).__name__}")
+    clamp = _check_clamp(clamp, U.shape[1])
     n = X.shape[0]
     labels = make_folds(n, folds, seed)
     total_kl = 0.0

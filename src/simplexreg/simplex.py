@@ -10,9 +10,9 @@ once per matrix by `as_composition_matrix`, which closes what it checked
 without repeating `closure`'s checks for caller input; one for predictor rows
 (`_predictor_gate`: finite, of the model's width, and small enough that
 squared distances stay finite), one for counts (`_check_count`), one for
-real numbers (`_check_real`), one for seeds (`_check_seed`) and one for
-the axes of a parameter grid (`_grid_axis`).  Caller arrays become
-float arrays through `_as_floats`, which names the input it rejects.
+real numbers (`_check_real`), one for seeds (`_check_seed`), one for grid
+axes (`_grid_axis`) and one for refusals, by first offending row (`_refuse`).
+Caller arrays become float arrays through `_as_floats`, naming what it rejects.
 """
 
 from dataclasses import dataclass
@@ -36,6 +36,18 @@ def _as_floats(data, what):
         return np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be numeric: {exc}") from None
+
+
+def _first_hit(mask):
+    """Index of the first True of `mask` as a tuple of plain ints, or None."""
+    hits = np.flatnonzero(mask)  # one pass over the mask as computed, no per-row reduction
+    return tuple(map(int, np.unravel_index(hits[0], mask.shape))) if hits.size else None
+
+
+def _refuse(mask, message, error=ValidationError):
+    """The package's one refusal rule: raise `error(message(*_first_hit(mask)))`, if any."""
+    if (place := _first_hit(mask)) is not None:
+        raise error(message(*place))
 
 
 def _check_count(name, value, minimum=None):
@@ -88,7 +100,8 @@ def closure(values, axis=-1):
         Nonnegative, finite entries.  Any shape; each slice along `axis`
         is normalized independently.
     axis : int
-        Axis holding the parts of one composition.
+        Axis holding the parts of one composition.  A refused entry is
+        named by its row in a matrix, else by its index.
 
     Returns
     -------
@@ -96,12 +109,14 @@ def closure(values, axis=-1):
         Same shape as `values`, slices summing to 1.
     """
     x = _as_floats(values, "closure input")
+    axis, ndim = _check_count("axis", axis), max(x.ndim, 1)  # a scalar takes axis 0 or -1
     if x.size == 0:
         raise ValidationError("closure: input is empty")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("closure: input contains non-finite values")
-    if np.any(x < 0):
-        raise ValidationError("closure: input contains negative values")
+    if not -ndim <= axis < ndim:
+        raise ValidationError(f"closure: axis {axis} is out of range for {x.ndim}-D input")
+    for bad, reason in ((~np.isfinite(x), "non-finite value"), (x < 0, "negative component")):
+        _refuse(np.atleast_1d(bad), lambda *i: "closure: {} {}: {}".format(
+            "row" if len(i) == 2 else "entry", i[0] if len(i) < 3 else i, reason))
     # A slice whose sum could overflow is first divided by its largest part;
     # closure is scale-invariant, and every other slice keeps its bits.
     top = x.max(axis=axis, keepdims=True)
@@ -134,14 +149,12 @@ def _composition_fault(U):
     part, else the first with a negative part, else the first whose sum is
     more than `SUM_TOL` from 1; None when every row is a composition."""
     for bad, reason in ((~np.isfinite(U), "non-finite value"), (U < 0, "negative component")):
-        rows = np.flatnonzero(bad.any(axis=1))
-        if rows.size:
-            return int(rows[0]), reason
+        if hit := _first_hit(bad):
+            return hit[0], reason
     with np.errstate(over="ignore"):  # an infinite sum is refused like any other
         sums = U.sum(axis=1)
-    rows = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
-    if rows.size:
-        return int(rows[0]), f"sum {float(sums[rows[0]])!r} outside tolerance {SUM_TOL}"
+    if hit := _first_hit(np.abs(sums - 1.0) > SUM_TOL):
+        return hit[0], f"sum {float(sums[hit[0]])!r} outside tolerance {SUM_TOL}"
     return None
 
 
@@ -190,9 +203,7 @@ def as_predictor_matrix(data):
         raise ValidationError(f"predictor matrix must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValidationError(f"predictor matrix has empty shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        raise ValidationError(f"row {bad}: non-finite predictor value")
+    _refuse(~np.isfinite(arr), lambda r, _: f"row {r}: non-finite predictor value")
     return arr
 
 
@@ -208,10 +219,8 @@ def _predictor_gate(data, what, width=None):
     # p squared differences of at most (2 * limit)^2 sum to half the float
     # maximum, so squared distances within the bound stay finite.
     limit = np.sqrt(np.finfo(float).max / (8 * arr.shape[1]))
-    big = np.flatnonzero(np.abs(arr).max(axis=1) > limit)
-    if big.size:
-        raise ValidationError(f"{what} row {int(big[0])} exceeds magnitude {limit:.4g}, "
-                              "beyond which squared distances overflow")
+    _refuse(np.abs(arr) > limit, lambda r, _: (
+        f"{what} row {r} exceeds magnitude {limit:.4g}, beyond which squared distances overflow"))
     return arr
 
 

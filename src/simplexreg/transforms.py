@@ -8,8 +8,9 @@ or a matrix of row compositions (2-D) and return matching shape.
 
 Each public transform reads its input once (`_as_rows`), each forward one
 checks its parts once (`_check_parts`, whose alpha = 0 case is the log-ratio
-maps'), and none calls another: shared steps are private kernels, among them
-`_softmax`, which `alr_inverse` and the multinomial logit fit share.
+maps'), every refusal names the function and the row (`simplex._refuse`),
+and no transform calls another: shared steps are private kernels, among
+them `_softmax`, which `alr_inverse` and the multinomial logit fit share.
 """
 
 import math
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, ZeroNotAllowedError
-from .simplex import _as_floats, _check_count, _check_real, _plain, closure
+from .simplex import _as_floats, _check_count, _check_real, _plain, _refuse, closure
 
 
 def check_alpha(alpha):
@@ -60,16 +61,14 @@ def _as_rows(u, op, min_cols=2, what="composition"):
         raise ValidationError(f"{what} has no rows")
     if arr.shape[1] < min_cols:
         raise ValidationError(f"{what} needs at least {min_cols} columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{op}: input contains non-finite values")
+    _refuse(~np.isfinite(arr), lambda r, _: f"{op}: row {r}: non-finite value")
     return arr, squeeze
 
 
 def _check_parts(arr, op, a):
     # The transforms' one part rule: no negative part, then the alpha rule
     # over a row's D parts; the log-ratio maps are its alpha = 0 case.
-    if np.any(arr < 0):
-        raise ValidationError(f"{op}: input contains negative values")
+    _refuse(arr < 0, lambda r, _: f"{op}: row {r}: negative component")
     _check_alpha_parts(arr, a, op, arr.shape[1])
 
 
@@ -81,12 +80,10 @@ def _check_alpha_parts(U, a, op, terms, error=ZeroNotAllowedError):
         return
     low = U.min(axis=1)
     with np.errstate(divide="ignore", over="ignore"):
-        rows = np.flatnonzero(low == 0 if a == 0 else low**a > np.finfo(float).max / terms)
-    if rows.size:
-        r, u = int(rows[0]), float(low[rows[0]])
-        fault = "a zero part needs alpha strictly positive" if u == 0 else (
-            f"part {u!r} overflows when raised to alpha")
-        raise error(f"{op}: row {r}: {fault}, got alpha={a!r}")
+        bad = low == 0 if a == 0 else low**a > np.finfo(float).max / terms
+    _refuse(bad, lambda r: f"{op}: row {r}: " + (
+        "a zero part needs alpha strictly positive" if low[r] == 0 else
+        f"part {float(low[r])!r} overflows when raised to alpha") + f", got alpha={a!r}", error)
 
 
 def _maybe_squeeze(arr, squeeze):
@@ -123,11 +120,8 @@ def _contrast(arr, op):
     # finfo.max / sqrt(D): H's columns have norm below 1, so no clr
     # coordinate can then exceed (D - 1) / D of finfo.max.
     D = arr.shape[1] + 1
-    big = np.abs(arr) > np.finfo(float).max / math.sqrt(D)
-    if big.any():
-        r, j = np.argwhere(big)[0]
-        raise OutOfRangeError(f"{op}: row {r}: coordinate {_plain(arr[r, j])!r} is too large "
-                              "to invert")
+    _refuse(np.abs(arr) > np.finfo(float).max / math.sqrt(D), lambda r, j: f"{op}: row {r}: "
+            f"coordinate {_plain(arr[r, j])!r} is too large to invert", OutOfRangeError)
     return arr @ helmert_submatrix(D)
 
 
@@ -240,13 +234,10 @@ def alpha_inverse(z, alpha):
         near = t.shape[1] * np.finfo(float).eps * (1.0 + np.abs(ay).max(axis=1, keepdims=True))
         t[np.abs(t) <= near] = 0.0
     low = t.min(axis=1)
-    rows = np.flatnonzero(low < 0 if a > 0 else low <= 0)
-    if rows.size:
-        r = int(rows[0])
-        fault = "is negative; the point lies outside the transform's range" if low[r] < 0 else (
-            "is zero, which a negative alpha cannot raise")
-        raise OutOfRangeError(
-            f"alpha_inverse: row {r}: pre-image component {_plain(low[r])!r} {fault}")
+    _refuse(low < 0 if a > 0 else low <= 0, lambda r: (
+        f"alpha_inverse: row {r}: pre-image component {_plain(low[r])!r} " + (
+            "is negative; the point lies outside the transform's range" if low[r] < 0 else
+            "is zero, which a negative alpha cannot raise")), OutOfRangeError)
     # A row whose largest power could overflow the closure's sum is first divided
     # by the component that gives it: its largest at alpha > 0, else its smallest.
     top = t.max(axis=1) if a > 0 else low

@@ -2,24 +2,28 @@
 its row or column.
 
 Each case sets one seeded cell of otherwise ordinary input to +-1e308,
-+-1e155, 1e-300, 5e-324 or 0 and calls an array-taking public function
-under warnings-as-errors; a second sweep sets two cells of one row, whose
-sum can overflow where one cell's does not.  A nonnegative cell of a
-composition is also tried with its row re-closed, so tiny parts get past
-the composition gate.
++-1e155, 1e-300, 5e-324, 0, nan or +-inf and calls an array-taking public
+function under warnings-as-errors; a second sweep sets two cells of one
+row, whose sum can overflow where one cell's does not.  A finite
+nonnegative cell of a composition is also tried with its row re-closed, so
+tiny parts get past the composition gate.
 The call must return a finite result, closed for compositions, or raise a
 SimplexRegError that names a row or column and prints plain numbers.  The
-one message exempt from naming a row is the negative-part refusal
-`<op>: input contains negative values`, which TestOnePartRule pins word
-for word.  `simplexreg` has no `__all__`, so the names are listed here.
+CSV writer instead must read back every float it was given, nan and inf
+included.  `simplexreg` has no `__all__`, so the names are listed here, and
+a guard fails for any public function that is neither swept nor listed as
+taking no array.
 """
 
+import inspect
+import io
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import simplexreg
 from simplexreg import (
     AlphaKnnSpec,
     SimplexRegError,
@@ -46,6 +50,7 @@ from simplexreg import (
     frechet_path,
     ilr,
     ilr_inverse,
+    inject_zeros,
     js_divergence,
     kl_divergence,
     latlon_to_euclidean,
@@ -55,13 +60,16 @@ from simplexreg import (
     predict_alpha_knn,
     predict_kld,
     predict_logratio_ols,
+    simplex_link,
     standardize,
     tune,
     validate_composition_matrix,
     weighted_frechet_mean,
+    write_csv,
+    write_dataset_csv,
 )
 
-EXTREMES = (1e308, -1e308, 1e155, -1e155, 1e-300, 5e-324, 0.0)
+EXTREMES = (1e308, -1e308, 1e155, -1e155, 1e-300, 5e-324, 0.0, np.nan, np.inf, -np.inf)
 ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 N, D, P = 12, 4, 2
 
@@ -73,6 +81,7 @@ BASES = {
     "Y": _rng.normal(size=(N, D)),  # clr coordinates
     "W": _rng.random((N, 1)) + 0.1,  # weights, one column
     "L": 40 * _rng.uniform(-1, 1, size=(N, 2)),  # latitude, longitude
+    "S": _rng.random((P, 1)) + 0.5,  # a center or scale, one per predictor
 }
 U0, X0 = BASES["U"], BASES["X"]
 
@@ -86,6 +95,19 @@ def _kl(y, q):
     return out[~inf]
 
 
+def _read_back(write, expect=None):
+    # What `write(stream)` wrote, as numbers.  With `expect`, the writer's own
+    # contract is checked instead: every float reads back bit for bit, nan and
+    # inf included, and nothing is left for the finiteness check.
+    fh = io.StringIO()
+    write(fh)
+    back = np.loadtxt(io.StringIO(fh.getvalue()), delimiter=",", skiprows=1, ndmin=2)
+    if expect is not None:
+        assert np.array_equal(back, expect, equal_nan=True)
+        return np.zeros(0)
+    return back
+
+
 def _cases():
     # (id, call, base, closed): closed results are checked as compositions.
     yield "closure", closure, "U", True
@@ -96,8 +118,10 @@ def _cases():
     yield "as_predictor_matrix", as_predictor_matrix, "X", False
     for f in (alr, clr, ilr):
         yield f.__name__, f, "U", False
-    for f, base in ((alr_inverse, "Z"), (clr_inverse, "Y"), (ilr_inverse, "Z")):
+    for f, base in ((alr_inverse, "Z"), (clr_inverse, "Y"), (ilr_inverse, "Z"),
+                    (simplex_link, "Z")):
         yield f.__name__, f, base, True
+    yield "inject_zeros", lambda U: inject_zeros(U, 0.5, 0), "U", True
     for a in ALPHAS:
         yield f"power_transform({a})", lambda U, a=a: power_transform(U, a), "U", True
         yield f"alpha_transform({a})", lambda U, a=a: alpha_transform(U, a), "U", False
@@ -116,10 +140,16 @@ def _cases():
     center, scale = X0.mean(axis=0), X0.std(axis=0)
     yield "apply_standardization-X", lambda X: apply_standardization(X, center, scale), "X", False
     yield "apply_standardization-center", (
-        lambda W: apply_standardization(X0, W[:P, 0], scale)), "W", False
+        lambda S: apply_standardization(X0, S[:, 0], scale)), "S", False
     yield "apply_standardization-scale", (
-        lambda W: apply_standardization(X0, center, W[:P, 0])), "W", False
+        lambda S: apply_standardization(X0, center, S[:, 0])), "S", False
     yield "latlon_to_euclidean", lambda L: latlon_to_euclidean(L[:, 0], L[:, 1]), "L", False
+    yield "write_csv", (
+        lambda X: _read_back(lambda fh: write_csv(fh, X.T, ["a", "b"]), X)), "X", False
+    yield "write_dataset_csv-X", (
+        lambda X: _read_back(lambda fh: write_dataset_csv(fh, X, U0))), "X", False
+    yield "write_dataset_csv-U", (
+        lambda U: _read_back(lambda fh: write_dataset_csv(fh, X0, U))), "U", False
     yield "pairwise_distances-A", lambda X: pairwise_distances(X, X0), "X", False
     yield "pairwise_distances-B", lambda X: pairwise_distances(X0, X), "X", False
     yield "build_index", lambda X: build_index(X).query_batch(X0, 3)[1], "X", False
@@ -151,7 +181,6 @@ def _cases():
 
 CASES = list(_cases())
 _PLACE = re.compile(r"\b(row|column) \d+\b")
-_EXEMPT = re.compile(r"^\w+: input contains negative values$")
 _NUMPY_REPR = re.compile(r"\bnp\.\w+\(")
 
 
@@ -166,7 +195,7 @@ def _inputs(ci, vi, cells=1):
         cell = (int(rng.integers(arr.shape[0])), rng.choice(arr.shape[1], cells, replace=False))
     arr[cell] = value
     yield arr
-    if base == "U" and value >= 0:
+    if base == "U" and 0 <= value < np.inf:  # re-closing inf would divide inf by inf
         arr = arr.copy()
         if cells > 1:  # two parts of 1e308 sum past the float maximum
             arr[cell[0]] /= arr[cell[0]].max()
@@ -209,7 +238,7 @@ def _check_outcomes(ci, inputs):
             except SimplexRegError as err:
                 msg = str(err)
                 assert not _NUMPY_REPR.search(msg), msg
-                assert _PLACE.search(msg) or _EXEMPT.match(msg), msg
+                assert _PLACE.search(msg), msg
                 continue
         out = np.asarray(out, dtype=float)
         assert np.all(np.isfinite(out))
@@ -231,3 +260,17 @@ def test_sweep_reaches_both_outcomes():
                     outcomes.setdefault("refused", set()).add(case_id)
     assert len(outcomes["returned"]) == len(CASES)
     assert len(outcomes["refused"]) > len(CASES) / 2
+
+
+# Public functions that take no array, so the sweep has no cell to set.
+_NO_ARRAY = {"check_alpha", "default_alpha_grid", "default_k_grid", "gen_polynomial",
+             "gen_segmented", "generate", "helmert_submatrix", "load_csv", "make_folds",
+             "run_bench"}
+
+
+def test_every_public_function_is_swept_or_takes_no_array():
+    public = {name for name, value in vars(simplexreg).items()
+              if not name.startswith("_") and inspect.isfunction(value)}
+    swept = {re.match(r"\w+", case[0]).group() for case in CASES}
+    assert public - swept - _NO_ARRAY == set()
+    assert _NO_ARRAY <= public and not _NO_ARRAY & swept

@@ -137,6 +137,26 @@ class TestWeightedFrechetMean:
             weighted_frechet_mean(U, [1.0, np.nan, 1.0], 1.0)
 
 
+class TestWeightRefusals:
+    """Weights are refused as weights: the function and the row they belong
+    to, not a closure message."""
+
+    @pytest.mark.parametrize("w, message", [
+        ([1.0, -1.0], "row 1: weight -1.0 must be finite and nonnegative"),
+        ([np.nan, 1.0], "row 0: weight nan must be finite and nonnegative"),
+        ([1.0, np.inf], "row 1: weight inf must be finite and nonnegative"),
+    ])
+    def test_bad_weight_names_its_row(self, w, message):
+        U = [[0.2, 0.8], [0.5, 0.5]]
+        with pytest.raises(ValidationError, match=f"^weighted_frechet_mean: {message}$"):
+            weighted_frechet_mean(U, w, 0.5)
+
+    def test_all_zero_weights_are_degenerate(self):
+        with pytest.raises(DegenerateInputError,
+                           match="^weighted_frechet_mean: every weight is zero$"):
+            weighted_frechet_mean([[0.2, 0.8], [0.5, 0.5]], [0.0, 0.0], 0.5)
+
+
 class TestFrechetPath:
     def test_grid_order_and_shape(self, rng):
         U = closure(rng.random((12, 4)) + 0.01)

@@ -511,6 +511,12 @@ class TestLatLon:
         with pytest.raises(ValidationError):
             latlon_to_euclidean(np.nan, 0.0)
 
+    def test_nonfinite_refusal_names_the_row(self):
+        with pytest.raises(OutOfRangeError, match=r"^row 1: latitude nan outside \[-90, 90\]"):
+            latlon_to_euclidean([0.0, np.nan], [0.0, 0.0])
+        with pytest.raises(OutOfRangeError, match=r"^row 0: longitude -inf outside \[-180, 180\]"):
+            latlon_to_euclidean([0.0, 10.0], [-np.inf, 0.0])
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             latlon_to_euclidean(np.zeros(3), np.zeros(4))
@@ -588,6 +594,16 @@ class TestStandardize:
             with pytest.raises(ValidationError,
                                match=rf"^column {j} is too large to standardize by center "):
                 apply_standardization(X, center, scale)
+
+    @pytest.mark.parametrize("center, scale, message", [
+        ([np.nan, 0.0], [1.0, 1.0], "column 0: center nan and scale 1.0 must be finite"),
+        ([0.0, 0.0], [1.0, np.inf], "column 1: center 0.0 and scale inf must be finite"),
+        ([0.0, -np.inf], [1.0, 1.0], "column 1: center -inf and scale 1.0 must be finite"),
+    ])
+    def test_apply_refuses_a_non_finite_center_or_scale(self, center, scale, message):
+        # A nan center made a nan column and an infinite scale a zero one.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            apply_standardization(np.ones((3, 2)), center, scale)
 
     def test_apply_keeps_large_finite_columns(self):
         with warnings.catch_warnings():

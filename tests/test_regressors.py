@@ -914,6 +914,17 @@ class TestKld:
         model = fit_kld(None, U, tol=1e-10)
         assert np.max(np.abs(predict_kld(model, np.zeros((2, 0)))[0] - U.mean(axis=0))) <= 1e-8
 
+    @pytest.mark.parametrize("query, row", [
+        ([[np.nan], [np.inf]], 0),
+        ([[0.0, 1.0], [-np.inf, 0.0]], 1),
+    ])
+    def test_intercept_only_refuses_a_non_finite_query(self, rng, query, row):
+        # Like every other family's predict; a query of no columns still counts rows.
+        model = fit_kld(None, closure(rng.random((30, 3)) + 0.02))
+        with pytest.raises(ValidationError, match=f"^row {row}: non-finite predictor value$"):
+            predict_kld(model, query)
+        assert predict_kld(model, np.zeros((4, 0))).shape == (4, 3)
+
     def test_recovers_generating_coefficients(self, rng):
         # noiseless multinomial-logit data: the fit must recover the
         # exact coefficients

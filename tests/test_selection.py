@@ -136,11 +136,11 @@ def _reference_rows(metric, y, q, clamp):
 
 
 class TestFoldScorer:
-    """One scorer serves a fold's every cell with its buffers reused; each
-    cell's sum, and the public divergences' rows, keep the bits of the
-    terms written out in full, for either prediction layout, with and
-    without zero parts, at D = 9 too, where the sum over the parts of a
-    Fortran-ordered row rounds unlike a C-ordered one."""
+    """One scorer serves a fold's every cell; each cell's sum, and the
+    public divergences' rows, keep the bits of the terms written out in
+    full, for either prediction layout, with and without zero parts, at
+    D = 9 too, where the sum over the parts of a Fortran-ordered row
+    rounds unlike a C-ordered one."""
 
     @staticmethod
     def _cells(rng, m, D, zeros, order):
@@ -598,6 +598,31 @@ class TestCrossValidatedScore:
         score = cross_validated_score(X, U, spec, folds=10, seed=0)
         assert score.kl >= 0
         assert np.isfinite(score.js)
+
+
+class TestCrossValidatedScoreArguments:
+    """A spec without a fit method and a bad clamp are refused before any
+    fold is fitted."""
+
+    def test_spec_without_fit(self):
+        X, U = quadruplet_data()
+        with pytest.raises(ValidationError, match="^model_spec needs a fit method, got function$"):
+            cross_validated_score(X, U, lambda X, U: None)
+
+    def test_clamp_checked_before_the_first_fit(self):
+        X, U = quadruplet_data()
+        fits = []
+
+        class Spec:
+            def fit(self, X, U):
+                fits.append(len(X))
+                return AlphaKnnSpec(alpha=1.0, k=1).fit(X, U)
+
+        with pytest.raises(ValidationError, match="^clamp must be finite"):
+            cross_validated_score(X, U, Spec(), clamp=1.0)
+        assert fits == []
+        cross_validated_score(X, U, Spec(), folds=2)
+        assert len(fits) == 2
 
 
 class TestSharedParameterRules:

@@ -5,6 +5,8 @@ input rejection), the composition/predictor ingestion gates with their
 row-naming error messages, and the zero-pattern report.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,37 @@ class TestClosure:
         x = np.array([[1.0, 1.0], [3.0, 1.0]])
         out = closure(x, axis=0)
         assert np.allclose(out.sum(axis=0), 1.0)
+
+    def test_scalar_closes_to_one(self):
+        assert closure(5.0) == 1.0
+        assert closure(5.0, axis=0) == 1.0
+
+    @pytest.mark.parametrize("values, message", [
+        ([[0.5, 0.5], [np.nan, 1.0]], "closure: row 1: non-finite value"),
+        ([[0.5, 0.5], [0.2, -1.0]], "closure: row 1: negative component"),
+        ([[-1.0, 1.0], [np.nan, 1.0]], "closure: row 1: non-finite value"),
+        ([1.0, np.inf, 2.0], "closure: entry 1: non-finite value"),
+        ([1.0, 2.0, -3.0], "closure: entry 2: negative component"),
+        (np.nan, "closure: entry 0: non-finite value"),
+        ([[[1.0, 1.0], [1.0, -1.0]]], "closure: entry (0, 1, 1): negative component"),
+    ], ids=["row-nan", "row-negative", "nan-first", "entry-inf", "entry-negative", "scalar",
+            "3-d"])
+    def test_refusal_names_row_or_entry(self, values, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            closure(values)
+
+    @pytest.mark.parametrize("axis, message", [
+        (3, "closure: axis 3 is out of range for 1-D input"),
+        (-2, "closure: axis -2 is out of range for 1-D input"),
+        (1.5, "axis must be an integer, got 1.5"),
+        (True, "axis must be an integer, got True"),
+    ])
+    def test_axis_is_a_count_in_range(self, axis, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            closure([1.0, 2.0], axis=axis)
+
+    def test_integral_float_axis(self):
+        assert np.array_equal(closure([[1.0, 3.0]], axis=1.0), [[0.25, 0.75]])
 
     def test_zeros_allowed_when_slice_positive(self):
         out = closure([0.0, 1.0, 3.0])

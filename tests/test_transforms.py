@@ -524,8 +524,26 @@ class TestOnePartRule:
             call(U)
 
     def test_negative_part_is_refused_before_zeros(self):
-        with pytest.raises(ValidationError, match=r"^ilr: input contains negative values$"):
+        with pytest.raises(ValidationError, match=r"^ilr: row 1: negative component$"):
             ilr([[0.5, 0.5, 0.0], [0.6, 0.6, -0.2]])
+
+
+class TestRefusalsNameTheRow:
+    """A non-finite input to any transform or inverse names the function and
+    the row."""
+
+    @pytest.mark.parametrize("call", [
+        alr, clr, ilr, alr_inverse, clr_inverse, ilr_inverse,
+        lambda v: power_transform(v, 0.5), lambda v: alpha_transform(v, 0.5),
+        lambda v: alpha_inverse(v, 0.5),
+    ], ids=["alr", "clr", "ilr", "alr_inverse", "clr_inverse", "ilr_inverse",
+            "power_transform", "alpha_transform", "alpha_inverse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, call, bad):
+        rows = np.full((3, 3), 1 / 3)
+        rows[2, 1] = bad
+        with pytest.raises(ValidationError, match=r"^\w+: row 2: non-finite value$"):
+            call(rows)
 
 
 def _parent_softmax(eta):
