@@ -211,11 +211,20 @@ class NeighborIndex:
             blocks = _row_blocks(Q.shape[0], self.n * 8, _CHUNK_BYTES // 256)
             scratch = np.empty((2, -(-Q.shape[0] // len(blocks)), self.n))
             search = lambda Qb, kk: self._search_brute(Qb, kk, scratch)  # noqa: E731
+        elif self.p == 1:
+            # A block keeps about six arrays of a window's min(2k, n) words
+            # alive per row (window indices, gathered values, distances,
+            # order, sorted distances, taken indices); small blocks keep
+            # them out of the peak footprint at no cost in time.  The
+            # widening rounds share this rule, so a first round is one block.
+            search = self._search_sorted
+            blocks = _row_blocks(Q.shape[0], min(2 * kk, self.n) * 8, _CHUNK_BYTES // 64 // 6)
         else:
-            # A block keeps several (rows, k + 1, p) temporaries alive; small
-            # blocks keep them out of the peak footprint at no cost in time.
-            row_bytes = min(kk + 1, self.n) * self.p * 8
-            search = self._search_sorted if self.p == 1 else self._search_kdtree
+            # The tree keeps (k + 1) candidates of p gathered coordinates and
+            # about five more words (tree indices, distances, order, sorted
+            # distances, taken indices) alive per row.
+            search = self._search_kdtree
+            row_bytes = min(kk + 1, self.n) * (self.p + 5) * 8
             blocks = _row_blocks(Q.shape[0], row_bytes, _CHUNK_BYTES // 64)
         out_idx = np.empty((Q.shape[0], kk), dtype=np.int64)
         out_dist = np.empty((Q.shape[0], kk))
@@ -288,7 +297,7 @@ class NeighborIndex:
         rows, w = np.arange(len(Qb)), min(2 * kk, n)
         while rows.size:
             wider = []
-            for b in _row_blocks(rows.size, w * 8, _CHUNK_BYTES // 64):
+            for b in _row_blocks(rows.size, w * 8, _CHUNK_BYTES // 64 // 6):  # see query_batch
                 r = rows[b]
                 lo = np.clip(pos[r] - w // 2, 0, n - w)
                 ii = perm[lo[:, None] + np.arange(w)]

@@ -155,11 +155,12 @@ def predict_alpha_knn(model, Xnew):
 
     The whole query matrix is validated first, so an error names its row.
     The grid iterator then runs once per equal block of queries, sized so
-    that a block's k neighbor indices and distances and its k gathered
-    and k powered neighbor rows of D parts per row stay within the kd-tree
-    search's budget, `_CHUNK_BYTES // 64`.  Memory therefore grows with
-    the queries and predictions only, not by k * D floats per query row.
-    A row's prediction does not depend on the other rows of the call, so
+    that a block's k neighbor indices and distances, as the search returns
+    them, and its k gathered and k powered neighbor rows of D parts per
+    row stay within the search's budget, `_CHUNK_BYTES // 64`; each block
+    is therefore one search block of the iterator.  Memory grows with the
+    queries and predictions only, not by k * D floats per query row.  A
+    row's prediction does not depend on the other rows of the call, so
     the blocks do not move a bit.
     """
     index, U, k = model.index, model.responses, model.k
@@ -180,19 +181,34 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     assumed validated (grid exponents in range, zeros only with positive
     alphas).
 
+    Memory: the one array that grows with m * k_max past the training set
+    is the (k_max, m) neighbour table, rank-major, of int32 indices while
+    n < 2**31 (intp beyond), which `tune` bounds by `_CHUNK_BYTES` a fold.
+    The search fills it in query blocks whose indices and distances,
+    16 * k_max bytes a row, stay within `_CHUNK_BYTES // 64`; no distance
+    outlives its block.  Cells are closed and yielded in chunks of consecutive grid
+    positions, a chunk's (chunk, D, m) cells within `_CHUNK_BYTES // 128`
+    (at least one cell), so a call holds the table, the powered responses
+    and two chunks (the one being filled and the caller's last), never an
+    alpha's whole row of cells.
+
     The gather is row-major: each rank's m neighbor rows of D powered
     parts are taken into an (m, D) slab and added to the running sum, so
     every part sums its neighbors in rank order.  The cells are
     parts-major: a finished running sum is divided into its cell's (D, m)
-    slot, and `_unpower` powers and closes an alpha's cells in place as
+    slot, and `_unpower` powers and closes a chunk's cells in place as
     Fortran-ordered (m, D) views, whose closure over the D parts is D - 1
     whole-column adds.  For D <= 7 these adds round exactly like a
     row-major reduction; for D >= 8 the order differs from one, but
-    predict and tune share this one path.
+    predict and tune share this one path.  The closure is decided per
+    cell and row, so the chunks do not move a bit.  The running sum goes
+    on across chunks; a chunk whose smallest k lies below the ranks
+    already summed (an unsorted or repeated grid) sums again from -0.0,
+    repeating the same adds, so every cell has the bits of its own sum.
 
     The power runs on the smaller of two sets: the n training responses,
     which are then gathered (a tune fold, where n < m * k_max), or the
-    m * k_max gathered neighbors (predict's blocks against a larger
+    m * k_max <= n gathered neighbors (predict's blocks against a larger
     model, so one query row never powers all n rows).  The power is
     elementwise and both operands are contiguous, so the orders agree
     bitwise.
@@ -200,27 +216,32 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     ks = [int(k) for k in ks]
     m, D = Q.shape[0], U.shape[1]
     k_max = min(max(ks), index.n)
-    idx = np.ascontiguousarray(index.query_batch(Q, k_max)[0].T)  # (k_max, m)
-    feasible = [k for k in ks if k <= index.n]
-    done_at = [[] for _ in range(k_max)]  # slots of the cells whose sum is complete at step i
-    for s, k in enumerate(feasible):
-        done_at[k - 1].append(s)
-    train_first = index.n < idx.size
+    table = np.empty((k_max, m), dtype=np.int32 if index.n < 2**31 else np.intp)
+    for b in _row_blocks(m, 16 * k_max, _CHUNK_BYTES // 64):
+        table[:, b] = index.query_batch(Q[b], k_max)[0].T
+    per_chunk = max(1, _CHUNK_BYTES // 128 // (8 * D * m))
+    chunks = [range(len(ks))[i:i + per_chunk] for i in range(0, len(ks), per_chunk)]
+    train_first = index.n < table.size
     # (n, D) or (k_max, m, D), powered into one contiguous buffer per alpha
-    source = np.ascontiguousarray(U) if train_first else np.take(U, idx, axis=0)
+    source = np.ascontiguousarray(U) if train_first else np.take(U, table, axis=0)
     powered = np.empty_like(source)
     for ai, a in enumerate(alphas):
         a = float(a)
         _power(source, a, out=powered)
-        cells = np.empty((len(feasible), D, m))  # fresh: the yielded cells are views
-        run = np.full((m, D), -0.0)  # -0.0 + x is x, signed zeros too
-        for i in range(k_max):
-            run += powered.take(idx[i], axis=0) if train_first else powered[i]
-            for s in done_at[i]:
-                np.divide(run.T, i + 1, out=cells[s])
-        closed = iter(_unpower(cells.transpose(0, 2, 1), a))
-        for ki, k in enumerate(ks):
-            yield ai, ki, next(closed) if k <= index.n else None
+        run, summed = np.full((m, D), -0.0), 0  # -0.0 + x is x, signed zeros too
+        for chunk in chunks:
+            slots = [s for s in chunk if ks[s] <= index.n]
+            cells = np.empty((len(slots), D, m))  # fresh: the yielded cells are views
+            if slots and min(ks[s] for s in slots) < summed:  # the grid went back: sum again
+                run[...], summed = -0.0, 0
+            for k, c in sorted((ks[s], c) for c, s in enumerate(slots)):
+                for i in range(summed, k):
+                    run += powered.take(table[i], axis=0) if train_first else powered[i]
+                summed = k
+                np.divide(run.T, k, out=cells[c])
+            closed = iter(_unpower(cells.transpose(0, 2, 1), a))
+            for s in chunk:
+                yield ai, s, next(closed) if ks[s] <= index.n else None
 
 
 # ---------------------------------------------------------------------------

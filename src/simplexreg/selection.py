@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import TuningError, ValidationError
 # pairwise_distances and closure stay bound for benchmark/tracing.py.
-from .neighbors import _check_k, _distances_to, build_index, pairwise_distances  # noqa: F401
+from .neighbors import (_CHUNK_BYTES, _check_k, _distances_to, build_index,
+                        pairwise_distances)  # noqa: F401
 from .regressors import (_check_bandwidth, _check_kernel, _fit_arrays,
                          iter_kernel_grid_predictions, iter_knn_grid_predictions)
 from .simplex import (SUM_TOL, _as_floats, _check_count, _check_real, _check_seed, _grid_axis,
@@ -270,6 +271,10 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     Returns
     -------
     TuningReport
+
+    A k-NN grid whose fold neighbour table (4 bytes a held-out row and
+    rank, up to the training rows) would pass `_CHUNK_BYTES` is refused
+    with a ValidationError before any fold runs.
     """
     X, U = _fit_arrays(X, U)
     if model_family not in ("alpha-knn", "alpha-kernel"):
@@ -300,6 +305,15 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
 
     n = X.shape[0]
     labels = make_folds(n, grid.folds, grid.seed)
+    counts = np.bincount(labels, minlength=grid.folds)
+    if model_family == "alpha-knn":
+        # A fold's neighbour table, 4 bytes a held-out row and rank, is its
+        # one array that grows with m * k; it stays within one budget.
+        table, m = max((4 * int(c) * min(max(grid.ks), n - int(c)), int(c)) for c in counts)
+        if table > _CHUNK_BYTES:
+            raise ValidationError(
+                f"tune: k = {max(grid.ks)} over a fold of {m} held-out rows needs a "
+                f"{table}-byte neighbour table, above the {_CHUNK_BYTES}-byte budget")
     shape = (len(grid.alphas), len(axis2))
 
     def run_fold(fold):
@@ -351,7 +365,6 @@ def tune(X, U, model_family, grid, metric="kl", clamp=DEFAULT_CLAMP,
     )
     ai = grid.alphas.index(best_alpha)
     bi = axis2.index(best_b)
-    counts = np.bincount(labels, minlength=grid.folds)
     per_fold = tuple(float(results[f][0][ai, bi] / counts[f]) for f in fold_ids)
     cells = tuple(
         tuple(

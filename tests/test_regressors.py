@@ -42,7 +42,7 @@ from simplexreg import (
     predict_logratio_ols,
     weighted_frechet_mean,
 )
-from simplexreg import regressors
+from simplexreg import neighbors, regressors
 from simplexreg.regressors import (
     _STACK_MULADDS,
     KERNELS,
@@ -462,6 +462,81 @@ class TestKnnPredictBlocks:
         growth = peaks[4000] - peaks[1000]
         allowed = 3000 * (1 + D) * 8 + regressors._CHUNK_BYTES // 64
         assert growth <= allowed, (peaks, allowed)
+
+
+_SEARCHES = [("kdtree", 1), ("kdtree", 2), ("brute", 2)]
+
+
+class TestKnnGridMemory:
+    """`iter_knn_grid_predictions` keeps one (k_max, m) neighbour table,
+    int32, filled by searches in query blocks, and closes its cells in
+    chunks of ks under a fixed share of `_CHUNK_BYTES`."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        # Row counts of the searches and cell counts of the closures.
+        seen = {"search": [], "close": []}
+        query, unpower = neighbors.NeighborIndex.query_batch, regressors._unpower
+        monkeypatch.setattr(neighbors.NeighborIndex, "query_batch", lambda self, Q, k: (
+            seen["search"].append(len(Q)) or query(self, Q, k)))
+        monkeypatch.setattr(regressors, "_unpower", lambda S, a: (
+            seen["close"].append(len(S)) or unpower(S, a)))
+        return seen
+
+    @pytest.mark.parametrize("strategy, p", _SEARCHES)
+    def test_unsorted_grid_in_small_chunks_equals_predict(self, monkeypatch, strategy, p):
+        # Chunks of two cells: (10, 3), (10, 40), (3, 61).  The second goes on
+        # from the ten ranks already summed, the third sums again from rank
+        # 0, and k = 61 exceeds n.  Searches at k_max = 60 in blocks of five rows.
+        rng = np.random.default_rng(17 + p)
+        X = np.round(rng.normal(size=(60, p)), 1)
+        U = closure(rng.random((60, 4)) + 0.05)
+        Q = np.round(rng.normal(size=(40, p)), 1)
+        alphas, ks = (-1.0, 0.0, 0.5), (10, 3, 10, 40, 3, 61)
+        expected = [(ai, ki, fit_alpha_knn(X, U, a, k, strategy=strategy).predict(Q)
+                     if k <= 60 else None) for ai, a in enumerate(alphas) for ki, k in enumerate(ks)]
+        index = build_index(X, strategy=strategy)
+        monkeypatch.setattr(regressors, "_CHUNK_BYTES", 128 * 2 * 40 * 4 * 8)
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 64 * 40 * 8)
+        seen = self.counted(monkeypatch)
+        got = list(iter_knn_grid_predictions(index, U, Q, alphas, ks))
+        assert [c[:2] for c in got] == [c[:2] for c in expected]
+        for (_, _, want), (_, _, cell) in zip(expected, got):
+            assert cell is None if want is None else np.array_equal(cell, want)
+        assert seen == {"search": [5] * 8, "close": [2, 2, 1] * len(alphas)}
+
+    @pytest.mark.parametrize("strategy, p", _SEARCHES)
+    def test_wide_grid_holds_its_table_and_a_few_blocks(self, strategy, p):
+        # 2,000 query rows at ks 2..500: the int32 table is 4 MB.  Whole-fold
+        # int64 indices and distances, a transposed copy and an alpha's 499
+        # cells (32 MB) would hold several times the bound.
+        rng = np.random.default_rng(5)
+        n, m, D = 5000, 2000, 4
+        X = rng.normal(size=(n, p))
+        U = closure(rng.random((n, D)) + 0.05)
+        Q = rng.normal(size=(m, p))
+        index = build_index(X, strategy=strategy)
+        index.query_batch(Q[:2], 2)  # builds the tree outside the measurement
+        ks = range(2, 501)
+        tracemalloc.start()
+        try:
+            for _, _, cell in iter_knn_grid_predictions(index, U, Q, (0.5, 1.0), ks):
+                assert cell.shape == (m, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 4 * m * max(ks)
+        assert peak <= table + 4 * (regressors._CHUNK_BYTES // 64), (peak, table)
+
+    def test_table_is_int32(self, monkeypatch, rng):
+        X, U = make_data(rng, n=50, p=1)
+        takes = []
+        take = np.take
+        monkeypatch.setattr(regressors.np, "take", lambda a, idx, **kw: (
+            a is U and takes.append(idx.dtype)) or take(a, idx, **kw))
+        # 3 x 7 < 50 gathers the neighbours' responses through the table.
+        list(iter_knn_grid_predictions(build_index(X), U, X[:3], (0.5,), (7,)))
+        assert takes == [np.dtype(np.int32)]
 
 
 class TestPredictorGate:

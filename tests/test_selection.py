@@ -30,6 +30,7 @@ from simplexreg import (
     make_folds,
     tune,
 )
+from simplexreg import neighbors, regressors, selection
 from simplexreg.neighbors import build_index
 from simplexreg.regressors import iter_knn_grid_predictions
 from simplexreg.selection import DEFAULT_CLAMP, _scorer
@@ -483,6 +484,59 @@ class TestTuneKnn:
             tune(X, U, "alpha-kernel", hgrid, kernel="box")
         with pytest.raises(ValidationError):
             tune(X, U, "alpha-knn", kgrid, metric="l2")
+
+
+class TestKnnTuneTable:
+    """A k-NN fold keeps one int32 (k_max, held-out rows) neighbour table,
+    searched in query blocks; tune refuses, before any fold runs, a grid
+    whose table would exceed `_CHUNK_BYTES`."""
+
+    @staticmethod
+    def data(p):
+        rng = np.random.default_rng(31 + p)
+        X = np.round(rng.normal(size=(600, p)), 1)
+        return X, closure(rng.random((600, 4)) + 0.02)
+
+    GRID = TuningGrid(alphas=(-0.5, 0.5, 1.0), ks=(2, 9, 30, 4), folds=5, seed=4)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_blocked_search_writes_the_same_report(self, monkeypatch, p):
+        # Folds of 120 held-out rows searched at k = 30 (480 bytes of indices
+        # and distances a row) in blocks of ten rows.
+        X, U = self.data(p)
+        whole = tune(X, U, "alpha-knn", self.GRID).to_json()
+        monkeypatch.setattr(regressors, "_CHUNK_BYTES", 64 * 480 * 10)
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 64 * 480)
+        blocks, query = [], neighbors.NeighborIndex.query_batch
+        monkeypatch.setattr(neighbors.NeighborIndex, "query_batch", lambda self, Q, k: (
+            blocks.append(len(Q)) or query(self, Q, k)))
+        assert tune(X, U, "alpha-knn", self.GRID).to_json() == whole
+        assert blocks == [10] * 12 * self.GRID.folds
+
+    def test_refuses_a_table_over_budget(self, monkeypatch):
+        # Folds of 120 held-out and 480 training rows: 4 * 120 * 30 bytes.
+        X, U = self.data(1)
+        built = []
+        monkeypatch.setattr(selection, "build_index", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", 14399)
+        with pytest.raises(ValidationError, match=(
+                r"^tune: k = 30 over a fold of 120 held-out rows needs a 14400-byte "
+                r"neighbour table, above the 14399-byte budget$")):
+            tune(X, U, "alpha-knn", self.GRID)
+        assert built == []
+        # A k above the training rows needs a table of only those ranks.
+        grid = TuningGrid(alphas=(1.0,), ks=(3, 5000), folds=5, seed=4)
+        with pytest.raises(ValidationError, match=r"^tune: k = 5000 .* 230400-byte "):
+            tune(X, U, "alpha-knn", grid)
+        monkeypatch.undo()
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", 14400)
+        tune(X, U, "alpha-knn", self.GRID)
+
+    def test_kernel_grid_has_no_table(self, monkeypatch):
+        X, U = self.data(1)
+        monkeypatch.setattr(selection, "_CHUNK_BYTES", 1)
+        tune(X[:100], U[:100], "alpha-kernel",
+             TuningGrid(alphas=(1.0,), hs=(0.5,), folds=2, seed=0))
 
 
 class TestTuneKernel:

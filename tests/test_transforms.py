@@ -546,6 +546,81 @@ class TestRefusalsNameTheRow:
             call(rows)
 
 
+def _outcome(call):
+    # The output's bytes, or the refusal's type and message.
+    try:
+        return call().tobytes()
+    except ValidationError as err:
+        return type(err).__name__, str(err)
+
+
+class TestColumnFold:
+    """The part rules and `alpha_inverse` take row minimums and maximums as
+    an elementwise fold over the D columns in row blocks
+    (`transforms._fold_rows`), not as numpy's row reduction
+    `U.min(axis=1)`: equal values, NaN included, and the same outputs and
+    refusal messages."""
+
+    @staticmethod
+    def row_reduction(ufunc, A):
+        return ufunc.reduce(A, axis=1)
+
+    @pytest.mark.parametrize("D", [2, 4, 7, 9, 17])
+    def test_fold_equals_row_reduction(self, D):
+        # Above seven parts numpy's row reduction may give a zero minimum
+        # the other sign; every rule that reads one tests it with == 0.
+        rng = np.random.default_rng(D)
+        A = rng.random((3000, D))
+        cells, low = rng.random(A.shape), 0.0
+        for value, share in ((0.0, 0.2), (-0.0, 0.2), (np.nan, 0.01), (1e-308, 0.02)):
+            A[(low <= cells) & (cells < low + share)] = value
+            low += share
+        assert np.isnan(A).any() and (np.signbit(A) & (A == 0)).any() and (A == 1e-308).any()
+        for arr in (A, np.asfortranarray(A), A[::-1, ::-1]):
+            for ufunc in (np.minimum, np.maximum):
+                got = transforms._fold_rows(ufunc, arr)
+                assert np.array_equal(got, self.row_reduction(ufunc, arr), equal_nan=True)
+
+    @pytest.mark.parametrize("D", [3, 9])
+    def test_part_rule_refuses_the_same_rows(self, monkeypatch, D):
+        rng = np.random.default_rng(40 + D)
+        U = closure(rng.random((60, D)) + 0.05)
+        for r, value in zip(rng.choice(60, size=12, replace=False),
+                            [0.0, -0.0, 1e-308, 5e-324] * 3):
+            U[r, rng.integers(D)] = value
+        calls = [lambda a=a, rows=rows: transforms._check_alpha_parts(U[rows], a, "op", 7) or U
+                 for a in (0.0, -0.5, -1.0)
+                 for rows in [slice(None)] + [slice(r, r + 1) for r in range(60)]]
+        folded = [_outcome(c) for c in calls]
+        monkeypatch.setattr(transforms, "_fold_rows", self.row_reduction)
+        assert [_outcome(c) for c in calls] == folded
+        # Zeros of either sign at every alpha <= 0 (six rows and the whole
+        # matrix), tiny parts at -1 only: -0.0 ** -1 is -inf, yet refused.
+        assert sum(isinstance(o, tuple) for o in folded) == 7 + 7 + 13
+
+    @pytest.mark.parametrize("call", [power_transform, alpha_transform])
+    def test_negative_zero_refused_at_odd_negative_alpha(self, call):
+        U = np.array([[0.3, 0.3, 0.4], [0.5, -0.0, 0.5]])
+        with pytest.raises(ZeroNotAllowedError, match=(
+                r"^\w+: row 1: a zero part needs alpha strictly positive, got alpha=-1\.0$")):
+            call(U, -1.0)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_alpha_inverse_outputs_and_messages(self, monkeypatch, d):
+        rng = np.random.default_rng(50 + d)
+        Z = rng.normal(size=(80, d)) * rng.choice([0.1, 1.0, 10.0], size=(80, 1))
+        zeros = rng.random((4, d + 1))
+        zeros[:, 0] = 0.0
+        Z[:4] = alpha_transform(closure(zeros), 0.5)  # a part within rounding of 0 at 0.5
+        calls = [lambda a=a, rows=rows: alpha_inverse(Z[rows], a)
+                 for a in (-1.0, -0.5, 0.5, 1.0)
+                 for rows in [slice(None)] + [slice(r, r + 1) for r in range(80)]]
+        folded = [_outcome(c) for c in calls]
+        monkeypatch.setattr(transforms, "_fold_rows", self.row_reduction)
+        assert [_outcome(c) for c in calls] == folded
+        assert {type(o) for o in folded} == {bytes, tuple}
+
+
 def _parent_softmax(eta):
     # The max-shifted softmax of [0 | eta] as alr_inverse and the logit fit
     # each wrote it before they shared transforms._softmax.
