@@ -39,12 +39,7 @@ from .ingestion import (
     write_csv,
     write_dataset_csv,
 )
-from .neighbors import (
-    AUTO_KDTREE_THRESHOLD,
-    NeighborIndex,
-    build_index,
-    pairwise_distances,
-)
+from .neighbors import NeighborIndex, build_index, pairwise_distances
 from .regressors import (
     KERNELS,
     AlphaKernelModel,

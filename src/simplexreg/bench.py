@@ -9,8 +9,8 @@ medians over repeats on identical data.  Absolute numbers depend on the
 machine and are reported next to a hardware descriptor; only ratios and
 how times scale with n and D are meaningful.  Cells whose estimated
 working set exceeds available memory are skipped with a reason instead
-of thrashing.  The k-NN timing is `tune`'s own grid iterator over one
-`query_batch` (one block loop, blocks from `neighbors._row_blocks`);
+of thrashing.  The k-NN timing is `tune`'s own grid iterator, which
+calls `query_batch` once per query block (`neighbors._row_blocks`);
 sampled cells pass `as_composition_matrix`, the package's composition
 gate, and the report's JSON keys are the dataclass fields.
 """

@@ -3,19 +3,19 @@
 Two interchangeable strategies give identical output: a cache-blocked
 scan ("brute", `_search_brute`), which orders each row's cut set (every
 distance at or below its k-th) with one stable lexsort, and a kd-tree.
-"auto" names the kd-tree above AUTO_KDTREE_THRESHOLD rows, but at p >= 2
-it scans until the process has scanned `_SCAN_BUDGET` distances, about
-the cost of loading the tree's extension, and only then loads it.  The
-tree (scipy's cKDTree) is built on the first kd-tree search; only its
-compiled extension is loaded, not `scipy.spatial` (see `_ckdtree`).  With
-one predictor column the kd-tree is the sorted column (stable argsort and
-sorted values) and scipy is never loaded: a query's k nearest rows are a
-run of it around the insertion point (`_search_sorted`).  Neighbors are
-ordered by (distance, row index), so exact ties resolve to the lower
-training row.  Both kd-tree paths re-evaluate candidate distances with
-the scan's kernel and widen the candidates whenever a tie could straddle
-the cut, which keeps the strategies bit-identical; they sort again by
-(distance, row index) only rows holding an equal pair (`_by_distance`).
+"auto" is the kd-tree at every n, but at p >= 2 it scans until the
+process has scanned `_SCAN_BUDGET` distances, about the cost of loading
+the tree's extension, and only then loads it.  The tree (scipy's cKDTree)
+is built on the first kd-tree search; only its compiled extension is
+loaded, not `scipy.spatial` (see `_ckdtree`).  With one predictor column
+the kd-tree is the sorted column (stable argsort and sorted values) and
+scipy is never loaded: a query's k nearest rows are a run of it around
+the insertion point (`_search_sorted`).  Neighbors are ordered by
+(distance, row index), so exact ties resolve to the lower training row.
+Both kd-tree paths re-evaluate candidate distances with the scan's kernel
+and widen the candidates whenever a tie could straddle the cut, which
+keeps the strategies bit-identical; they sort again by (distance, row
+index) only rows holding an equal pair (`_by_distance`).
 
 That kernel, `_distances_to`, is predictor-major: it sums the p squared
 coordinate differences as p whole-array adds, not as a short reduction
@@ -41,11 +41,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .simplex import _as_floats, _check_count, _predictor_gate
-
-# Above this row count "auto" names the kd-tree, below it the scan.  A loaded
-# tree is 1.0-1.8x faster than the scan at n = 32-128 (p = 2, 3, k = 5-50, 2,000
-# queries: under 3 ms of its ~0.25 s load), 2-12x at n = 3,000.
-AUTO_KDTREE_THRESHOLD = 128
 
 _STRATEGIES = ("auto", "brute", "kdtree")
 
@@ -158,8 +153,8 @@ class NeighborIndex:
     X : array_like, shape (n, p)
         Training predictors; held by reference.
     strategy : {"auto", "brute", "kdtree"}
-        "auto" picks the kd-tree once n exceeds AUTO_KDTREE_THRESHOLD; at
-        p >= 2 it scans while the process is within `_SCAN_BUDGET`.
+        "auto" is the kd-tree, but at p >= 2 it scans while the process
+        is within `_SCAN_BUDGET`.
     """
 
     def __init__(self, X, strategy="auto"):
@@ -169,9 +164,7 @@ class NeighborIndex:
             )
         self._X = _predictor_gate(X, "training")
         self._scan_first = strategy == "auto" and self.p > 1
-        if strategy == "auto":
-            strategy = "kdtree" if self.n > AUTO_KDTREE_THRESHOLD else "brute"
-        self.strategy = strategy
+        self.strategy = "brute" if strategy == "brute" else "kdtree"
         self._tree = self._columns = None
 
     @property

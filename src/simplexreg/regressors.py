@@ -40,7 +40,7 @@ from .neighbors import (_CHUNK_BYTES, NeighborIndex, _check_k, _distances_to, _e
 from .neighbors import pairwise_distances  # noqa: F401
 from .simplex import _as_floats, _check_count, _check_real, _predictor_gate, as_composition_matrix
 from .simplex import closure  # noqa: F401
-from .transforms import (_check_alpha_parts, _softmax, alr, alr_inverse, check_alpha, ilr,
+from .transforms import (_alr, _check_alpha_parts, _ilr, _softmax, alr_inverse, check_alpha,
                          ilr_inverse)
 
 # Per-alpha GEMM size (rows * n * D multiply-adds) from which one kernel
@@ -177,7 +177,8 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     Neighbors are fetched once at the largest k; a running sum over the
     neighbor ranks then produces each cell at constant extra cost.  Yields
     (alpha_position, k_position, predictions) in grid order, with None
-    predictions for cells whose k exceeds the index size.  Inputs are
+    predictions for cells whose k exceeds the index size.  Q passes the
+    predictor gate whole, so an error names its row; the other inputs are
     assumed validated (grid exponents in range, zeros only with positive
     alphas).
 
@@ -213,7 +214,7 @@ def iter_knn_grid_predictions(index, U, Q, alphas, ks):
     elementwise and both operands are contiguous, so the orders agree
     bitwise.
     """
-    ks = [int(k) for k in ks]
+    Q, ks = _predictor_gate(Q, "query", index.p), [int(k) for k in ks]
     m, D = Q.shape[0], U.shape[1]
     k_max = min(max(ks), index.n)
     table = np.empty((k_max, m), dtype=np.int32 if index.n < 2**31 else np.intp)
@@ -640,7 +641,7 @@ def fit_logratio_ols(X, U, transform="alr"):
     _check_transform(transform)
     _check_alpha_parts(U, 0.0, "fit_logratio_ols", 1)
     X1 = _design_matrix(X)
-    V = alr(U) if transform == "alr" else ilr(U)
+    V = (_alr if transform == "alr" else _ilr)(U)
     coef, _, rank, _ = np.linalg.lstsq(X1, V, rcond=None)
     if rank < X1.shape[1]:
         raise ValidationError(

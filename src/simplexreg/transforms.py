@@ -10,7 +10,8 @@ Each public transform reads its input once (`_as_rows`), each forward one
 checks its parts once (`_check_parts`, whose alpha = 0 case is the log-ratio
 maps'), every refusal names the function and the row (`simplex._refuse`),
 and no transform calls another: shared steps are private kernels, among
-them `_softmax`, which `alr_inverse` and the multinomial logit fit share.
+them `_softmax`, which `alr_inverse` and the multinomial logit fit share,
+and `_alr` and `_ilr`, which the log-ratio fit runs after its part check.
 """
 
 import math
@@ -126,6 +127,15 @@ def _clr(arr):
     return logs - logs.mean(axis=1, keepdims=True)
 
 
+def _alr(arr):
+    logs = np.log(arr)
+    return logs[:, 1:] - logs[:, :1]
+
+
+def _ilr(arr):
+    return _clr(arr) @ helmert_submatrix(arr.shape[1]).T
+
+
 def _clr_inverse(arr):
     # Halves find where the shift would overflow; the exponential is 0 there anyway.
     top = arr.max(axis=1, keepdims=True)
@@ -151,8 +161,7 @@ def alr(u):
     """
     arr, squeeze = _as_rows(u, "alr")
     _check_parts(arr, "alr", 0.0)
-    logs = np.log(arr)
-    return _maybe_squeeze(logs[:, 1:] - logs[:, :1], squeeze)
+    return _maybe_squeeze(_alr(arr), squeeze)
 
 
 def alr_inverse(v):
@@ -189,7 +198,7 @@ def ilr(u):
     """Isometric log-ratio transform: Helmert rotation of clr coordinates."""
     arr, squeeze = _as_rows(u, "ilr")
     _check_parts(arr, "ilr", 0.0)
-    return _maybe_squeeze(_clr(arr) @ helmert_submatrix(arr.shape[1]).T, squeeze)
+    return _maybe_squeeze(_ilr(arr), squeeze)
 
 
 def ilr_inverse(z):
@@ -222,12 +231,10 @@ def alpha_transform(u, alpha):
     a = check_alpha(alpha)
     arr, squeeze = _as_rows(u, "alpha_transform")
     _check_parts(arr, "alpha_transform", a)
-    D = arr.shape[1]
-    H = helmert_submatrix(D)
     if a == 0.0:
-        return _maybe_squeeze(_clr(arr) @ H.T, squeeze)
-    w = closure(arr**a)
-    z = (D * w - 1.0) @ H.T / a
+        return _maybe_squeeze(_ilr(arr), squeeze)
+    D = arr.shape[1]
+    z = (D * closure(arr**a) - 1.0) @ helmert_submatrix(D).T / a
     return _maybe_squeeze(z, squeeze)
 
 

@@ -1218,9 +1218,9 @@ print(json.dumps(loaded))
 """
 
 
-# Runs in a fresh interpreter: with one predictor column the kd-tree
-# strategy searches the sorted column, so aknn tune and predict over 200
-# rows (above AUTO_KDTREE_THRESHOLD) never import scipy.
+# Runs in a fresh interpreter: with one predictor column "auto" searches
+# the sorted column at every training size, so aknn tune and predict over
+# 200 rows never import scipy.
 _SCIPY_ONE_PREDICTOR_PROBE = """
 import json, sys
 from simplexreg import cli

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from simplexreg import NeighborIndex, ValidationError, build_index, neighbors
-from simplexreg.neighbors import AUTO_KDTREE_THRESHOLD, pairwise_distances
+from simplexreg.neighbors import pairwise_distances
 
 
 # Runs in a fresh interpreter: four threads, more than most CI cores, make
@@ -225,13 +225,16 @@ class TestBackendAgreement:
 
 
 class TestConstruction:
-    def test_auto_strategy_small_uses_brute(self, rng):
-        idx = build_index(rng.normal(size=(10, 2)))
-        assert idx.strategy == "brute"
+    def test_auto_strategy_small_uses_kdtree(self, rng):
+        # "auto" is the kd-tree at every n; only the scan budget (p >= 2)
+        # decides whether a query scans first.
+        for p in (1, 3):
+            for n in range(1, 130):
+                assert build_index(rng.normal(size=(n, p))).strategy == "kdtree"
+        assert build_index(rng.normal(size=(10, 2)), strategy="brute").strategy == "brute"
 
     def test_auto_strategy_large_uses_kdtree(self, rng):
-        n = AUTO_KDTREE_THRESHOLD + 1
-        idx = build_index(rng.normal(size=(n, 1)))
+        idx = build_index(rng.normal(size=(129, 1)))
         assert idx.strategy == "kdtree"
 
     def test_properties(self, rng):
@@ -438,14 +441,11 @@ class TestKdtreeEdgeCases:
         assert np.array_equal(whole[1], blocked[1])
         _assert_matches_brute(X, Q, 5)
 
-    @pytest.mark.parametrize("n, expected", [
-        (AUTO_KDTREE_THRESHOLD, "brute"),
-        (AUTO_KDTREE_THRESHOLD + 1, "kdtree"),
-    ])
-    def test_auto_at_threshold(self, rng, n, expected):
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_auto_is_the_kdtree(self, rng, n):
         X = np.round(rng.normal(size=(n, 3)), 1)
         Q = np.round(rng.normal(size=(30, 3)), 1)
-        assert build_index(X).strategy == expected
+        assert build_index(X).strategy == "kdtree"
         for k in (1, 5, 25):
             _assert_matches_brute(X, Q, k, strategy="auto")
             _assert_matches_brute(X, Q, k, strategy="kdtree")
@@ -512,7 +512,7 @@ class TestOnePredictor:
         for k in (1, 8, 499, 500):
             _assert_matches_brute(X, Q, k)
 
-    @pytest.mark.parametrize("n", [AUTO_KDTREE_THRESHOLD + 1, 300])
+    @pytest.mark.parametrize("n", [129, 300])
     def test_k_one_and_k_n(self, rng, n):
         X = np.round(rng.normal(size=(n, 1)), 1)
         Q = np.vstack([X[:20], np.round(rng.normal(size=(20, 1)), 2)])
@@ -545,6 +545,32 @@ class TestOnePredictor:
         # every row of the last round in a block of its own.
         assert [w for w, _ in widths[1:]] == [8, 16, 32, 64, 128, 256, 300]
         assert widths[-1] == (300, [1] * len(Q))
+
+
+def test_auto_equals_brute_on_tiny_columns(monkeypatch):
+    # Seeded tiny columns of rounded values with duplicate rows and
+    # signed zeros; queries on the rows, their negatives and off them,
+    # at every k from 1 to n + 2.  "auto" never scans here, and gives
+    # the scan's indices, distances and distance sign bits.
+    scans = []
+    search = NeighborIndex._search_brute
+    monkeypatch.setattr(NeighborIndex, "_search_brute",
+                        lambda self, *args: scans.append(self.strategy) or search(self, *args))
+    rng = np.random.default_rng(32)
+    for n in [*range(1, 12), 40, 64, 127, 128]:
+        X = np.round(rng.normal(size=(n, 1)), 1)
+        X[rng.random(n) < 0.2] = 0.0
+        X[rng.random(n) < 0.2] = -0.0
+        X[rng.integers(n, size=n // 3)] = X[rng.integers(n, size=n // 3)]
+        Q = np.vstack([X, -X, np.round(rng.normal(size=(5, 1)), 1), [[0.0], [-0.0]]])
+        auto, brute = build_index(X), build_index(X, strategy="brute")
+        assert auto.strategy == "kdtree"
+        for k in range(1, n + 3):
+            I, D = auto.query_batch(Q, k)
+            Ib, Db = brute.query_batch(Q, k)
+            assert np.array_equal(I, Ib) and np.array_equal(D, Db)
+            assert np.array_equal(np.signbit(D), np.signbit(Db))
+    assert set(scans) == {"brute"}
 
 
 def test_one_predictor_search_beats_brute():
@@ -703,9 +729,9 @@ class TestBruteAgainstTheOracle:
 
 
 class TestAutoRouting:
-    """An auto index at p >= 2 scans until the process's scans would pass
-    `_SCAN_BUDGET` distances or the kd-tree extension is loaded; then it
-    uses the tree.  Explicit "kdtree" never scans; p = 1 never scans."""
+    """An auto index at p >= 2, of any size, scans until the process's scans
+    would pass `_SCAN_BUDGET` distances or the kd-tree extension is loaded;
+    then it uses the tree.  Explicit "kdtree" never scans; p = 1 never scans."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -811,3 +837,25 @@ class TestAutoRouting:
         build_index(X).query_batch(X[:30], 5)
         assert spy == {"loads": 0, "scans": 0}
         assert neighbors._scanned == 0
+
+    def test_small_index_scans_then_loads_the_tree(self, monkeypatch, rng, spy):
+        # 40 training rows: the scan budget alone decides, at every n.
+        X = np.round(rng.normal(size=(40, 2)), 1)
+        Q = np.round(rng.normal(size=(25, 2)), 1)
+        expected = _stable_argsort_oracle(X, Q, 6)
+        monkeypatch.setattr(neighbors, "_scanned", neighbors._SCAN_BUDGET - len(Q) * len(X))
+        index = build_index(X)
+        for loads, scans in ((0, len(Q)), (1, len(Q))):
+            got = index.query_batch(Q, 6)
+            assert spy == {"loads": loads, "scans": scans}
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        assert index._tree is not None
+
+    def test_small_one_predictor_index_never_scans(self, rng, spy):
+        X = np.round(rng.normal(size=(40, 1)), 1)
+        Q = np.round(rng.normal(size=(25, 1)), 1)
+        got = build_index(X).query_batch(Q, 6)
+        assert spy == {"loads": 0, "scans": 0}
+        assert neighbors._scanned == 0
+        expected = _stable_argsort_oracle(X, Q, 6)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])

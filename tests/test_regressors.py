@@ -42,7 +42,7 @@ from simplexreg import (
     predict_logratio_ols,
     weighted_frechet_mean,
 )
-from simplexreg import neighbors, regressors
+from simplexreg import neighbors, regressors, transforms
 from simplexreg.regressors import (
     _STACK_MULADDS,
     KERNELS,
@@ -164,6 +164,15 @@ class TestKnnGridIterator:
         out = list(iter_knn_grid_predictions(index, U, X, (1.0,), (5, 11)))
         assert out[0][2] is not None
         assert out[1][2] is None
+
+    def test_query_error_names_a_row_of_the_whole_matrix(self, rng):
+        # 3,000 queries at k = 50 run in several search blocks; the row
+        # named is the caller's, not one of the block holding it.
+        X, U = make_data(rng, n=200, p=1, D=3)
+        Q = rng.normal(size=(3000, 1))
+        Q[1500, 0] = np.nan
+        with pytest.raises(ValidationError, match="^row 1500: non-finite predictor value$"):
+            next(iter_knn_grid_predictions(build_index(X), U, Q, (0.5,), (50,)))
 
     @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
     def test_cells_equal_predict_bitwise(self, rng, strategy):
@@ -1218,6 +1227,24 @@ class TestLogRatioOls:
         X, U = make_data(rng, n=20)
         with pytest.raises(ValidationError):
             fit_logratio_ols(X, U, transform="clr")
+
+    @pytest.mark.parametrize("transform", ["alr", "ilr"])
+    def test_responses_checked_once(self, monkeypatch, rng, transform):
+        # The fit's one part check passes the responses straight to the
+        # coordinate kernel: no public map reads or checks them again.
+        X, U = make_data(rng, n=40, p=2, D=4)
+        expected = fit_logratio_ols(X, U, transform).coef
+        calls = []
+
+        def counted(module, name):
+            inner = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or inner(*args))
+        counted(regressors, "_check_alpha_parts")
+        counted(transforms, "_check_alpha_parts")
+        counted(transforms, "_as_rows")
+        coef = fit_logratio_ols(X, U, transform).coef
+        assert calls == ["_check_alpha_parts"]
+        assert np.array_equal(coef, expected)
 
 
 class TestSpecs:
